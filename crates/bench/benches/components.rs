@@ -89,12 +89,14 @@ fn components(c: &mut Criterion) {
             })
         });
     }
-    // The origin-to-worker schedule at a fixed worker count: degree-aware
-    // LPT binning against the static striping baseline. Outputs are
+    // The origin-to-worker schedule at a fixed worker count: dynamic
+    // claims against the static striping baseline. The row ids predate
+    // the dynamic schedule (`lpt=degree` now times `Dynamic`) and stay
+    // as they are so recorded baselines keep tracking them. Outputs are
     // byte-identical under both schedules — the rows only measure how
     // evenly the per-origin work lands on the workers.
     for (name, scheduling) in
-        [("lpt=degree", OriginScheduling::Degree), ("lpt=static", OriginScheduling::Static)]
+        [("lpt=degree", OriginScheduling::Dynamic), ("lpt=static", OriginScheduling::Static)]
     {
         let options = PropagationOptions::default().with_scheduling(scheduling);
         group.bench_function(name, |b| {
@@ -132,15 +134,21 @@ fn components(c: &mut Criterion) {
         });
     }
     // Internet-scale rows: the frozen CSR backend propagating a sampled
-    // origin set over the CAIDA-shaped 10k/50k-AS graphs the `--scale`
-    // experiment knob runs at. Origins are strided exactly as
+    // origin set over the CAIDA-shaped 10k/50k/100k-AS graphs the
+    // `--scale` experiment knob runs at. Origins are strided exactly as
     // `SimConfig::origin_sample` strides them, so the rows time what the
-    // experiment bins actually execute; the worker budget is the whole
-    // host (0 = all cores). The `memory/graph_bytes/*` gauges next to
-    // them pin the frozen graph's heap footprint at each scale.
-    for (name, scale) in
-        [("scale=10k", bench::internet_10k_scale()), ("scale=50k", bench::internet_50k_scale())]
-    {
+    // experiment bins actually execute; the 10k/50k worker budget is the
+    // whole host (0 = all cores), while 100k runs at one and at two
+    // workers, the pair whose ratio says whether a second core pays off
+    // at internet scale. The `memory/graph_bytes/*` gauges next to
+    // them pin the frozen graph's heap footprint at each scale, and
+    // `memory/propagation_bytes/scale=10k` what a built scenario's
+    // propagation cache retains (one next-hop table per origin and plane).
+    for (name, scale, worker_rows) in [
+        ("scale=10k", bench::internet_10k_scale(), &[None][..]),
+        ("scale=50k", bench::internet_50k_scale(), &[None][..]),
+        ("scale=100k", bench::internet_100k_scale(), &[Some(1), Some(2)][..]),
+    ] {
         let mut scale_graph = topogen::generate(&scale.topology).graph;
         scale_graph.freeze();
         let breakdown = scale_graph.memory_breakdown();
@@ -161,20 +169,32 @@ fn components(c: &mut Criterion) {
         let scale_origins: Vec<Asn> =
             scale_origins.into_iter().step_by(scale.sim.origin_sample.max(1)).collect();
         group.throughput(Throughput::Elements(scale_origins.len() as u64));
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    propagate_origins(
-                        &scale_graph,
-                        black_box(&scale_origins),
-                        IpVersion::V4,
-                        &PropagationOptions::default(),
-                        0,
+        for &workers in worker_rows {
+            let id = match workers {
+                Some(workers) => format!("{name}/threads={workers}"),
+                None => name.to_string(),
+            };
+            group.bench_function(&id, |b| {
+                b.iter(|| {
+                    black_box(
+                        propagate_origins(
+                            &scale_graph,
+                            black_box(&scale_origins),
+                            IpVersion::V4,
+                            &PropagationOptions::default(),
+                            workers.unwrap_or(0),
+                        )
+                        .len(),
                     )
-                    .len(),
-                )
-            })
-        });
+                })
+            });
+        }
+        if name == "scale=10k" {
+            let built = Scenario::build(&scale.topology, &scale.sim);
+            let bytes = built.propagation.memory_footprint();
+            println!("memory/propagation_bytes/{name}: {bytes} bytes retained");
+            record_gauge(&format!("memory/propagation_bytes/{name}"), bytes as u128);
+        }
     }
     group.finish();
 

@@ -59,17 +59,17 @@ fn parse_bool_knob(name: &str, value: Option<&str>, default: bool) -> Result<boo
 }
 
 /// Parse the origin-scheduling knob: unset or empty means the default
-/// degree-aware schedule; otherwise only `degree` and `static`
+/// self-balancing schedule; otherwise only `dynamic` and `static`
 /// (case-insensitive) are accepted.
 fn parse_scheduling_knob(
     name: &str,
     value: Option<&str>,
 ) -> Result<routesim::OriginScheduling, String> {
     match value.map(str::trim) {
-        None | Some("") => Ok(routesim::OriginScheduling::Degree),
-        Some(raw) if raw.eq_ignore_ascii_case("degree") => Ok(routesim::OriginScheduling::Degree),
+        None | Some("") => Ok(routesim::OriginScheduling::Dynamic),
+        Some(raw) if raw.eq_ignore_ascii_case("dynamic") => Ok(routesim::OriginScheduling::Dynamic),
         Some(raw) if raw.eq_ignore_ascii_case("static") => Ok(routesim::OriginScheduling::Static),
-        Some(raw) => Err(format!("{name} must be \"degree\" or \"static\", got {raw:?}")),
+        Some(raw) => Err(format!("{name} must be \"dynamic\" or \"static\", got {raw:?}")),
     }
 }
 
@@ -193,7 +193,8 @@ pub struct ExecKnobs {
     /// off, the conservative tier).
     pub removal_repair: bool,
     /// `HYBRID_SCHEDULING` — how propagation assigns origins to workers:
-    /// `degree` (the default, LPT binning) or `static` (index striping).
+    /// `dynamic` (the default, self-balancing claims) or `static` (index
+    /// striping).
     pub scheduling: routesim::OriginScheduling,
     /// `HYBRID_CSR` — whether graphs are frozen into the flat CSR
     /// backend before the heavy traversals run (default on).
@@ -236,7 +237,7 @@ impl Default for ExecKnobs {
             frontier: 1,
             incremental: true,
             removal_repair: false,
-            scheduling: routesim::OriginScheduling::Degree,
+            scheduling: routesim::OriginScheduling::Dynamic,
             csr: true,
             scenario: routesim::PolicyScenario::Classic,
             deployment: 0.0,
@@ -947,19 +948,21 @@ mod tests {
     #[test]
     fn scheduling_knob_parses_both_schedules_and_rejects_everything_else() {
         use routesim::OriginScheduling;
-        assert_eq!(parse_scheduling_knob("HYBRID_SCHEDULING", None), Ok(OriginScheduling::Degree));
+        assert_eq!(parse_scheduling_knob("HYBRID_SCHEDULING", None), Ok(OriginScheduling::Dynamic));
         assert_eq!(
             parse_scheduling_knob("HYBRID_SCHEDULING", Some("")),
-            Ok(OriginScheduling::Degree)
+            Ok(OriginScheduling::Dynamic)
         );
         assert_eq!(
-            parse_scheduling_knob("HYBRID_SCHEDULING", Some("degree")),
-            Ok(OriginScheduling::Degree)
+            parse_scheduling_knob("HYBRID_SCHEDULING", Some("dynamic")),
+            Ok(OriginScheduling::Dynamic)
         );
         assert_eq!(
             parse_scheduling_knob("HYBRID_SCHEDULING", Some(" Static ")),
             Ok(OriginScheduling::Static)
         );
+        let err = parse_scheduling_knob("HYBRID_SCHEDULING", Some("degree")).unwrap_err();
+        assert!(err.contains("HYBRID_SCHEDULING") && err.contains("degree"), "{err}");
         let err = parse_scheduling_knob("HYBRID_SCHEDULING", Some("lpt")).unwrap_err();
         assert!(err.contains("HYBRID_SCHEDULING") && err.contains("lpt"), "{err}");
     }

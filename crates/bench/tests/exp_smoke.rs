@@ -15,11 +15,12 @@
 //! so the comparison is reproducible whatever the caller's shell exports
 //! — and the second run flips every knob to prove the bytes do not
 //! depend on them. Two knobs are deliberately *inherited* rather than
-//! pinned: `HYBRID_SCHEDULING` is forced to `static` only on the flipped
-//! run, while the reference run takes whatever the job environment
-//! exports, so a CI matrix leg can re-prove the goldens under either
-//! origin schedule; and `HYBRID_SCENARIO` is inherited by *both* runs —
-//! a scenario is an output knob, so each scenario leg compares against
+//! pinned: the reference run takes `HYBRID_SCHEDULING` from the job
+//! environment and the flipped run pins the *other* schedule (`static`
+//! after `dynamic` or an unset knob, `dynamic` after `static`), so every
+//! CI matrix leg re-proves the goldens under both origin schedules; and
+//! `HYBRID_SCENARIO` is inherited by *both* runs — a scenario is an
+//! output knob, so each scenario leg compares against
 //! its own golden directory (`tests/golden/exp/` for classic, a
 //! `tests/golden/exp/<scenario>/` subdirectory otherwise) and the
 //! worker-knob flip must still reproduce the bytes within the leg.
@@ -99,6 +100,15 @@ fn run_tiny(
     String::from_utf8(output.stdout).unwrap_or_else(|e| panic!("{name} stdout is not UTF-8: {e}"))
 }
 
+/// The origin schedule the flipped run pins: whichever one the inherited
+/// `HYBRID_SCHEDULING` did not select.
+fn flipped_schedule() -> &'static str {
+    match std::env::var("HYBRID_SCHEDULING") {
+        Ok(inherited) if inherited.trim().eq_ignore_ascii_case("static") => "dynamic",
+        _ => "static",
+    }
+}
+
 #[test]
 fn exp_bins_reproduce_their_goldens_at_every_execution_setting() {
     let dir = golden_dir();
@@ -131,15 +141,15 @@ fn exp_bins_reproduce_their_goldens_at_every_execution_setting() {
             );
         }
         // ... and a run with both worker knobs flipped (sharded origins
-        // AND a parallel frontier), the origin schedule pinned to static
-        // striping, and delta-repaired ingest switched off must produce
-        // the same bytes: parallelism is never an output knob, neither is
-        // the schedule, and replaying updates with a full per-window
-        // recompute must match the delta-repaired replay at the process
-        // boundary too. The incremental switch stays pinned — exp_f2
+        // AND a parallel frontier), the origin schedule flipped to the
+        // one the reference run did not use, and delta-repaired ingest
+        // switched off must produce the same bytes: parallelism is never
+        // an output knob, neither is the schedule, and replaying updates
+        // with a full per-window recompute must match the delta-repaired
+        // replay at the process boundary too. The incremental switch stays pinned — exp_f2
         // deliberately prints the sweep's execution counters, which
         // describe *how* the sweep ran and so reflect that knob.
-        let parallel = run_tiny(name, exe, "2", "2", "1", "0", Some("static"));
+        let parallel = run_tiny(name, exe, "2", "2", "1", "0", Some(flipped_schedule()));
         assert!(
             parallel == sequential,
             "{name} --tiny stdout depends on the worker knobs \

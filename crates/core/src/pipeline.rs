@@ -245,8 +245,8 @@ pub struct PipelineOptions {
     /// place. Execution only — never a byte of the report.
     pub frontier_concurrency: usize,
     /// How route propagation assigns origins to its workers (see
-    /// [`routesim::OriginScheduling`]): degree-aware LPT binning by
-    /// default, static striping as the reference schedule. Resolved into
+    /// [`routesim::OriginScheduling`]): self-balancing claims by default,
+    /// static striping as the reference schedule. Resolved into
     /// `SimConfig::scheduling` by [`configure_sim`](Self::configure_sim);
     /// execution only — never a byte of the report.
     pub scheduling: routesim::OriginScheduling,
@@ -360,11 +360,11 @@ impl PipelineOptions {
     /// budget, frontier split, origin schedule, graph backend and
     /// adversarial scenario. Only knobs the configuration leaves at their
     /// *default values* are overwritten (`concurrency == 0`,
-    /// `frontier_concurrency == 1`, `scheduling == Degree`, `csr ==
+    /// `frontier_concurrency == 1`, `scheduling == Dynamic`, `csr ==
     /// true`, `policy_scenario == Classic`, `policy_deployment == 0.0`);
     /// any other value is kept. Note the defaults double as the
     /// "unpinned" sentinels: a caller that wants `concurrency = 0` (all
-    /// cores), `frontier_concurrency = 1` (sequential scans), degree-aware
+    /// cores), `frontier_concurrency = 1` (sequential scans), dynamic
     /// scheduling, the CSR backend, the classic policy or a zero
     /// deployment *regardless of these options* must set them after this
     /// call, not before.
@@ -375,7 +375,7 @@ impl PipelineOptions {
         if sim.frontier_concurrency == 1 {
             sim.frontier_concurrency = self.frontier_concurrency;
         }
-        if sim.scheduling == routesim::OriginScheduling::Degree {
+        if sim.scheduling == routesim::OriginScheduling::Dynamic {
             sim.scheduling = self.scheduling;
         }
         if sim.csr {
@@ -824,15 +824,15 @@ mod tests {
     #[test]
     fn scheduling_knob_resolves_and_stamps_unpinned_sim_configs() {
         use routesim::OriginScheduling;
-        assert_eq!(PipelineOptions::default().scheduling, OriginScheduling::Degree);
+        assert_eq!(PipelineOptions::default().scheduling, OriginScheduling::Dynamic);
         let options =
             PipelineOptions::with_concurrency(4).with_scheduling(OriginScheduling::Static);
         assert_eq!(options.scheduling, OriginScheduling::Static);
         // An unpinned sim config takes the pipeline's schedule ...
         let sim = options.configure_sim(SimConfig::small());
         assert_eq!(sim.scheduling, OriginScheduling::Static);
-        // ... a pinned one is kept (Degree is the unpinned sentinel, so a
-        // config pinned to Static survives a Degree-scheduled pipeline).
+        // ... a pinned one is kept (Dynamic is the unpinned sentinel, so a
+        // config pinned to Static survives a Dynamic-scheduled pipeline).
         let pinned = SimConfig::small().with_scheduling(OriginScheduling::Static);
         let kept = PipelineOptions::default().configure_sim(pinned);
         assert_eq!(kept.scheduling, OriginScheduling::Static);

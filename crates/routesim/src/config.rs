@@ -76,8 +76,8 @@ pub struct SimConfig {
     pub frontier_concurrency: usize,
 
     /// How origins are assigned to the propagation workers (see
-    /// [`OriginScheduling`]): degree-aware LPT binning by default,
-    /// static striping as the reference schedule. Like the worker
+    /// [`OriginScheduling`]): self-balancing claims by default, static
+    /// striping as the reference schedule. Like the worker
     /// counts, an execution detail with byte-identical output.
     pub scheduling: OriginScheduling,
 

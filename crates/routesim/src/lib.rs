@@ -59,5 +59,7 @@ pub use propagate::{
     PropagationOptions, RouteClass, RouteInfo, RouteTaint, RoutingOutcome,
 };
 pub use scenario::{PropagationCache, Scenario, ScenarioPool, PROPAGATION_LRU_CAPACITY};
-pub use shard::{effective_concurrency, shard_frontier, shard_map, shard_map_lpt, shard_map_owned};
+pub use shard::{
+    effective_concurrency, shard_frontier, shard_map, shard_map_dynamic, shard_map_owned,
+};
 pub use updates::UpdateStreamConfig;

@@ -32,7 +32,7 @@
 //! tainted candidates — see [`propagate_origin_with`].
 //!
 //! Execution is parallel on two levels, both steered by knobs that never
-//! change the selected routes: origins shard across workers
+//! change the selected routes: workers claim origins one at a time
 //! ([`propagate_origins`]), and *within* one origin the Phase 1/3 walks
 //! run level-synchronously with each level's neighbor scan striped across
 //! workers ([`PropagationOptions::frontier_concurrency`], resolved with
@@ -54,19 +54,18 @@ use crate::shard::shard_frontier;
 
 /// How origins are assigned to the workers of [`propagate_origins`].
 ///
-/// Execution only, like every concurrency knob: both schedules merge
-/// outcomes back in origin order, so the selected routes — and therefore
-/// the report bytes — are identical whichever is picked.
+/// Execution only, like every concurrency knob: both schedules write each
+/// outcome back to its origin's slot, so the selected routes — and
+/// therefore the report bytes — are identical whichever is picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum OriginScheduling {
-    /// Degree-aware LPT binning (the default): origins are weighted by
-    /// their out-degree on the propagated plane and assigned
-    /// longest-first to the least-loaded worker, so a handful of
-    /// high-degree origins cannot serialize a whole stripe behind them.
+    /// Self-balancing claims (the default): each worker takes the next
+    /// unclaimed origin from a shared counter, so one expensive origin
+    /// occupies one worker while the others drain the rest of the list.
     #[default]
-    Degree,
-    /// The original static striping (worker `w` takes origins
-    /// `w, w + workers, …`), kept as the reference schedule.
+    Dynamic,
+    /// Static striping (worker `w` takes origins `w, w + workers, …`),
+    /// kept as the reference schedule.
     Static,
 }
 
@@ -109,7 +108,8 @@ pub struct RouteTaint {
     pub leaked: bool,
 }
 
-/// One AS's selected route towards the origin.
+/// One AS's selected route towards the origin: the decoded view of the
+/// packed per-node state the walk keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteInfo {
     /// How the route was learned.
@@ -117,10 +117,159 @@ pub struct RouteInfo {
     /// AS-path length in hops (origin = 0).
     pub path_len: u32,
     /// The neighbor the route was learned from (towards the origin).
-    /// Meaningless for the origin itself.
+    /// The origin itself points at itself.
     pub next_hop: NodeId,
     /// What the route has been through (hijacked origin, leaked hop).
     pub taint: RouteTaint,
+}
+
+/// Low three bits of a [`RouteWord`]'s metadata: the route class code,
+/// `0` for "no route".
+const CLASS_MASK: u32 = 0b111;
+const HIJACKED_BIT: u32 = 1 << 3;
+const LEAKED_BIT: u32 = 1 << 4;
+/// The path length sits above the class and taint bits.
+const PATH_LEN_SHIFT: u32 = 5;
+/// The longest AS path a [`RouteWord`] can carry (2²⁷ − 1 hops).
+const MAX_PATH_LEN: u32 = u32::MAX >> PATH_LEN_SHIFT;
+
+/// One node's route packed into 8 bytes: the next-hop node id plus one
+/// word holding class, taint and path length. The all-zero word means
+/// "no route", so a table of words needs no `Option` wrapper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct RouteWord {
+    next_hop: u32,
+    meta: u32,
+}
+
+impl RouteWord {
+    fn pack(info: &RouteInfo) -> RouteWord {
+        assert!(
+            info.path_len <= MAX_PATH_LEN,
+            "AS path length {} exceeds the packed route bound {MAX_PATH_LEN}",
+            info.path_len
+        );
+        let class = match info.class {
+            RouteClass::Origin => 1,
+            RouteClass::Customer => 2,
+            RouteClass::Peer => 3,
+            RouteClass::Provider => 4,
+            RouteClass::Relaxed => 5,
+            RouteClass::Leaked => 6,
+        };
+        let mut meta = class | info.path_len << PATH_LEN_SHIFT;
+        if info.taint.hijacked {
+            meta |= HIJACKED_BIT;
+        }
+        if info.taint.leaked {
+            meta |= LEAKED_BIT;
+        }
+        RouteWord { next_hop: info.next_hop.0, meta }
+    }
+
+    #[inline]
+    fn is_routed(self) -> bool {
+        self.meta & CLASS_MASK != 0
+    }
+
+    #[inline]
+    fn unpack(self) -> Option<RouteInfo> {
+        let class = match self.meta & CLASS_MASK {
+            0 => return None,
+            1 => RouteClass::Origin,
+            2 => RouteClass::Customer,
+            3 => RouteClass::Peer,
+            4 => RouteClass::Provider,
+            5 => RouteClass::Relaxed,
+            6 => RouteClass::Leaked,
+            code => unreachable!("route class code {code} is never packed"),
+        };
+        Some(RouteInfo {
+            class,
+            path_len: self.meta >> PATH_LEN_SHIFT,
+            next_hop: NodeId(self.next_hop),
+            taint: RouteTaint {
+                hijacked: self.meta & HIJACKED_BIT != 0,
+                leaked: self.meta & LEAKED_BIT != 0,
+            },
+        })
+    }
+}
+
+/// Every node's route of one walk, one [`RouteWord`] per node id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RouteTable {
+    words: Vec<RouteWord>,
+}
+
+impl RouteTable {
+    fn new(nodes: usize) -> Self {
+        RouteTable { words: vec![RouteWord::default(); nodes] }
+    }
+
+    fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    #[inline]
+    fn get(&self, node: NodeId) -> Option<RouteInfo> {
+        self.words[node.index()].unpack()
+    }
+
+    #[inline]
+    fn is_routed(&self, node: NodeId) -> bool {
+        self.words[node.index()].is_routed()
+    }
+
+    #[inline]
+    fn set(&mut self, node: NodeId, info: RouteInfo) {
+        self.words[node.index()] = RouteWord::pack(&info);
+    }
+
+    /// The node's next hop towards the origin (the node itself at an
+    /// origin), or `None` without a route.
+    #[inline]
+    fn next_hop(&self, node: NodeId) -> Option<NodeId> {
+        let word = self.words[node.index()];
+        word.is_routed().then_some(NodeId(word.next_hop))
+    }
+
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = Option<RouteInfo>> + '_ {
+        self.words.iter().map(|word| word.unpack())
+    }
+}
+
+/// Follow next-hop pointers from `from` to the origin and return the AS
+/// path `from → … → origin` (inclusive on both ends). `hop(node)` is the
+/// node's next hop — the node itself at an origin, `None` without a
+/// route. `None` when `from` has no route or the pointers loop for more
+/// than `limit` hops. Every path the simulator emits goes through here,
+/// whether it reads a walk's full routes or the next hops the scenario
+/// cache keeps.
+pub(crate) fn follow_next_hops(
+    graph: &AsGraph,
+    from: Asn,
+    limit: usize,
+    hop: impl Fn(NodeId) -> Option<NodeId>,
+) -> Option<Vec<Asn>> {
+    let mut node = graph.node(from)?;
+    hop(node)?;
+    let mut path = vec![graph.asn(node)];
+    let mut guard = 0usize;
+    while let Some(next) = hop(node) {
+        if next == node {
+            break;
+        }
+        node = next;
+        path.push(graph.asn(node));
+        guard += 1;
+        if guard > limit {
+            // A replacement introduced a pointer loop; treat as unroutable.
+            return None;
+        }
+    }
+    Some(path)
 }
 
 /// Options controlling the propagation deviations and its execution.
@@ -223,49 +372,33 @@ pub struct RoutingOutcome {
     pub origin: Asn,
     /// The plane the propagation ran on.
     pub plane: IpVersion,
-    routes: Vec<Option<RouteInfo>>,
+    routes: RouteTable,
 }
 
 impl RoutingOutcome {
     /// The selected route of an AS, if it has one.
     pub fn route(&self, graph: &AsGraph, asn: Asn) -> Option<RouteInfo> {
-        graph.node(asn).and_then(|n| self.routes[n.index()])
+        graph.node(asn).and_then(|n| self.routes.get(n))
     }
 
     /// Number of ASes (including the origin) that have a route.
     pub fn routed_count(&self) -> usize {
-        self.routes.iter().filter(|r| r.is_some()).count()
+        self.routes.words.iter().filter(|word| word.is_routed()).count()
     }
 
     /// The AS path `from → ... → origin` (inclusive on both ends) that
     /// `from` would use, reconstructed through the next-hop pointers.
     pub fn path(&self, graph: &AsGraph, from: Asn) -> Option<Vec<Asn>> {
-        let mut node = graph.node(from)?;
-        self.routes[node.index()]?;
-        let mut path = vec![graph.asn(node)];
-        let mut guard = 0usize;
-        while let Some(info) = self.routes[node.index()] {
-            if info.class == RouteClass::Origin {
-                break;
-            }
-            node = info.next_hop;
-            path.push(graph.asn(node));
-            guard += 1;
-            if guard > self.routes.len() {
-                // A replacement introduced a pointer loop; treat as unroutable.
-                return None;
-            }
-        }
-        Some(path)
+        follow_next_hops(graph, from, self.routes.len(), |node| self.routes.next_hop(node))
     }
 
     /// True when the route of `from` traverses at least one irregular
     /// (relaxed or leaked) hop.
     pub fn path_is_irregular(&self, graph: &AsGraph, from: Asn) -> Option<bool> {
         let mut node = graph.node(from)?;
-        self.routes[node.index()]?;
+        self.routes.get(node)?;
         let mut guard = 0usize;
-        while let Some(info) = self.routes[node.index()] {
+        while let Some(info) = self.routes.get(node) {
             if info.class.is_irregular() {
                 return Some(true);
             }
@@ -279,6 +412,49 @@ impl RoutingOutcome {
             }
         }
         Some(false)
+    }
+
+    /// The outcome reduced to per-node next hops (see [`NextHops`]).
+    fn into_next_hops(self) -> NextHops {
+        let hops = self
+            .routes
+            .words
+            .iter()
+            .map(|word| if word.is_routed() { word.next_hop } else { NextHops::NO_ROUTE })
+            .collect();
+        NextHops { origin: self.origin, hops }
+    }
+}
+
+/// One origin's routes reduced to what RIB materialisation reads: per
+/// node, the `u32` next hop towards the origin — the node itself at an
+/// origin, [`NextHops::NO_ROUTE`] without a route. Half the size of the
+/// packed routes and a third of the decoded ones, which is what lets the
+/// scenario cache keep every origin of a plane.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct NextHops {
+    /// The origin AS.
+    pub(crate) origin: Asn,
+    hops: Vec<u32>,
+}
+
+impl NextHops {
+    /// The "no route" marker. Node ids never reach it: a graph would need
+    /// 2³² nodes first.
+    const NO_ROUTE: u32 = u32::MAX;
+
+    /// The AS path `from → … → origin`, exactly as
+    /// [`RoutingOutcome::path`] reconstructs it from the full routes.
+    pub(crate) fn path(&self, graph: &AsGraph, from: Asn) -> Option<Vec<Asn>> {
+        follow_next_hops(graph, from, self.hops.len(), |node| {
+            let hop = self.hops[node.index()];
+            (hop != Self::NO_ROUTE).then_some(NodeId(hop))
+        })
+    }
+
+    /// Bytes this table keeps on the heap plus its own size.
+    pub(crate) fn memory_footprint(&self) -> usize {
+        std::mem::size_of::<Self>() + self.hops.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -377,13 +553,49 @@ pub fn propagate_origin_with(
     options: &PropagationOptions,
     engine: &PolicyEngine,
 ) -> RoutingOutcome {
+    propagate_in(&Batch::new(graph, plane, options, engine), origin)
+}
+
+/// What every origin of one batch shares: the plane, options and policy
+/// engine, plus the plane's sibling-linked nodes in ascending id order —
+/// the only nodes a sibling closure can ever act on.
+struct Batch<'a> {
+    graph: &'a AsGraph,
+    plane: IpVersion,
+    options: &'a PropagationOptions,
+    engine: &'a PolicyEngine,
+    siblings: Vec<NodeId>,
+}
+
+impl<'a> Batch<'a> {
+    fn new(
+        graph: &'a AsGraph,
+        plane: IpVersion,
+        options: &'a PropagationOptions,
+        engine: &'a PolicyEngine,
+    ) -> Self {
+        let siblings = (0..graph.node_count() as u32)
+            .map(NodeId)
+            .filter(|&node| {
+                graph
+                    .neighbors_by_id(node, plane)
+                    .any(|(_, rel)| rel == Some(Relationship::SiblingToSibling))
+            })
+            .collect();
+        Batch { graph, plane, options, engine, siblings }
+    }
+}
+
+/// [`propagate_origin_with`] for one origin of `batch`.
+fn propagate_in(batch: &Batch<'_>, origin: Asn) -> RoutingOutcome {
+    let (graph, plane, engine) = (batch.graph, batch.plane, batch.engine);
     let n = graph.node_count();
     let Some(origin_node) = graph.node(origin) else {
-        return RoutingOutcome { origin, plane, routes: vec![None; n] };
+        return RoutingOutcome { origin, plane, routes: RouteTable::new(n) };
     };
     if graph.degree(origin, plane) == 0 {
         // The origin is not present on this plane at all.
-        return RoutingOutcome { origin, plane, routes: vec![None; n] };
+        return RoutingOutcome { origin, plane, routes: RouteTable::new(n) };
     }
     let clean = RouteTaint::default();
     let hijacked = RouteTaint { hijacked: true, leaked: false };
@@ -398,34 +610,30 @@ pub fn propagate_origin_with(
     };
     let routes = match (engine.scenario(), attacker) {
         (PolicyScenario::SubprefixHijack, Some(attacker)) => {
-            let attacker_routes = run_walk(
-                graph,
-                origin,
-                plane,
-                options,
-                engine,
-                &[(attacker, hijacked)],
-                Some(origin_node),
-            );
-            let victim_routes =
-                run_walk(graph, origin, plane, options, engine, &[(origin_node, clean)], None);
-            attacker_routes
+            let attacker_routes =
+                run_walk(batch, origin, &[(attacker, hijacked)], Some(origin_node));
+            let victim_routes = run_walk(batch, origin, &[(origin_node, clean)], None);
+            let words = attacker_routes
+                .words
                 .iter()
-                .zip(victim_routes.iter())
+                .zip(victim_routes.words.iter())
                 .enumerate()
-                .map(|(i, (atk, vic))| if i == origin_node.index() { *vic } else { atk.or(*vic) })
-                .collect()
+                .map(
+                    |(i, (&atk, &vic))| {
+                        if i == origin_node.index() || !atk.is_routed() {
+                            vic
+                        } else {
+                            atk
+                        }
+                    },
+                )
+                .collect();
+            RouteTable { words }
         }
-        (PolicyScenario::PrefixHijack, Some(attacker)) => run_walk(
-            graph,
-            origin,
-            plane,
-            options,
-            engine,
-            &[(origin_node, clean), (attacker, hijacked)],
-            None,
-        ),
-        _ => run_walk(graph, origin, plane, options, engine, &[(origin_node, clean)], None),
+        (PolicyScenario::PrefixHijack, Some(attacker)) => {
+            run_walk(batch, origin, &[(origin_node, clean), (attacker, hijacked)], None)
+        }
+        _ => run_walk(batch, origin, &[(origin_node, clean)], None),
     };
     RoutingOutcome { origin, plane, routes }
 }
@@ -437,19 +645,17 @@ pub fn propagate_origin_with(
 /// merges are order-independent minima and every candidate batch is
 /// sorted before it is applied.
 fn run_walk(
-    graph: &AsGraph,
+    batch: &Batch<'_>,
     origin: Asn,
-    plane: IpVersion,
-    options: &PropagationOptions,
-    engine: &PolicyEngine,
     seeds: &[(NodeId, RouteTaint)],
     blocked: Option<NodeId>,
-) -> Vec<Option<RouteInfo>> {
+) -> RouteTable {
+    let (graph, plane, options, engine) = (batch.graph, batch.plane, batch.options, batch.engine);
     let n = graph.node_count();
-    let mut routes: Vec<Option<RouteInfo>> = vec![None; n];
+    let mut routes = RouteTable::new(n);
     for &(seed, taint) in seeds {
-        routes[seed.index()] =
-            Some(RouteInfo { class: RouteClass::Origin, path_len: 0, next_hop: seed, taint });
+        routes
+            .set(seed, RouteInfo { class: RouteClass::Origin, path_len: 0, next_hop: seed, taint });
     }
     let admit =
         |target: NodeId, cand: &RouteInfo| Some(target) != blocked && engine.accepts(target, cand);
@@ -492,18 +698,17 @@ fn run_walk(
                     class: RouteClass::Customer,
                     path_len: next_len,
                     next_hop: sender,
-                    taint: routes[sender.index()].expect("frontier nodes are routed").taint,
+                    taint: routes.get(sender).expect("frontier nodes are routed").taint,
                 };
-                if admit(target, &cand)
-                    && better(&routes[target.index()], &cand, graph, RouteClass::Customer)
-                {
+                let current = routes.get(target);
+                if admit(target, &cand) && better(current, &cand, graph, RouteClass::Customer) {
                     // A node newly routed at this level joins the next
                     // frontier; later candidates can only improve the
                     // next hop, and the bitset keeps membership a set.
-                    if routes[target.index()].is_none() {
+                    if current.is_none() {
                         next_frontier.insert(target);
                     }
-                    routes[target.index()] = Some(cand);
+                    routes.set(target, cand);
                 }
             }
             next_frontier.drain_into(&mut frontier);
@@ -517,16 +722,16 @@ fn run_walk(
     {
         let exporters: Vec<NodeId> = (0..n as u32)
             .map(NodeId)
-            .filter(|id| {
+            .filter(|&id| {
                 matches!(
-                    routes[id.index()].map(|r| r.class),
+                    routes.get(id).map(|r| r.class),
                     Some(RouteClass::Origin) | Some(RouteClass::Customer)
                 )
             })
             .collect();
         let mut peer_candidates: Vec<(NodeId, RouteInfo)> =
             shard_frontier(&exporters, level_workers(workers, exporters.len()), |&node, out| {
-                let info = routes[node.index()].expect("exporters are routed");
+                let info = routes.get(node).expect("exporters are routed");
                 for (next, rel) in graph.neighbors_by_id(node, plane) {
                     if rel != Some(Relationship::PeerToPeer) {
                         continue;
@@ -546,12 +751,12 @@ fn run_walk(
         peer_candidates
             .sort_by_key(|(next, cand)| (next.0, cand.path_len, graph.asn(cand.next_hop).value()));
         for (next, cand) in peer_candidates {
-            if admit(next, &cand) && better(&routes[next.index()], &cand, graph, RouteClass::Peer) {
-                routes[next.index()] = Some(cand);
+            if admit(next, &cand) && better(routes.get(next), &cand, graph, RouteClass::Peer) {
+                routes.set(next, cand);
             }
         }
         // Sibling closure for peer routes.
-        sibling_closure(graph, plane, &mut routes, RouteClass::Peer, engine, blocked);
+        sibling_closure(batch, &mut routes, RouteClass::Peer, blocked);
     }
 
     // ---- Phase 3: provider routes ------------------------------------------
@@ -572,7 +777,7 @@ fn run_walk(
             buckets[level].insert(node);
         };
         for id in 0..n as u32 {
-            if let Some(info) = routes[id as usize] {
+            if let Some(info) = routes.get(NodeId(id)) {
                 schedule(&mut buckets, info.path_len as usize, NodeId(id));
             }
         }
@@ -601,19 +806,18 @@ fn run_walk(
                     class: RouteClass::Provider,
                     path_len: next_len,
                     next_hop: sender,
-                    taint: routes[sender.index()].expect("frontier nodes are routed").taint,
+                    taint: routes.get(sender).expect("frontier nodes are routed").taint,
                 };
-                if admit(target, &cand)
-                    && better(&routes[target.index()], &cand, graph, RouteClass::Provider)
-                {
-                    if routes[target.index()].is_none() {
+                let current = routes.get(target);
+                if admit(target, &cand) && better(current, &cand, graph, RouteClass::Provider) {
+                    if current.is_none() {
                         schedule(&mut buckets, next_len as usize, target);
                     }
-                    routes[target.index()] = Some(cand);
+                    routes.set(target, cand);
                 }
             }
         }
-        sibling_closure(graph, plane, &mut routes, RouteClass::Provider, engine, blocked);
+        sibling_closure(batch, &mut routes, RouteClass::Provider, blocked);
     }
 
     // ---- Scenario: deterministic route leak -------------------------------------
@@ -625,7 +829,7 @@ fn run_walk(
     if engine.scenario() == PolicyScenario::RouteLeak {
         if let Some(leaker) = engine.leaker(plane) {
             if Some(leaker) != blocked {
-                if let Some(info) = routes[leaker.index()] {
+                if let Some(info) = routes.get(leaker) {
                     if matches!(info.class, RouteClass::Peer | RouteClass::Provider) {
                         deterministic_leak(
                             graph,
@@ -653,7 +857,7 @@ fn run_walk(
         let mut leakers: Vec<bool> = vec![false; n];
         for id in 0..n as u32 {
             let node = NodeId(id);
-            let Some(info) = snapshot[node.index()] else { continue };
+            let Some(info) = snapshot.get(node) else { continue };
             if !matches!(info.class, RouteClass::Peer | RouteClass::Provider) {
                 continue;
             }
@@ -676,7 +880,7 @@ fn run_walk(
                     next_hop: node,
                     taint: RouteTaint { hijacked: info.taint.hijacked, leaked: true },
                 };
-                let adopt = match snapshot[next.index()] {
+                let adopt = match snapshot.get(next) {
                     None => true,
                     // The receiver believes it is a customer/peer route, so
                     // it may replace a provider-learned route.
@@ -697,29 +901,38 @@ fn run_walk(
             if leakers[next.index()] || !admit(next, &cand) {
                 continue;
             }
-            let replace = match routes[next.index()] {
+            let replace = match routes.get(next) {
                 None => true,
                 Some(existing) => {
                     existing.class == RouteClass::Provider && cand.path_len < existing.path_len
                 }
             };
             if replace {
-                routes[next.index()] = Some(cand);
+                routes.set(next, cand);
             }
         }
     }
 
     // ---- Phase 5: reachability relaxation ---------------------------------------
+    // Relaxation only fills holes and never replaces a route, so a node
+    // whose annotated neighbors are all routed now stays without work
+    // for the whole phase: only the routed nodes that border a hole
+    // seed the heap. The pop order of the remaining entries is the
+    // heap's total order, so the seeding changes nothing it installs.
     if options.reachability_relaxation {
         let mut heap: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
         for id in 0..n as u32 {
-            if let Some(info) = routes[id as usize] {
+            let Some(info) = routes.get(NodeId(id)) else { continue };
+            let borders_hole = graph
+                .neighbors_by_id(NodeId(id), plane)
+                .any(|(next, rel)| rel.is_some() && !routes.is_routed(next));
+            if borders_hole {
                 heap.push(Reverse(Candidate { path_len: info.path_len, tie_break: 0, node: id }));
             }
         }
         while let Some(Reverse(Candidate { path_len, node, .. })) = heap.pop() {
             let node = NodeId(node);
-            let Some(current) = routes[node.index()] else { continue };
+            let Some(current) = routes.get(node) else { continue };
             if current.path_len < path_len {
                 continue;
             }
@@ -727,7 +940,7 @@ fn run_walk(
                 if rel.is_none() {
                     continue;
                 }
-                if routes[next.index()].is_some() {
+                if routes.is_routed(next) {
                     continue; // relaxation only fills holes
                 }
                 let cand = RouteInfo {
@@ -739,7 +952,7 @@ fn run_walk(
                 if !admit(next, &cand) {
                     continue;
                 }
-                routes[next.index()] = Some(cand);
+                routes.set(next, cand);
                 heap.push(Reverse(Candidate {
                     path_len: cand.path_len,
                     tie_break: graph.asn(node).value(),
@@ -766,13 +979,13 @@ fn run_walk(
 fn deterministic_leak(
     graph: &AsGraph,
     plane: IpVersion,
-    routes: &mut [Option<RouteInfo>],
+    routes: &mut RouteTable,
     leaker: NodeId,
     info: RouteInfo,
     engine: &PolicyEngine,
     blocked: Option<NodeId>,
 ) {
-    let leak_adopt = |current: &Option<RouteInfo>, cand: &RouteInfo| match current {
+    let leak_adopt = |current: Option<RouteInfo>, cand: &RouteInfo| match current {
         None => true,
         Some(existing) => {
             existing.class == RouteClass::Provider && cand.path_len < existing.path_len
@@ -805,18 +1018,19 @@ fn deterministic_leak(
             if next == leaker || Some(next) == blocked || !engine.accepts(next, &cand) {
                 continue;
             }
-            if leak_adopt(&routes[next.index()], &cand) {
+            let current = routes.get(next);
+            if leak_adopt(current, &cand) {
                 // First adoption per target wins (the batch is sorted
                 // best-first); an adopter joins the frontier once.
-                if routes[next.index()].map(|r| r.class) != Some(RouteClass::Leaked) {
+                if current.map(|r| r.class) != Some(RouteClass::Leaked) {
                     frontier.push(next);
                 }
-                routes[next.index()] = Some(cand);
+                routes.set(next, cand);
             }
         }
         let mut next_candidates: Vec<(NodeId, RouteInfo)> = Vec::new();
         for &node in &frontier {
-            let Some(adopted) = routes[node.index()] else { continue };
+            let Some(adopted) = routes.get(node) else { continue };
             for (next, rel) in graph.neighbors_by_id(node, plane) {
                 let carries = matches!(
                     rel,
@@ -839,15 +1053,13 @@ fn deterministic_leak(
     }
 }
 
-/// Propagate many origins on one plane, sharding the per-origin rounds
-/// across up to `concurrency` worker threads (`0` = all available cores,
-/// `1` = the plain sequential loop).
+/// Propagate many origins on one plane across up to `concurrency` worker
+/// threads (`0` = all available cores, `1` = the plain sequential loop).
 ///
 /// Each origin's round is an independent pure function of `(graph, origin,
-/// plane, options)` — the leak RNG is seeded per origin — so the shards
-/// never interact. Outcomes are merged back in the order of `origins`
-/// (callers pass a sorted origin list), making the result byte-identical
-/// to the sequential run at every worker count.
+/// plane, options)` — the leak RNG is seeded per origin — so the workers
+/// never interact. Each outcome lands in its origin's slot, making the
+/// result byte-identical to the sequential run at every worker count.
 ///
 /// `options.frontier_concurrency` adds a second, nested level of
 /// parallelism *inside* each origin's round; callers that use both should
@@ -856,10 +1068,9 @@ fn deterministic_leak(
 /// two levels do not oversubscribe the host.
 ///
 /// `options.scheduling` picks how origins map onto the workers: the
-/// default [`OriginScheduling::Degree`] bins them by plane out-degree
-/// (LPT — an estimate of how wide the origin's climb/descent fans out),
-/// [`OriginScheduling::Static`] keeps the original striping. Both merge
-/// back in origin order, so the schedule is invisible in the output.
+/// default [`OriginScheduling::Dynamic`] lets each worker claim the next
+/// unclaimed origin, [`OriginScheduling::Static`] keeps the original
+/// striping. Neither is visible in the output.
 pub fn propagate_origins(
     graph: &AsGraph,
     origins: &[Asn],
@@ -867,22 +1078,43 @@ pub fn propagate_origins(
     options: &PropagationOptions,
     concurrency: usize,
 ) -> Vec<RoutingOutcome> {
+    map_origins(graph, origins, plane, options, concurrency, |outcome| outcome)
+}
+
+/// [`propagate_origins`] reduced to next hops on the worker that computed
+/// each outcome, so the full routes of only one origin per worker are
+/// ever alive at once.
+pub(crate) fn propagate_next_hops(
+    graph: &AsGraph,
+    origins: &[Asn],
+    plane: IpVersion,
+    options: &PropagationOptions,
+    concurrency: usize,
+) -> Vec<NextHops> {
+    map_origins(graph, origins, plane, options, concurrency, RoutingOutcome::into_next_hops)
+}
+
+/// The shared batch driver: propagate every origin under the configured
+/// schedule and pass each outcome through `keep` before it is stored.
+fn map_origins<U: Send>(
+    graph: &AsGraph,
+    origins: &[Asn],
+    plane: IpVersion,
+    options: &PropagationOptions,
+    concurrency: usize,
+    keep: impl Fn(RoutingOutcome) -> U + Sync,
+) -> Vec<U> {
     let workers = crate::shard::effective_concurrency(concurrency);
     // One engine for the whole batch: the policy assignment and the
     // attacker/leaker picks depend only on (graph, scenario, deployment),
     // never on the origin, and sharing the read-only engine across the
     // workers keeps the per-origin rounds pure.
     let engine = PolicyEngine::build(graph, options.scenario, options.deployment);
+    let batch = Batch::new(graph, plane, options, &engine);
+    let run = |&origin: &Asn| keep(propagate_in(&batch, origin));
     match options.scheduling {
-        OriginScheduling::Degree => crate::shard::shard_map_lpt(
-            origins,
-            workers,
-            |&origin| graph.degree(origin, plane) as u64,
-            |&origin| propagate_origin_with(graph, origin, plane, options, &engine),
-        ),
-        OriginScheduling::Static => crate::shard::shard_map(origins, workers, |&origin| {
-            propagate_origin_with(graph, origin, plane, options, &engine)
-        }),
+        OriginScheduling::Dynamic => crate::shard::shard_map_dynamic(origins, workers, run),
+        OriginScheduling::Static => crate::shard::shard_map(origins, workers, run),
     }
 }
 
@@ -891,7 +1123,7 @@ pub fn propagate_origins(
 /// (more-preferred) phases are never displaced; within the same class the
 /// shorter path wins, then the lower next-hop ASN.
 fn better(
-    current: &Option<RouteInfo>,
+    current: Option<RouteInfo>,
     candidate: &RouteInfo,
     graph: &AsGraph,
     phase: RouteClass,
@@ -914,20 +1146,26 @@ fn better(
 /// Propagate routes of the given class across sibling links (transparent
 /// forwarding within an organisation), observing the per-AS policies and
 /// the walk's blocked node like every other adoption point.
+///
+/// The LIFO queue starts from the batch's sibling-linked nodes that hold
+/// a route of `class`, in ascending id order. That is exactly the
+/// sequence of effective pops a queue of *every* such node would
+/// produce: a node without a sibling link pops without effect.
 fn sibling_closure(
-    graph: &AsGraph,
-    plane: IpVersion,
-    routes: &mut [Option<RouteInfo>],
+    batch: &Batch<'_>,
+    routes: &mut RouteTable,
     class: RouteClass,
-    engine: &PolicyEngine,
     blocked: Option<NodeId>,
 ) {
-    let mut queue: Vec<NodeId> = (0..routes.len() as u32)
-        .map(NodeId)
-        .filter(|id| routes[id.index()].map(|r| r.class) == Some(class))
+    let (graph, plane, engine) = (batch.graph, batch.plane, batch.engine);
+    let mut queue: Vec<NodeId> = batch
+        .siblings
+        .iter()
+        .copied()
+        .filter(|&id| routes.get(id).map(|r| r.class) == Some(class))
         .collect();
     while let Some(node) = queue.pop() {
-        let Some(info) = routes[node.index()] else { continue };
+        let Some(info) = routes.get(node) else { continue };
         for (next, rel) in graph.neighbors_by_id(node, plane) {
             if rel != Some(Relationship::SiblingToSibling) {
                 continue;
@@ -937,8 +1175,8 @@ fn sibling_closure(
             if Some(next) == blocked || !engine.accepts(next, &cand) {
                 continue;
             }
-            if better(&routes[next.index()], &cand, graph, class) {
-                routes[next.index()] = Some(cand);
+            if better(routes.get(next), &cand, graph, class) {
+                routes.set(next, cand);
                 queue.push(next);
             }
         }
@@ -953,6 +1191,47 @@ mod tests {
 
     fn fixture_graph() -> AsGraph {
         two_plane_fixture().graph
+    }
+
+    #[test]
+    fn route_words_round_trip_every_class_taint_and_length_bound() {
+        let classes = [
+            RouteClass::Origin,
+            RouteClass::Customer,
+            RouteClass::Peer,
+            RouteClass::Provider,
+            RouteClass::Relaxed,
+            RouteClass::Leaked,
+        ];
+        for class in classes {
+            for (hijacked, leaked) in [(false, false), (true, false), (false, true), (true, true)] {
+                for path_len in [0, 1, MAX_PATH_LEN] {
+                    let info = RouteInfo {
+                        class,
+                        path_len,
+                        next_hop: NodeId(u32::MAX - 1),
+                        taint: RouteTaint { hijacked, leaked },
+                    };
+                    let word = RouteWord::pack(&info);
+                    assert!(word.is_routed());
+                    assert_eq!(word.unpack(), Some(info));
+                }
+            }
+        }
+        assert_eq!(RouteWord::default().unpack(), None, "the zero word is \"no route\"");
+        assert_eq!(std::mem::size_of::<RouteWord>(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the packed route bound")]
+    fn route_words_refuse_to_truncate_path_lengths() {
+        let info = RouteInfo {
+            class: RouteClass::Provider,
+            path_len: MAX_PATH_LEN + 1,
+            next_hop: NodeId(0),
+            taint: RouteTaint::default(),
+        };
+        let _ = RouteWord::pack(&info);
     }
 
     #[test]
@@ -1254,7 +1533,7 @@ mod tests {
     #[test]
     fn both_schedules_match_sequential_at_every_worker_count() {
         // The scheduling knob is the third execution dimension after
-        // origin and frontier workers: {Degree, Static} × worker counts
+        // origin and frontier workers: {Dynamic, Static} × worker counts
         // must all reproduce the sequential outcome sequence exactly.
         let g = fixture_graph();
         let mut origins: Vec<Asn> = g.asns().collect();
@@ -1271,7 +1550,7 @@ mod tests {
         for plane in IpVersion::BOTH {
             for options in &variants {
                 let sequential = propagate_origins(&g, &origins, plane, options, 1);
-                for scheduling in [OriginScheduling::Degree, OriginScheduling::Static] {
+                for scheduling in [OriginScheduling::Dynamic, OriginScheduling::Static] {
                     let options = options.with_scheduling(scheduling);
                     for workers in [1usize, 2, 3, 8] {
                         let parallel = propagate_origins(&g, &origins, plane, &options, workers);
@@ -1368,7 +1647,7 @@ mod tests {
         let victim_route = outcome.route(&g, victim).unwrap();
         assert_eq!(victim_route.class, RouteClass::Origin);
         assert!(!victim_route.taint.hijacked);
-        let attacker_route = outcome.routes[attacker.index()].unwrap();
+        let attacker_route = outcome.routes.get(attacker).unwrap();
         assert_eq!(attacker_route.class, RouteClass::Origin);
         assert!(attacker_route.taint.hijacked);
         // Undefended, the hijack captures part of the topology.
@@ -1403,7 +1682,7 @@ mod tests {
         // matter what; everything the attacker's (victim-blocked)
         // announcement reaches is captured.
         let victim_node = g.node(victim).unwrap();
-        assert!(!outcome.routes[victim_node.index()].unwrap().taint.hijacked);
+        assert!(!outcome.routes.get(victim_node).unwrap().taint.hijacked);
         let hijacked: Vec<usize> = outcome
             .routes
             .iter()
@@ -1415,7 +1694,8 @@ mod tests {
         // blocked walk covers at most the unblocked reach) ...
         let reference = propagate_origin(&g, g.asn(attacker), IpVersion::V4, &options);
         for &i in &hijacked {
-            assert!(reference.routes[i].is_some(), "node {i} hijacked but attacker-unreachable");
+            let node = NodeId(i as u32);
+            assert!(reference.routes.is_routed(node), "node {i} hijacked but attacker-unreachable");
         }
         // ... and nobody loses connectivity outright: the merge falls
         // back to the victim's clean walk wherever the attacker is
@@ -1423,7 +1703,8 @@ mod tests {
         let classic = propagate_origin(&g, victim, IpVersion::V4, &PropagationOptions::default());
         for (i, route) in classic.routes.iter().enumerate() {
             if route.is_some() {
-                assert!(outcome.routes[i].is_some(), "node {i} lost its route to the hijack");
+                let node = NodeId(i as u32);
+                assert!(outcome.routes.is_routed(node), "node {i} lost its route to the hijack");
             }
         }
     }

@@ -25,7 +25,7 @@ use topogen::{GroundTruth, TopologyConfig};
 use crate::collector::{build_collectors, CollectorSetup, FeederKind};
 use crate::config::SimConfig;
 use crate::policy::{PolicyDeployment, PolicyScenario, PolicyTable};
-use crate::propagate::{propagate_origins, PropagationOptions, RoutingOutcome};
+use crate::propagate::{propagate_next_hops, NextHops, PropagationOptions};
 use crate::shard::shard_map;
 
 /// How many per-plane propagation outcomes [`PropagationCache`] retains.
@@ -35,9 +35,11 @@ use crate::shard::shard_map;
 pub const PROPAGATION_LRU_CAPACITY: usize = 4;
 
 /// The per-plane propagation outcomes a built [`Scenario`] carries so
-/// sweep-point rebuilds can reuse them. Outcomes are `Arc`-shared: cloning
-/// a scenario (or rebuilding one with an unchanged propagation
-/// configuration) costs pointer bumps, not a re-propagation.
+/// sweep-point rebuilds can reuse them. Each origin's outcome is kept as
+/// one `u32` next hop per node — all RIB materialisation reads — rather
+/// than its full routes. Outcomes are `Arc`-shared: cloning a scenario
+/// (or rebuilding one with an unchanged propagation configuration) costs
+/// pointer bumps, not a re-propagation.
 ///
 /// Per plane this is a small options-keyed LRU (capacity
 /// [`PROPAGATION_LRU_CAPACITY`], keyed by the route-model subset of
@@ -63,7 +65,7 @@ struct PlaneOutcomes {
     /// part of the cache key because it selects *which* origins were
     /// propagated, upstream of the route model.
     origin_sample: usize,
-    outcomes: Arc<Vec<RoutingOutcome>>,
+    outcomes: Arc<Vec<NextHops>>,
 }
 
 fn plane_slot(plane: IpVersion) -> usize {
@@ -84,7 +86,7 @@ impl PropagationCache {
         plane: IpVersion,
         options: &PropagationOptions,
         origin_sample: usize,
-    ) -> Option<Arc<Vec<RoutingOutcome>>> {
+    ) -> Option<Arc<Vec<NextHops>>> {
         self.planes[plane_slot(plane)]
             .iter()
             .find(|entry| {
@@ -103,7 +105,7 @@ impl PropagationCache {
         plane: IpVersion,
         options: PropagationOptions,
         origin_sample: usize,
-        outcomes: Arc<Vec<RoutingOutcome>>,
+        outcomes: Arc<Vec<NextHops>>,
     ) {
         let entries = &mut self.planes[plane_slot(plane)];
         entries.retain(|entry| {
@@ -121,6 +123,19 @@ impl PropagationCache {
         let slot = plane_slot(plane);
         let Some(used) = self.planes[slot].first() else { return false };
         other.planes[slot].iter().any(|entry| Arc::ptr_eq(&used.outcomes, &entry.outcomes))
+    }
+
+    /// Bytes the cache retains across both planes and every LRU entry:
+    /// the next-hop tables plus their bookkeeping.
+    pub fn memory_footprint(&self) -> usize {
+        self.planes
+            .iter()
+            .flatten()
+            .map(|entry| {
+                std::mem::size_of::<PlaneOutcomes>()
+                    + entry.outcomes.iter().map(NextHops::memory_footprint).sum::<usize>()
+            })
+            .sum()
     }
 }
 
@@ -394,15 +409,15 @@ impl Scenario {
     /// sharded across worker threads, each origin's own walk expanded
     /// with the frontier workers `options` carries (the split computed by
     /// [`SimConfig::propagation_split`], so origins × frontier stays
-    /// within the budget); the outcomes come back in origin order, so the
-    /// rest of the build is oblivious to how (or whether) it was
-    /// parallelised.
+    /// within the budget); each worker reduces its outcomes to next hops
+    /// as it goes, and they come back in origin order, so the rest of the
+    /// build is oblivious to how (or whether) it was parallelised.
     fn propagate_plane(
         truth: &GroundTruth,
         sim_config: &SimConfig,
         plane: IpVersion,
         options: &PropagationOptions,
-    ) -> Vec<RoutingOutcome> {
+    ) -> Vec<NextHops> {
         let graph = &truth.graph;
         let mut origins: Vec<Asn> = graph.asns().filter(|a| graph.degree(*a, plane) > 0).collect();
         origins.sort();
@@ -413,7 +428,7 @@ impl Scenario {
             origins = origins.into_iter().step_by(sim_config.origin_sample).collect();
         }
         let (origin_workers, _) = sim_config.propagation_split();
-        propagate_origins(graph, &origins, plane, options, origin_workers)
+        propagate_next_hops(graph, &origins, plane, options, origin_workers)
     }
 
     /// Materialise one plane's RIB entries from its propagation outcomes.
@@ -424,7 +439,7 @@ impl Scenario {
         snapshots: &mut [RibSnapshot],
         sim_config: &SimConfig,
         plane: IpVersion,
-        outcomes: &[RoutingOutcome],
+        outcomes: &[NextHops],
     ) {
         let graph = &truth.graph;
         // Feeder -> collector index, for the feeders active on this plane.
@@ -805,6 +820,13 @@ mod tests {
         assert_eq!(merged.len(), s.total_rib_entries());
         assert!(merged.plane_entries(IpVersion::V4).count() > 0);
         assert!(merged.plane_entries(IpVersion::V6).count() > 0);
+        // The cache keeps a 4-byte next hop per node for every origin.
+        let graph = &s.truth.graph;
+        let origins: usize = IpVersion::BOTH
+            .iter()
+            .map(|&plane| graph.asns().filter(|&a| graph.degree(a, plane) > 0).count())
+            .sum();
+        assert!(s.propagation.memory_footprint() >= origins * graph.node_count() * 4);
         // v4 visibility exceeds v6 visibility (partial adoption).
         assert!(
             merged.plane_entries(IpVersion::V4).count()
@@ -848,21 +870,21 @@ mod tests {
     #[test]
     fn scheduling_knob_is_invisible_in_scenario_outputs() {
         use crate::propagate::OriginScheduling;
-        let degree = Scenario::build(
+        let dynamic = Scenario::build(
             &TopologyConfig::tiny(),
-            &SimConfig::small().with_scheduling(OriginScheduling::Degree),
+            &SimConfig::small().with_scheduling(OriginScheduling::Dynamic),
         );
         let statically = Scenario::build(
             &TopologyConfig::tiny(),
             &SimConfig::small().with_scheduling(OriginScheduling::Static),
         );
-        assert_eq!(degree.snapshots, statically.snapshots);
-        assert_eq!(degree.registry, statically.registry);
+        assert_eq!(dynamic.snapshots, statically.snapshots);
+        assert_eq!(dynamic.registry, statically.registry);
         // And a scheduling-only patch is the clone-and-patch fast path.
-        let patched = degree.rebuild_with(|s| s.scheduling = OriginScheduling::Static);
-        assert_eq!(patched.snapshots, degree.snapshots);
+        let patched = dynamic.rebuild_with(|s| s.scheduling = OriginScheduling::Static);
+        assert_eq!(patched.snapshots, dynamic.snapshots);
         for plane in IpVersion::BOTH {
-            assert!(patched.propagation.shares_outcomes(&degree.propagation, plane));
+            assert!(patched.propagation.shares_outcomes(&dynamic.propagation, plane));
         }
     }
 

@@ -8,10 +8,13 @@
 //! identical to the sequential `items.iter().map(f)` whatever the worker
 //! count — which is what lets the determinism suite demand byte-identical
 //! reports at any `concurrency` setting. Striping (rather than contiguous
-//! chunking) keeps the shards balanced when per-item cost is skewed, as
-//! it is for propagation: origin lists are sorted by ASN and the
-//! generated topologies give low ASNs to the high-degree tier-1/tier-2
-//! ASes, so the expensive origins cluster at the head of the list.
+//! chunking) keeps the shards balanced when a cost-skewed run of items
+//! sits at the head of the list. Where a single item can outweigh a
+//! whole stripe — one tier-1 origin of a 100k-AS propagation does —
+//! [`shard_map_dynamic`] lets the workers claim items one at a time
+//! instead, under the same in-order contract.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolve a `concurrency` knob to a worker count: `0` means "all
 /// available parallelism", any other value is taken literally (`1` is the
@@ -101,54 +104,45 @@ where
         .collect()
 }
 
-/// [`shard_map`] with degree-aware load balancing: items are assigned to
-/// workers by LPT (longest-processing-time-first) binning on a caller
-/// supplied work estimate, and the results are scattered back into input
-/// order.
+/// [`shard_map`] with self-balancing claims: each worker repeatedly takes
+/// the next unclaimed index from a shared atomic counter and maps that
+/// item, so a worker busy with one expensive item never strands the items
+/// behind it — the other workers keep draining the list. No cost estimate
+/// is needed, and however skewed the per-item cost, no worker sits idle
+/// while an item is still unclaimed.
 ///
-/// Striping balances a cost-skewed *head* of the list; LPT balances any
-/// skew the weight function can see — for propagation the estimate is the
-/// origin's out-degree, which tracks how wide its customer climb and
-/// provider descent fan out. The binning is fully deterministic: weights
-/// are sorted descending with the input index as tie-break, each item
-/// goes to the least-loaded bin (lowest index on ties), and every result
-/// is written back to its item's input slot — so the output is
-/// element-for-element the sequential `items.iter().map(f)` whatever the
-/// worker count or weight function, exactly like [`shard_map`].
-pub fn shard_map_lpt<T, U, W, F>(items: &[T], workers: usize, weight: W, f: F) -> Vec<U>
+/// Every result is written back to its item's input slot, so the output
+/// is element-for-element the sequential `items.iter().map(f)` whatever
+/// the worker count or timing, exactly like [`shard_map`] — including the
+/// no-spawn sequential path at one worker or one item.
+pub fn shard_map_dynamic<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
-    W: Fn(&T) -> u64,
     F: Fn(&T) -> U + Sync,
 {
     let workers = workers.clamp(1, items.len().max(1));
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let weights: Vec<u64> = items.iter().map(&weight).collect();
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), i));
-    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut loads: Vec<u64> = vec![0; workers];
-    for i in order {
-        // min_by_key returns the first minimum, so load ties break to the
-        // lowest-index bin — deterministic whatever the weights.
-        let b = (0..workers).min_by_key(|&b| loads[b]).expect("workers >= 1");
-        bins[b].push(i);
-        // Zero-weight items still cost *something* to dispatch; counting
-        // them as one unit keeps a run of them spread over the bins.
-        loads[b] += weights[i].max(1);
-    }
+    let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<U>> = Vec::new();
     slots.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = bins
-            .iter()
-            .map(|bin| {
+        let (f, next) = (&f, &next);
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
                 scope.spawn(move || {
-                    bin.iter().map(|&i| (i, f(&items[i]))).collect::<Vec<(usize, U)>>()
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed suffices: the counter publishes no data
+                        // (results travel back through `join`), and the
+                        // read-modify-write alone hands each index out once.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(item)));
+                    }
+                    done
                 })
             })
             .collect();
@@ -158,7 +152,7 @@ where
             }
         }
     });
-    slots.into_iter().map(|s| s.expect("bins cover every index exactly once")).collect()
+    slots.into_iter().map(|s| s.expect("claims cover every index exactly once")).collect()
 }
 
 /// Stripe a frontier scan across up to `workers` scoped threads and
@@ -223,6 +217,8 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
 
     #[test]
@@ -250,36 +246,57 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_lpt_preserves_order_for_any_worker_count_and_weighting() {
+    fn shard_map_dynamic_preserves_order_for_any_worker_count() {
         let items: Vec<u32> = (0..101).collect();
         let expected: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3).collect();
-        // Uniform, skewed, inverted and degenerate (all-zero) weights must
-        // all be invisible in the output.
-        let weightings: [fn(&u32) -> u64; 4] =
-            [|_| 1, |&x| u64::from(x) * u64::from(x), |&x| u64::from(100 - x), |_| 0];
-        for weight in weightings {
-            for workers in [0usize, 1, 2, 3, 8, 200] {
-                let got = shard_map_lpt(&items, workers, weight, |&x| u64::from(x) * 3);
-                assert_eq!(got, expected, "workers={workers}");
-            }
+        for workers in [0usize, 1, 2, 3, 8, 200] {
+            let got = shard_map_dynamic(&items, workers, |&x| u64::from(x) * 3);
+            assert_eq!(got, expected, "workers={workers}");
         }
     }
 
     #[test]
-    fn shard_map_lpt_handles_empty_and_singleton_inputs() {
+    fn shard_map_dynamic_handles_empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(shard_map_lpt(&empty, 4, |_| 1, |&x| x).is_empty());
-        assert_eq!(shard_map_lpt(&[9u32], 4, |_| 7, |&x| x + 1), vec![10]);
+        assert!(shard_map_dynamic(&empty, 4, |&x| x).is_empty());
+        assert_eq!(shard_map_dynamic(&[9u32], 4, |&x| x + 1), vec![10]);
     }
 
     #[test]
-    fn shard_map_lpt_matches_shard_map_exactly() {
+    fn shard_map_dynamic_matches_shard_map_exactly() {
         let items: Vec<u32> = (0..57).collect();
         for workers in [1usize, 2, 5, 16] {
             let striped = shard_map(&items, workers, |&x| x.wrapping_mul(17));
-            let binned = shard_map_lpt(&items, workers, |&x| u64::from(x), |&x| x.wrapping_mul(17));
-            assert_eq!(binned, striped, "workers={workers}");
+            let claimed = shard_map_dynamic(&items, workers, |&x| x.wrapping_mul(17));
+            assert_eq!(claimed, striped, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn shard_map_dynamic_never_strands_items_behind_a_slow_one() {
+        // Item 0 waits until every other item has run. With claims, the
+        // second worker drains the rest of the list; a schedule that binds
+        // items to workers up front (striping, LPT binning) parks some of
+        // them behind item 0 on its worker. The wait is bounded, so such a
+        // schedule fails this assertion instead of hanging the suite.
+        let items: Vec<u32> = (0..64).collect();
+        let finished = AtomicUsize::new(0);
+        let others = items.len() - 1;
+        let completed = shard_map_dynamic(&items, 2, |&x| {
+            if x != 0 {
+                finished.fetch_add(1, Ordering::SeqCst);
+                return true;
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while finished.load(Ordering::SeqCst) < others {
+                if Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            true
+        });
+        assert!(completed.iter().all(|&ok| ok), "item 0 timed out: items were stranded behind it");
     }
 
     #[test]

@@ -82,13 +82,13 @@ fn frontier_matrix_produces_byte_identical_reports() {
 fn scheduling_matrix_produces_byte_identical_reports() {
     use hybrid_as_rel::sim::OriginScheduling;
     // The origin-to-worker schedule is the third dimension of the
-    // execution stack (after origin and frontier workers): degree-aware
-    // LPT binning and static striping must both reproduce the bytes of
+    // execution stack (after origin and frontier workers): dynamic
+    // claims and static striping must both reproduce the bytes of
     // the fully sequential run at every worker count.
     let topology = TopologyConfig::tiny();
     let sim = SimConfig::small();
     let sequential = report_json(&topology, &sim, 1);
-    for scheduling in [OriginScheduling::Static, OriginScheduling::Degree] {
+    for scheduling in [OriginScheduling::Static, OriginScheduling::Dynamic] {
         for concurrency in [1usize, 2, 8] {
             let pinned = sim.clone().with_scheduling(scheduling);
             let report = report_json(&topology, &pinned, concurrency);

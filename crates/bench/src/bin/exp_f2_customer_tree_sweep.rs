@@ -16,12 +16,10 @@ fn main() {
     let source_cap = if paper { Some(400) } else { None };
     eprintln!("building scenario ({} ASes)...", scale.topology.total_as_count());
     let scenario = bench::build_scenario(&scale);
-    let knobs = bench::ExecKnobs::from_env();
     eprintln!(
         "running measurement + correction sweep (top 20 hybrids, {} worker threads, \
-         HYBRID_THREADS to change; incremental delta-BFS {}, HYBRID_INCREMENTAL=0 to disable)...",
-        knobs.threads(),
-        if knobs.incremental { "on" } else { "off" }
+         HYBRID_THREADS to change)...",
+        bench::ExecKnobs::from_env().threads()
     );
     let report = bench::run_measurement_with_impact(&scenario, 20, source_cap);
     let curve = report.impact.expect("impact sweep requested");

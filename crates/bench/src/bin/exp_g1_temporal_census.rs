@@ -5,10 +5,10 @@
 //! replays the BGP4MP updates between consecutive table dumps and asks how
 //! the hybrid-relationship findings drift window by window. This bin
 //! synthesises a deterministic update stream over the scenario, replays it
-//! with the streaming ingest path (`HYBRID_INGEST_DELTA` selects
-//! delta-repaired or full-recompute execution — the per-window reports are
-//! byte-identical either way), and prints one row per window: table churn
-//! and the headline census numbers at that instant.
+//! with the streaming ingest path (delta-repaired caches; the per-window
+//! reports are byte-identical to a full recompute, which
+//! `exp_g2_correction_churn` asserts), and prints one row per window: table
+//! churn and the headline census numbers at that instant.
 //!
 //! `HYBRID_UPDATE_WINDOWS` overrides the window count (default 4).
 
@@ -16,8 +16,7 @@ fn main() {
     let scale = bench::scale_from_args();
     eprintln!("building scenario ({} ASes)...", scale.topology.total_as_count());
     let scenario = bench::build_scenario(&scale);
-    let incremental = bench::ExecKnobs::from_env().ingest_delta;
-    let outcomes = bench::run_temporal(&scenario, incremental, 4);
+    let outcomes = bench::run_temporal(&scenario, true, 4);
 
     let rows: Vec<Vec<String>> = outcomes
         .iter()

@@ -42,9 +42,9 @@ fn parse_count_knob(name: &str, value: Option<&str>, default: usize) -> Result<u
 
 /// Parse a boolean knob: unset or empty means `default`; otherwise only
 /// `1`/`true`/`on`/`yes` and `0`/`false`/`off`/`no` (case-insensitive)
-/// are accepted. Malformed values are a hard error — the old
-/// `HYBRID_INCREMENTAL` rule ("anything but 0/false is on") silently
-/// read `HYBRID_INCREMENTAL=flase` as *enabled*.
+/// are accepted. Malformed values are a hard error — an "anything but
+/// 0/false is on" rule would silently read `HYBRID_CSR=flase` as
+/// *enabled*.
 fn parse_bool_knob(name: &str, value: Option<&str>, default: bool) -> Result<bool, String> {
     match value.map(str::trim) {
         None | Some("") => Ok(default),
@@ -169,7 +169,7 @@ fn parse_millis_knob(name: &str, value: Option<&str>, default: u64) -> Result<u6
 /// load generator honour, resolved once by [`ExecKnobs::from_env`] — the
 /// single replacement for the former family of per-knob `configured_*`
 /// getters (whose strict parsers it keeps). Execution knobs (workers,
-/// frontier split, scheduling, CSR backend, sweep tiers, ingest delta,
+/// frontier split, scheduling, CSR backend, sweep removal policy,
 /// service tuning) are byte-invisible in every report; `scenario` and
 /// `deployment` are **output** knobs that change the routes — but still
 /// byte-identically at every worker count.
@@ -184,10 +184,6 @@ pub struct ExecKnobs {
     /// whole worker budget, `1` (the default) = sequential level scans
     /// with all parallelism on per-origin sharding.
     pub frontier: usize,
-    /// `HYBRID_INCREMENTAL` — whether the sweep's incremental delta-BFS
-    /// engine is enabled (default on). Only the opt-in `sweep_stats`
-    /// execution counters reflect it, never a measured number.
-    pub incremental: bool,
     /// `HYBRID_REMOVAL_REPAIR` — whether the sweep repairs load-bearing
     /// removals in place instead of falling back to a full BFS (default
     /// off, the conservative tier).
@@ -206,12 +202,6 @@ pub struct ExecKnobs {
     /// `HYBRID_DEPLOYMENT` — fraction of ASes deploying the scenario's
     /// defensive policy, in `[0, 1]` (default `0`). An **output** knob.
     pub deployment: f64,
-    /// `HYBRID_INGEST_DELTA` — whether streaming replay repairs the
-    /// valley/visibility analyses through the delta engine instead of
-    /// recomputing them per window (default on). Execution only: the
-    /// windowed reports are byte-identical either way, which
-    /// `tests/determinism.rs` pins.
-    pub ingest_delta: bool,
     /// `HYBRID_UPDATE_WINDOWS` — how many synthetic update windows the
     /// resident daemon replays on `Reload` requests: `0` (the default)
     /// keeps the classic full-rebuild reload.
@@ -235,13 +225,11 @@ impl Default for ExecKnobs {
         ExecKnobs {
             concurrency: 0,
             frontier: 1,
-            incremental: true,
             removal_repair: false,
             scheduling: routesim::OriginScheduling::Dynamic,
             csr: true,
             scenario: routesim::PolicyScenario::Classic,
             deployment: 0.0,
-            ingest_delta: true,
             update_windows: 0,
             addr: "127.0.0.1:7411".parse().expect("literal address"),
             batch: 32,
@@ -258,9 +246,6 @@ impl ExecKnobs {
         ExecKnobs {
             concurrency: env_knob("HYBRID_THREADS", |v| parse_count_knob("HYBRID_THREADS", v, 0)),
             frontier: env_knob("HYBRID_FRONTIER", |v| parse_count_knob("HYBRID_FRONTIER", v, 1)),
-            incremental: env_knob("HYBRID_INCREMENTAL", |v| {
-                parse_bool_knob("HYBRID_INCREMENTAL", v, true)
-            }),
             removal_repair: env_knob("HYBRID_REMOVAL_REPAIR", |v| {
                 parse_bool_knob("HYBRID_REMOVAL_REPAIR", v, false)
             }),
@@ -271,9 +256,6 @@ impl ExecKnobs {
             scenario: env_knob("HYBRID_SCENARIO", |v| parse_scenario_knob("HYBRID_SCENARIO", v)),
             deployment: env_knob("HYBRID_DEPLOYMENT", |v| {
                 parse_fraction_knob("HYBRID_DEPLOYMENT", v, 0.0)
-            }),
-            ingest_delta: env_knob("HYBRID_INGEST_DELTA", |v| {
-                parse_bool_knob("HYBRID_INGEST_DELTA", v, true)
             }),
             update_windows: env_knob("HYBRID_UPDATE_WINDOWS", |v| {
                 parse_count_knob("HYBRID_UPDATE_WINDOWS", v, 0)
@@ -301,12 +283,9 @@ impl ExecKnobs {
     }
 
     /// The sweep execution options these knobs resolve to: `concurrency`
-    /// workers, memoization on, the incremental engine steered by
-    /// `incremental` and the removal-repair tier by `removal_repair`.
+    /// workers and the removal-repair tier steered by `removal_repair`.
     pub fn sweep(&self) -> SweepOptions {
-        SweepOptions::with_concurrency(self.concurrency)
-            .with_incremental(self.incremental)
-            .with_removal_repair(self.removal_repair)
+        SweepOptions::with_concurrency(self.concurrency).with_removal_repair(self.removal_repair)
     }
 
     /// The pipeline the resident service builds its snapshot with: the
@@ -507,8 +486,7 @@ pub fn run_measurement(scenario: &Scenario) -> Report {
 /// replay it window by window with a [`TemporalSweep`].
 ///
 /// The window count comes from `HYBRID_UPDATE_WINDOWS` when set (non-zero),
-/// else `default_windows`; `incremental` selects delta-repaired replay
-/// (the `HYBRID_INGEST_DELTA` resolution, [`ExecKnobs::ingest_delta`]) or
+/// else `default_windows`; `incremental` selects delta-repaired replay or
 /// the full per-window recompute. Both modes — and every worker count —
 /// produce byte-identical per-window reports; the determinism matrix and
 /// the golden snapshots pin that, which is why the G-series bins can be
@@ -538,8 +516,8 @@ pub fn run_temporal(
 ///
 /// `source_cap` bounds the all-pairs computation; `None` is exact and is
 /// what the paper-scale binary uses. Honours `HYBRID_THREADS` and
-/// `HYBRID_INCREMENTAL`, and asks the pipeline for the sweep's execution
-/// statistics so the bins can print cache/delta effectiveness.
+/// `HYBRID_REMOVAL_REPAIR`, and asks the pipeline for the sweep's
+/// execution statistics so the bins can print cache/delta effectiveness.
 pub fn run_measurement_with_impact(
     scenario: &Scenario,
     top_k: usize,
@@ -881,8 +859,6 @@ mod tests {
         let knobs = ExecKnobs::from_env();
         assert!(knobs.threads() >= 1, "resolved worker count is at least one");
         let sweep = knobs.sweep();
-        assert!(sweep.cache, "the bins always run with the memo tier on");
-        assert_eq!(sweep.incremental, knobs.incremental);
         assert_eq!(sweep.removal_repair, knobs.removal_repair);
         assert_eq!(sweep.concurrency, knobs.concurrency);
         let (origins, frontier) = knobs.propagation_split();
@@ -918,29 +894,25 @@ mod tests {
 
     #[test]
     fn bool_knobs_accept_both_spellings_and_default_when_absent() {
-        assert_eq!(parse_bool_knob("HYBRID_INCREMENTAL", None, true), Ok(true));
-        assert_eq!(parse_bool_knob("HYBRID_INCREMENTAL", Some(""), true), Ok(true));
+        assert_eq!(parse_bool_knob("HYBRID_CSR", None, true), Ok(true));
+        assert_eq!(parse_bool_knob("HYBRID_CSR", Some(""), true), Ok(true));
         assert_eq!(parse_bool_knob("HYBRID_REMOVAL_REPAIR", None, false), Ok(false));
         for on in ["1", "true", "TRUE", "on", "yes", " Yes "] {
-            assert_eq!(parse_bool_knob("HYBRID_INCREMENTAL", Some(on), false), Ok(true), "{on:?}");
+            assert_eq!(parse_bool_knob("HYBRID_CSR", Some(on), false), Ok(true), "{on:?}");
         }
         for off in ["0", "false", "False", "off", "NO"] {
-            assert_eq!(
-                parse_bool_knob("HYBRID_INCREMENTAL", Some(off), true),
-                Ok(false),
-                "{off:?}"
-            );
+            assert_eq!(parse_bool_knob("HYBRID_CSR", Some(off), true), Ok(false), "{off:?}");
         }
     }
 
     #[test]
     fn malformed_bool_knobs_are_a_hard_error_not_silently_on() {
-        // The regression this guards: `HYBRID_INCREMENTAL=flase` used to
-        // parse as *enabled* under the old "anything but 0/false" rule.
+        // The regression this guards: a typo such as `flase` used to parse
+        // as *enabled* under the old "anything but 0/false" rule.
         for bad in ["flase", "2", "enabled", "ja"] {
-            let err = parse_bool_knob("HYBRID_INCREMENTAL", Some(bad), true)
+            let err = parse_bool_knob("HYBRID_CSR", Some(bad), true)
                 .expect_err(&format!("{bad:?} must be rejected"));
-            assert!(err.contains("HYBRID_INCREMENTAL"), "message names the variable: {err}");
+            assert!(err.contains("HYBRID_CSR"), "message names the variable: {err}");
             assert!(err.contains(bad), "message quotes the value: {err}");
         }
     }

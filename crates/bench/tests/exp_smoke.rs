@@ -11,7 +11,7 @@
 //! the diff only when the output change is intended.
 //!
 //! The child environment is pinned (`HYBRID_THREADS`, `HYBRID_FRONTIER`,
-//! `HYBRID_INCREMENTAL`, `HYBRID_REMOVAL_REPAIR`, `HYBRID_DEPLOYMENT`),
+//! `HYBRID_REMOVAL_REPAIR`, `HYBRID_DEPLOYMENT`),
 //! so the comparison is reproducible whatever the caller's shell exports
 //! — and the second run flips every knob to prove the bytes do not
 //! depend on them. Two knobs are deliberately *inherited* rather than
@@ -68,8 +68,6 @@ fn run_tiny(
     exe: &str,
     threads: &str,
     frontier: &str,
-    incremental: &str,
-    ingest_delta: &str,
     scheduling: Option<&str>,
 ) -> String {
     let mut command = Command::new(exe);
@@ -77,8 +75,6 @@ fn run_tiny(
         .arg("--tiny")
         .env("HYBRID_THREADS", threads)
         .env("HYBRID_FRONTIER", frontier)
-        .env("HYBRID_INCREMENTAL", incremental)
-        .env("HYBRID_INGEST_DELTA", ingest_delta)
         .env("HYBRID_REMOVAL_REPAIR", "0")
         // Pinned so the temporal bins always replay their default window
         // count, whatever the caller's shell exports.
@@ -120,7 +116,7 @@ fn exp_bins_reproduce_their_goldens_at_every_execution_setting() {
         // The sequential reference run pins the goldens. It inherits
         // HYBRID_SCHEDULING so the CI matrix can flip the schedule for
         // the whole golden comparison.
-        let sequential = run_tiny(name, exe, "1", "1", "1", "1", None);
+        let sequential = run_tiny(name, exe, "1", "1", None);
         let golden_path = dir.join(format!("{name}.txt"));
         if update {
             std::fs::write(&golden_path, &sequential)
@@ -141,19 +137,17 @@ fn exp_bins_reproduce_their_goldens_at_every_execution_setting() {
             );
         }
         // ... and a run with both worker knobs flipped (sharded origins
-        // AND a parallel frontier), the origin schedule flipped to the
-        // one the reference run did not use, and delta-repaired ingest
-        // switched off must produce the same bytes: parallelism is never
-        // an output knob, neither is the schedule, and replaying updates
-        // with a full per-window recompute must match the delta-repaired
-        // replay at the process boundary too. The incremental switch stays pinned — exp_f2
-        // deliberately prints the sweep's execution counters, which
-        // describe *how* the sweep ran and so reflect that knob.
-        let parallel = run_tiny(name, exe, "2", "2", "1", "0", Some(flipped_schedule()));
+        // AND a parallel frontier) and the origin schedule flipped to the
+        // one the reference run did not use must produce the same bytes:
+        // parallelism is never an output knob, and neither is the
+        // schedule. The removal policy stays pinned — exp_f2 deliberately
+        // prints the sweep's execution counters, which describe *how* the
+        // sweep ran and so reflect that knob.
+        let parallel = run_tiny(name, exe, "2", "2", Some(flipped_schedule()));
         assert!(
             parallel == sequential,
             "{name} --tiny stdout depends on the worker knobs \
-             (HYBRID_THREADS/HYBRID_FRONTIER/HYBRID_SCHEDULING/HYBRID_INGEST_DELTA)"
+             (HYBRID_THREADS/HYBRID_FRONTIER/HYBRID_SCHEDULING)"
         );
     }
 }

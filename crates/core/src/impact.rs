@@ -21,16 +21,15 @@
 //!    [`asgraph::delta::DistanceMap`] and repair it incrementally
 //!    (frontier re-expansion over the affected region, with a proven
 //!    fallback to a full BFS when the delta cannot be bounded) instead of
-//!    recomputing from scratch. `SweepOptions::incremental` switches this
-//!    tier off, degrading dirty sources to full recomputation.
+//!    recomputing from scratch.
 //!
 //! Per-source work is striped across workers with [`routesim::shard_map`]
-//! / [`routesim::shard_map_owned`]. Whatever the worker count, cache and
-//! incremental settings, the produced [`ImpactCurve`] is byte-identical
-//! to the sequential, uncached, fully recomputing sweep (distance maps
-//! are a unique fixed point and all accumulation is integer arithmetic
-//! combined in source order; the determinism suite enforces the
-//! contract).
+//! / [`routesim::shard_map_owned`]. Whatever the worker count and removal
+//! policy, the produced [`ImpactCurve`] is byte-identical to recomputing
+//! every source from scratch at every step (distance maps are a unique
+//! fixed point and all accumulation is integer arithmetic combined in
+//! source order). `tests/properties.rs` checks the engine against such a
+//! memo-free oracle on random graphs.
 
 use std::fmt;
 
@@ -158,55 +157,28 @@ impl Default for ImpactOptions {
     }
 }
 
-/// Execution options for the impact subsystem: worker threads, the
-/// cross-step memoization switch and the incremental delta-BFS switch.
-/// None of the knobs affects the output — the curve is byte-identical at
-/// every setting; they only trade wall-clock time and memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Execution options for the impact subsystem: worker threads and the
+/// removal policy of the delta tier. Neither affects the output — the
+/// curve is byte-identical at every setting; they only trade wall-clock
+/// time. The default is all cores with the conservative rebuild fallback.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepOptions {
     /// Worker threads for the per-source BFS work: `0` uses all available
     /// parallelism, `1` is the sequential path.
     pub concurrency: usize,
-    /// Reuse per-source propagation results across correction steps when a
-    /// step provably cannot change them (see [`SweepCache`]).
-    pub cache: bool,
-    /// Repair dirty sources' distance maps incrementally (delta over the
-    /// corrected edge) instead of recomputing the full BFS. Only effective
-    /// together with `cache` (the delta engine lives on the memoized
-    /// per-source state). Defaults to on; the experiment harness maps
-    /// `HYBRID_INCREMENTAL=0` onto this knob.
-    pub incremental: bool,
     /// Repair load-bearing removals in place
     /// ([`asgraph::delta::RemovalPolicy::Repair`]) instead of falling back
-    /// to a full BFS. Only effective together with `incremental`. Defaults
-    /// to off (the conservative historical fallback); the experiment
-    /// harness maps `HYBRID_REMOVAL_REPAIR=1` onto this knob.
+    /// to a full BFS. Defaults to off (the conservative historical
+    /// fallback); the experiment harness maps `HYBRID_REMOVAL_REPAIR=1`
+    /// onto this knob.
     pub removal_repair: bool,
 }
 
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions { concurrency: 0, cache: true, incremental: true, removal_repair: false }
-    }
-}
-
 impl SweepOptions {
-    /// The fully sequential, uncached, fully recomputing execution path —
-    /// exactly the computation the pre-sharding implementation performed.
-    pub fn sequential() -> Self {
-        SweepOptions { concurrency: 1, cache: false, incremental: false, removal_repair: false }
-    }
-
-    /// Options pinned to `concurrency` worker threads, cache and
-    /// incremental repair enabled (removal repair stays on its default).
+    /// Options pinned to `concurrency` worker threads (removal repair
+    /// stays on its default).
     pub fn with_concurrency(concurrency: usize) -> Self {
         SweepOptions { concurrency, ..SweepOptions::default() }
-    }
-
-    /// These options with the incremental delta-BFS tier switched on or
-    /// off (dirty sources recompute the full BFS when off).
-    pub fn with_incremental(self, incremental: bool) -> Self {
-        SweepOptions { incremental, ..self }
     }
 
     /// These options with in-place removal repair switched on or off.
@@ -242,81 +214,27 @@ struct SourcePartial {
     total_pairs: u64,
 }
 
-/// Per-source memo: what the last BFS established (see [`SourceMemo`])
-/// and the partial metrics it implied at that step.
+/// Per-source memo: the source's repairable distance map (per-phase
+/// labels) and the partial metrics it implied at the last step.
 #[derive(Debug, Clone, Default)]
 struct SourceState {
     partial: SourcePartial,
-    memo: SourceMemo,
-}
-
-/// What the memo keeps of a source's last BFS. The delta tier needs the
-/// full repairable [`DistanceMap`] (per-phase labels, ~20 bytes/node);
-/// with `incremental` off only the endpoint-reachability question is ever
-/// asked again, so the memo degrades to the 1 byte/node bitmap the
-/// pre-delta implementation stored.
-#[derive(Debug, Clone)]
-enum SourceMemo {
-    /// Full per-phase labels, repairable in place (incremental on).
-    Map(DistanceMap),
-    /// Reachability bitmap only (incremental off).
-    Reachable(Vec<bool>),
-}
-
-impl Default for SourceMemo {
-    fn default() -> Self {
-        SourceMemo::Reachable(Vec::new())
-    }
+    dist: DistanceMap,
 }
 
 impl SourceState {
     /// One full valley-free BFS from `src` plus the metric accumulation
-    /// over the union pairs. `baseline_row` is the source's step-0
-    /// reachability bitmap (the pair population is fixed by the baseline,
-    /// as in the paper); `None` means "this *is* the baseline step", where
-    /// the source's own map plays that role. `keep_map` decides whether
-    /// the memo keeps the repairable labels or only the bitmap.
-    fn compute(
-        graph: &AsGraph,
-        src: Asn,
-        in_union: &[bool],
-        baseline_row: Option<&[bool]>,
-        keep_map: bool,
-    ) -> SourceState {
+    /// over the union pairs. At the baseline step every reachable pair
+    /// counts: the source's own map is its baseline-reachable row.
+    fn compute(graph: &AsGraph, src: Asn, in_union: &[bool]) -> SourceState {
         let dist = DistanceMap::compute(graph, src, IpVersion::V6);
-        let partial = accumulate_partial(graph, &dist, in_union, baseline_row);
-        let memo = if keep_map {
-            SourceMemo::Map(dist)
-        } else {
-            SourceMemo::Reachable(dist.distances().iter().map(Option::is_some).collect())
-        };
-        SourceState { partial, memo }
-    }
-
-    /// Whether the node at `index` was valley-free reachable from this
-    /// source at the last computed step.
-    fn is_reachable(&self, index: usize) -> bool {
-        match &self.memo {
-            SourceMemo::Map(dist) => dist.is_reachable(index),
-            SourceMemo::Reachable(bits) => bits.get(index).copied().unwrap_or(false),
-        }
-    }
-
-    /// This source's reachability bitmap at the last computed step.
-    fn reachable_row(&self) -> Vec<bool> {
-        match &self.memo {
-            SourceMemo::Map(dist) => dist.distances().iter().map(Option::is_some).collect(),
-            SourceMemo::Reachable(bits) => bits.clone(),
-        }
+        let partial = accumulate_partial(graph, &dist, in_union, None);
+        SourceState { partial, dist }
     }
 
     /// Repair this source's distance map after a correction (incremental
     /// when the delta is bounded, full BFS otherwise) and refresh the
-    /// partial metrics when anything moved. Only the delta tier calls
-    /// this, and the delta tier always memoizes full maps (the
-    /// `incremental` flag is fixed for the duration of a sweep and the
-    /// baseline pass computes the memo under the same flag), so a bitmap
-    /// memo here is a caller bug.
+    /// partial metrics when anything moved.
     fn repair(
         &mut self,
         graph: &AsGraph,
@@ -325,12 +243,9 @@ impl SourceState {
         baseline_row: &[bool],
         policy: RemovalPolicy,
     ) -> DeltaOutcome {
-        let SourceMemo::Map(dist) = &mut self.memo else {
-            unreachable!("delta repair on a bitmap memo: the incremental flag changed mid-sweep")
-        };
-        let outcome = dist.apply_correction_with(graph, correction, policy);
+        let outcome = self.dist.apply_correction_with(graph, correction, policy);
         if outcome != DeltaOutcome::Unchanged {
-            self.partial = accumulate_partial(graph, dist, in_union, Some(baseline_row));
+            self.partial = accumulate_partial(graph, &self.dist, in_union, Some(baseline_row));
         }
         outcome
     }
@@ -384,8 +299,8 @@ pub struct SweepStats {
     /// Misses resolved by the incremental delta engine (bounded frontier
     /// repair, including repairs that proved the map unchanged).
     pub delta_repairs: u64,
-    /// Misses that ran a full valley-free BFS (baseline passes, the
-    /// incremental engine's proven fallback, or `incremental: false`).
+    /// Misses that ran a full valley-free BFS (the baseline pass and the
+    /// delta engine's proven fallback).
     pub full_rebuilds: u64,
 }
 
@@ -439,8 +354,8 @@ impl fmt::Display for SweepStats {
 /// unchanged edges. Sources whose reachable set misses both endpoints
 /// therefore keep their distance map — and their metric contribution —
 /// unchanged, and the cache reuses them instead of re-running the BFS.
-/// Sources that do touch the link fall through to the delta tier (see
-/// [`SweepOptions::incremental`]).
+/// Sources that do touch the link fall through to the delta tier, which
+/// repairs their distance maps in place.
 ///
 /// The cache is working memory for one sweep at a time (its per-source
 /// state is rebuilt by every [`correction_sweep_in`] call), but the
@@ -460,45 +375,9 @@ impl SweepCache {
         SweepCache::default()
     }
 
-    /// Per-source step computations served from the memo (no BFS run).
-    pub fn hits(&self) -> u64 {
-        self.stats.hits
-    }
-
-    /// Per-source step computations that touched the BFS state.
-    pub fn misses(&self) -> u64 {
-        self.stats.misses
-    }
-
-    /// Total per-source step computations observed.
-    pub fn lookups(&self) -> u64 {
-        self.stats.lookups()
-    }
-
-    /// Fraction of computations served from the memo (0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        self.stats.hit_rate()
-    }
-
-    /// Misses the incremental delta engine absorbed.
-    pub fn delta_repairs(&self) -> u64 {
-        self.stats.delta_repairs
-    }
-
-    /// Misses that ran a full valley-free BFS.
-    pub fn full_rebuilds(&self) -> u64 {
-        self.stats.full_rebuilds
-    }
-
     /// The accumulated counters as a reportable snapshot.
     pub fn stats(&self) -> SweepStats {
         self.stats
-    }
-
-    /// Record `count` full BFS computations.
-    fn count_full(&mut self, count: u64) {
-        self.stats.misses += count;
-        self.stats.full_rebuilds += count;
     }
 
     /// Drop the per-source state from a previous sweep; counters persist.
@@ -553,19 +432,21 @@ fn combine_step(
 /// thanks to a correction are reflected in `reachability`, which is
 /// measured over all ordered union pairs).
 ///
-/// This entry point runs sequentially without memoization (the historical
-/// behaviour); use [`correction_sweep_with`] to pick worker counts and
-/// caching — the curve is identical either way.
+/// Per step, the curve folds a fresh valley-free BFS of every source over
+/// those pairs; the engine only avoids recomputing what a step provably
+/// leaves alone (see the module docs). This entry point runs on one
+/// worker; use [`correction_sweep_with`] to pick the worker count — the
+/// curve is identical either way.
 pub fn correction_sweep(
     misinferred: &AsGraph,
     hybrids: &[HybridFinding],
     options: &ImpactOptions,
 ) -> ImpactCurve {
-    correction_sweep_with(misinferred, hybrids, options, &SweepOptions::sequential())
+    correction_sweep_with(misinferred, hybrids, options, &SweepOptions::with_concurrency(1))
 }
 
-/// [`correction_sweep`] with explicit execution options (a fresh
-/// throwaway [`SweepCache`] is used when `sweep.cache` is set).
+/// [`correction_sweep`] with explicit execution options and a fresh
+/// throwaway [`SweepCache`].
 pub fn correction_sweep_with(
     misinferred: &AsGraph,
     hybrids: &[HybridFinding],
@@ -617,134 +498,69 @@ pub fn correction_sweep_in(
     let corrections: Vec<&HybridFinding> = hybrids.iter().take(options.top_k).collect();
 
     // Baseline step: one sharded BFS pass over the sources. Each source's
-    // own reachability map doubles as its baseline-reachable row, so the
-    // legacy "compute the baseline rows, then recompute the step-0
-    // metrics" double pass collapses into one. The memo keeps the full
-    // repairable labels only when the delta tier will actually use them
-    // (incremental together with the memo); otherwise it keeps the
-    // 1 byte/node bitmap of the pre-delta implementation.
-    let keep_map = sweep.cache && sweep.incremental;
-    cache.states = shard_map(&sources, workers, |&src| {
-        SourceState::compute(&graph, src, &in_union, None, keep_map)
-    });
-    cache.baseline_rows = cache.states.iter().map(SourceState::reachable_row).collect();
-    cache.count_full(sources.len() as u64);
+    // own reachability map doubles as its baseline-reachable row.
+    cache.states =
+        shard_map(&sources, workers, |&src| SourceState::compute(&graph, src, &in_union));
+    cache.baseline_rows = cache
+        .states
+        .iter()
+        .map(|s| s.dist.distances().iter().map(Option::is_some).collect())
+        .collect();
+    cache.stats.misses += sources.len() as u64;
+    cache.stats.full_rebuilds += sources.len() as u64;
     curve.steps.push(combine_step(cache.states.iter().map(|s| s.partial), 0, None));
 
-    if sweep.cache {
-        // Memoized path: steps run in order; per step, only the sources
-        // whose reachable set touches the corrected link are dirty —
-        // everyone else is a skip-tier hit. Dirty sources either repair
-        // their distance map through the delta engine (striped across the
-        // workers, each map moved to its worker and back without cloning)
-        // or, with `incremental` off, recompute the full BFS.
-        for (i, finding) in corrections.iter().enumerate() {
-            let a_idx = graph.node(finding.a).map(|n| n.index());
-            let b_idx = graph.node(finding.b).map(|n| n.index());
-            let correction = EdgeCorrection::observe(
-                &graph,
-                finding.a,
-                finding.b,
-                IpVersion::V6,
-                finding.relationships.v6,
-            );
-            graph.annotate(finding.a, finding.b, IpVersion::V6, finding.relationships.v6);
-            let touches = |state: &SourceState, idx: Option<usize>| {
-                idx.is_some_and(|i| state.is_reachable(i))
-            };
-            let dirty: Vec<usize> = (0..sources.len())
-                .filter(|&si| {
-                    touches(&cache.states[si], a_idx) || touches(&cache.states[si], b_idx)
-                })
-                .collect();
-            cache.stats.hits += (sources.len() - dirty.len()) as u64;
-            cache.stats.misses += dirty.len() as u64;
-            if sweep.incremental {
-                // Delta tier: move each dirty state out of the memo,
-                // repair it on a worker, and put it back in source order.
-                let taken: Vec<(usize, SourceState)> = dirty
-                    .into_iter()
-                    .map(|si| (si, std::mem::take(&mut cache.states[si])))
-                    .collect();
-                let repaired: Vec<(usize, SourceState, DeltaOutcome)> = {
-                    let graph = &graph;
-                    let in_union = &in_union;
-                    let baseline_rows = &cache.baseline_rows;
-                    let correction = &correction;
-                    let policy = sweep.removal_policy();
-                    shard_map_owned(taken, workers, move |(si, mut state)| {
-                        let outcome =
-                            state.repair(graph, correction, in_union, &baseline_rows[si], policy);
-                        (si, state, outcome)
-                    })
-                };
-                for (si, state, outcome) in repaired {
-                    match outcome {
-                        DeltaOutcome::FullRebuild => cache.stats.full_rebuilds += 1,
-                        DeltaOutcome::Incremental | DeltaOutcome::Unchanged => {
-                            cache.stats.delta_repairs += 1
-                        }
-                    }
-                    cache.states[si] = state;
-                }
-            } else {
-                cache.stats.full_rebuilds += dirty.len() as u64;
-                let recomputed: Vec<SourceState> = {
-                    let graph = &graph;
-                    let in_union = &in_union;
-                    let sources = &sources;
-                    let baseline_rows = &cache.baseline_rows;
-                    shard_map(&dirty, workers, move |&si| {
-                        SourceState::compute(
-                            graph,
-                            sources[si],
-                            in_union,
-                            Some(&baseline_rows[si]),
-                            false,
-                        )
-                    })
-                };
-                for (si, state) in dirty.into_iter().zip(recomputed) {
-                    cache.states[si] = state;
+    // Steps run in order; per step, only the sources whose reachable set
+    // touches the corrected link are dirty — everyone else is a skip-tier
+    // hit. Dirty sources repair their distance map through the delta
+    // engine, striped across the workers, each map moved to its worker
+    // and back without cloning.
+    let policy = sweep.removal_policy();
+    for (i, finding) in corrections.iter().enumerate() {
+        let a_idx = graph.node(finding.a).map(|n| n.index());
+        let b_idx = graph.node(finding.b).map(|n| n.index());
+        let correction = EdgeCorrection::observe(
+            &graph,
+            finding.a,
+            finding.b,
+            IpVersion::V6,
+            finding.relationships.v6,
+        );
+        graph.annotate(finding.a, finding.b, IpVersion::V6, finding.relationships.v6);
+        let touches = |state: &SourceState, idx: Option<usize>| {
+            idx.is_some_and(|i| state.dist.is_reachable(i))
+        };
+        let dirty: Vec<usize> = (0..sources.len())
+            .filter(|&si| touches(&cache.states[si], a_idx) || touches(&cache.states[si], b_idx))
+            .collect();
+        cache.stats.hits += (sources.len() - dirty.len()) as u64;
+        cache.stats.misses += dirty.len() as u64;
+        let taken: Vec<(usize, SourceState)> =
+            dirty.into_iter().map(|si| (si, std::mem::take(&mut cache.states[si]))).collect();
+        let repaired: Vec<(usize, SourceState, DeltaOutcome)> = {
+            let graph = &graph;
+            let in_union = &in_union;
+            let baseline_rows = &cache.baseline_rows;
+            let correction = &correction;
+            shard_map_owned(taken, workers, move |(si, mut state)| {
+                let outcome = state.repair(graph, correction, in_union, &baseline_rows[si], policy);
+                (si, state, outcome)
+            })
+        };
+        for (si, state, outcome) in repaired {
+            match outcome {
+                DeltaOutcome::FullRebuild => cache.stats.full_rebuilds += 1,
+                DeltaOutcome::Incremental | DeltaOutcome::Unchanged => {
+                    cache.stats.delta_repairs += 1
                 }
             }
-            curve.steps.push(combine_step(
-                cache.states.iter().map(|s| s.partial),
-                i + 1,
-                Some((finding.a, finding.b)),
-            ));
+            cache.states[si] = state;
         }
-    } else {
-        // Uncached path: apply each correction to the one working graph
-        // and recompute every source for that step, striped across the
-        // workers — no memo, and no per-step graph clones (memory stays
-        // O(graph) however large top_k is).
-        let source_indices: Vec<usize> = (0..sources.len()).collect();
-        for (i, finding) in corrections.iter().enumerate() {
-            graph.annotate(finding.a, finding.b, IpVersion::V6, finding.relationships.v6);
-            let partials: Vec<SourcePartial> = {
-                let graph = &graph;
-                let in_union = &in_union;
-                let sources = &sources;
-                let baseline_rows = &cache.baseline_rows;
-                shard_map(&source_indices, workers, move |&si| {
-                    SourceState::compute(
-                        graph,
-                        sources[si],
-                        in_union,
-                        Some(&baseline_rows[si]),
-                        false,
-                    )
-                    .partial
-                })
-            };
-            cache.count_full(partials.len() as u64);
-            curve.steps.push(combine_step(
-                partials.into_iter(),
-                i + 1,
-                Some((finding.a, finding.b)),
-            ));
-        }
+        curve.steps.push(combine_step(
+            cache.states.iter().map(|s| s.partial),
+            i + 1,
+            Some((finding.a, finding.b)),
+        ));
     }
     curve
 }
@@ -870,27 +686,55 @@ mod tests {
         assert_eq!(single.diameter_delta(), 0);
     }
 
+    /// One curve point from hand-counted totals: `sum` hops over `count`
+    /// baseline-reachable ordered pairs, `reachable` of `pairs` ordered
+    /// union pairs reachable now.
+    fn point(
+        corrected: usize,
+        link: Option<(u32, u32)>,
+        (sum, count): (u32, u32),
+        diameter: u32,
+        (reachable, pairs): (u32, u32),
+    ) -> CorrectionStep {
+        CorrectionStep {
+            corrected,
+            link: link.map(|(a, b)| (Asn(a), Asn(b))),
+            avg_path_length: f64::from(sum) / f64::from(count),
+            diameter,
+            reachability: f64::from(reachable) / f64::from(pairs),
+        }
+    }
+
+    /// The curve of [`misinferred_graph`] under `[finding(), second_finding()]`,
+    /// counted by hand. All 8 ASes are in the union (56 ordered pairs). At
+    /// the baseline 44 pairs are reachable, summing to 96 hops with a
+    /// longest path of 4 (8 → 9 → 10 → 30 → 50); 8 and 9 cannot reach 20's
+    /// side because a peer link cannot follow a descent. Making 10-20 p2c
+    /// turns the plane into one tree: every pair becomes reachable, and
+    /// the 44 baseline pairs keep their lengths. Making 9-8 p2p keeps every
+    /// distance (8 still sits one hop from 9).
+    fn hand_computed_curve() -> Vec<CorrectionStep> {
+        vec![
+            point(0, None, (96, 44), 4, (44, 56)),
+            point(1, Some((10, 20)), (96, 44), 4, (56, 56)),
+            point(2, Some((9, 8)), (96, 44), 4, (56, 56)),
+        ]
+    }
+
     #[test]
-    fn parallel_and_cached_sweeps_match_the_sequential_curve() {
+    fn sweep_matches_the_hand_computed_curve_at_any_worker_count() {
         let graph = misinferred_graph();
         let findings = [finding(), second_finding()];
         let options = ImpactOptions::default();
-        let sequential =
-            correction_sweep_with(&graph, &findings, &options, &SweepOptions::sequential());
-        for concurrency in [2usize, 4] {
-            for cache in [false, true] {
-                for incremental in [false, true] {
-                    for removal_repair in [false, true] {
-                        let sweep =
-                            SweepOptions { concurrency, cache, incremental, removal_repair };
-                        let parallel = correction_sweep_with(&graph, &findings, &options, &sweep);
-                        assert_eq!(
-                            parallel.steps, sequential.steps,
-                            "concurrency={concurrency} cache={cache} incremental={incremental} \
-                             removal_repair={removal_repair} diverged"
-                        );
-                    }
-                }
+        for concurrency in [1usize, 2, 4] {
+            for removal_repair in [false, true] {
+                let sweep = SweepOptions { concurrency, removal_repair };
+                let curve = correction_sweep_with(&graph, &findings, &options, &sweep);
+                assert_eq!(
+                    curve.steps,
+                    hand_computed_curve(),
+                    "concurrency={concurrency} removal_repair={removal_repair} diverged"
+                );
             }
         }
     }
@@ -910,15 +754,23 @@ mod tests {
             &g,
             &findings,
             &ImpactOptions::default(),
-            &SweepOptions { concurrency: 1, cache: true, incremental: true, removal_repair: false },
+            &SweepOptions::with_concurrency(1),
             &mut cache,
         );
-        assert!(cache.hits() > 0, "disconnected sources should be served from the memo");
-        assert!(cache.misses() > 0);
-        assert!(cache.hit_rate() > 0.0 && cache.hit_rate() < 1.0);
-        assert_eq!(cache.lookups(), cache.hits() + cache.misses());
-        let uncached = correction_sweep(&g, &findings, &ImpactOptions::default());
-        assert_eq!(cached.steps, uncached.steps, "memoization changed the curve");
+        let stats = cache.stats();
+        assert!(stats.hits > 0, "disconnected sources should be served from the memo");
+        assert!(stats.misses > 0);
+        assert!(stats.hit_rate() > 0.0 && stats.hit_rate() < 1.0);
+        assert_eq!(stats.lookups(), stats.hits + stats.misses);
+        // The second chain adds 4 union members (132 ordered pairs) and 12
+        // reachable pairs of its own, 20 hops in total, never crossing
+        // over.
+        let expected = vec![
+            point(0, None, (116, 56), 4, (56, 132)),
+            point(1, Some((10, 20)), (116, 56), 4, (68, 132)),
+            point(2, Some((9, 8)), (116, 56), 4, (68, 132)),
+        ];
+        assert_eq!(cached.steps, expected, "memoization changed the curve");
     }
 
     #[test]
@@ -928,10 +780,14 @@ mod tests {
         let mut cache = SweepCache::new();
         let sweep = SweepOptions::with_concurrency(1);
         let _ = correction_sweep_in(&g, &findings, &ImpactOptions::default(), &sweep, &mut cache);
-        let first = cache.lookups();
+        let first = cache.stats().lookups();
         assert!(first > 0);
         let _ = correction_sweep_in(&g, &findings, &ImpactOptions::default(), &sweep, &mut cache);
-        assert_eq!(cache.lookups(), 2 * first, "second sweep should add the same lookup count");
+        assert_eq!(
+            cache.stats().lookups(),
+            2 * first,
+            "second sweep should add the same lookup count"
+        );
     }
 
     #[test]
@@ -961,18 +817,10 @@ mod tests {
 
     #[test]
     fn sweep_options_resolve_and_default_sensibly() {
-        assert_eq!(SweepOptions::sequential().workers(), 1);
-        assert!(!SweepOptions::sequential().cache);
-        assert!(!SweepOptions::sequential().incremental);
-        assert_eq!(SweepOptions::with_concurrency(3).workers(), 3);
-        assert!(SweepOptions::with_concurrency(3).cache);
-        assert!(SweepOptions::with_concurrency(3).incremental);
+        assert_eq!(SweepOptions::default().concurrency, 0, "all cores by default");
         assert!(SweepOptions::default().workers() >= 1);
-        assert!(SweepOptions::default().cache);
-        assert!(SweepOptions::default().incremental, "delta engine defaults to on");
-        let degraded = SweepOptions::default().with_incremental(false);
-        assert!(!degraded.incremental);
-        assert!(degraded.cache, "with_incremental leaves the other knobs alone");
+        assert_eq!(SweepOptions::with_concurrency(1).workers(), 1);
+        assert_eq!(SweepOptions::with_concurrency(3).workers(), 3);
     }
 
     #[test]
@@ -980,11 +828,11 @@ mod tests {
         let g = misinferred_graph();
         let findings = [finding(), second_finding()];
         let mut cache = SweepCache::new();
-        let incremental = correction_sweep_in(
+        let curve = correction_sweep_in(
             &g,
             &findings,
             &ImpactOptions::default(),
-            &SweepOptions { concurrency: 1, cache: true, incremental: true, removal_repair: false },
+            &SweepOptions::with_concurrency(1),
             &mut cache,
         );
         let stats = cache.stats();
@@ -992,38 +840,12 @@ mod tests {
         assert_eq!(stats.lookups(), stats.hits + stats.misses);
         assert!(stats.delta_repairs > 0, "dirty sources should go through the delta tier");
         assert!(stats.full_rebuilds > 0, "the baseline pass always runs full BFS computations");
-        assert_eq!(cache.delta_repairs(), stats.delta_repairs);
-        assert_eq!(cache.full_rebuilds(), stats.full_rebuilds);
         assert!(stats.delta_rate() > 0.0);
         // The rendered form mentions both sides of the split.
         let text = stats.to_string();
         assert!(text.contains("delta repairs"));
         assert!(text.contains("full BFS"));
-        // And the curve is exactly the full-recompute one.
-        let full = correction_sweep(&g, &findings, &ImpactOptions::default());
-        assert_eq!(incremental.steps, full.steps, "delta engine changed the curve");
-    }
-
-    #[test]
-    fn disabling_incremental_pushes_all_misses_to_full_rebuilds() {
-        let g = misinferred_graph();
-        let findings = [finding(), second_finding()];
-        let mut cache = SweepCache::new();
-        let _ = correction_sweep_in(
-            &g,
-            &findings,
-            &ImpactOptions::default(),
-            &SweepOptions {
-                concurrency: 1,
-                cache: true,
-                incremental: false,
-                removal_repair: false,
-            },
-            &mut cache,
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.delta_repairs, 0);
-        assert_eq!(stats.full_rebuilds, stats.misses);
+        assert_eq!(curve.steps, hand_computed_curve(), "delta engine changed the curve");
     }
 
     /// A topology whose correction is removal-heavy: 4 sits at distance 2
@@ -1072,26 +894,32 @@ mod tests {
             &SweepOptions::with_concurrency(1).with_removal_repair(true),
             &mut repair_cache,
         );
+        let (fallback_stats, repair_stats) = (fallback_cache.stats(), repair_cache.stats());
         assert!(
-            repair_cache.full_rebuilds() < fallback_cache.full_rebuilds(),
+            repair_stats.full_rebuilds < fallback_stats.full_rebuilds,
             "removal repair should absorb the rebuild fallbacks ({} vs {})",
-            repair_cache.full_rebuilds(),
-            fallback_cache.full_rebuilds(),
+            repair_stats.full_rebuilds,
+            fallback_stats.full_rebuilds,
         );
-        assert!(repair_cache.delta_repairs() > fallback_cache.delta_repairs());
+        assert!(repair_stats.delta_repairs > fallback_stats.delta_repairs);
         assert_eq!(repaired.steps, fallback.steps, "removal repair changed the curve");
-        let full = correction_sweep(&g, &findings, &options);
-        assert_eq!(repaired.steps, full.steps, "removal repair diverged from full recompute");
+        // Counted by hand: all 20 ordered pairs of the 5 ASes stay
+        // reachable, 32 hops in total, longest 3, before and after the
+        // flip (4 → 1 grows to 3 hops via 5 and 3; 2 → 5 shrinks to 2 via 4).
+        let expected = vec![
+            point(0, None, (32, 20), 3, (20, 20)),
+            point(1, Some((2, 4)), (32, 20), 3, (20, 20)),
+        ];
+        assert_eq!(repaired.steps, expected, "removal repair diverged from the counted curve");
     }
 
     #[test]
     fn sweep_options_map_the_removal_knob_onto_the_delta_policy() {
         assert_eq!(SweepOptions::default().removal_policy(), RemovalPolicy::Rebuild);
         assert!(!SweepOptions::default().removal_repair, "conservative fallback is the default");
-        let opts = SweepOptions::default().with_removal_repair(true);
+        let opts = SweepOptions::with_concurrency(3).with_removal_repair(true);
         assert_eq!(opts.removal_policy(), RemovalPolicy::Repair);
-        assert!(opts.incremental && opts.cache, "the builder leaves the other knobs alone");
-        assert!(!SweepOptions::sequential().removal_repair);
+        assert_eq!(opts.concurrency, 3, "the builder leaves the worker count alone");
         assert!(!SweepOptions::with_concurrency(3).removal_repair);
     }
 

@@ -32,7 +32,7 @@ impl PipelineInput {
     /// Start describing an input: pick one base source (a simulated
     /// scenario, MRT files on disk, or a raw snapshot), optionally replay
     /// an [`UpdateStream`] on top of it, and set the execution options
-    /// once. The older `from_*` constructors are thin shims over this.
+    /// once.
     ///
     /// ```
     /// use hybrid_tor::pipeline::PipelineInput;
@@ -47,45 +47,18 @@ impl PipelineInput {
         PipelineInputBuilder::default()
     }
 
-    /// Build the input from a simulated scenario: pools its collectors,
-    /// parses its registry, and carries the ground truth along. Uses the
-    /// default execution options (all available parallelism).
-    pub fn from_scenario(scenario: &routesim::Scenario) -> Self {
-        Self::from_scenario_with(scenario, &PipelineOptions::default())
-    }
-
-    /// [`from_scenario`](Self::from_scenario) with explicit execution
-    /// options: per-collector snapshot pooling runs sharded, concurrently
-    /// with the IRR dictionary build, when more than one worker is
-    /// allowed. The pooled entry order is worker-count independent.
+    /// Build the input from a simulated scenario under explicit execution
+    /// options — shorthand for the builder's scenario source: pools its
+    /// collectors, parses its registry, and carries the ground truth along.
+    /// Per-collector snapshot pooling runs sharded, concurrently with the
+    /// IRR dictionary build, when more than one worker is allowed. The
+    /// pooled entry order is worker-count independent.
     pub fn from_scenario_with(scenario: &routesim::Scenario, options: &PipelineOptions) -> Self {
         Self::builder()
             .scenario(scenario)
             .options(*options)
             .build()
             .expect("scenario inputs cannot fail")
-    }
-
-    /// Build the input from MRT files and an IRR dump on disk — the shape
-    /// a measurement against real archives would take. Uses the default
-    /// execution options (all available parallelism).
-    pub fn from_files(
-        mrt_paths: &[impl AsRef<Path> + Sync],
-        registry_path: impl AsRef<Path>,
-    ) -> Result<Self, std::io::Error> {
-        Self::from_files_with(mrt_paths, registry_path, &PipelineOptions::default())
-    }
-
-    /// [`from_files`](Self::from_files) with explicit execution options:
-    /// the per-collector MRT files are parsed on worker threads and merged
-    /// in path order, so the pooled snapshot — and the first error
-    /// surfaced, if any — match the sequential read exactly.
-    pub fn from_files_with(
-        mrt_paths: &[impl AsRef<Path> + Sync],
-        registry_path: impl AsRef<Path>,
-        options: &PipelineOptions,
-    ) -> Result<Self, std::io::Error> {
-        Self::builder().files(mrt_paths, registry_path).options(*options).build()
     }
 }
 
@@ -259,8 +232,8 @@ pub struct PipelineOptions {
     /// byte-identical either way.
     pub csr: bool,
     /// Execution options for the Figure 2 impact subsystem (worker threads
-    /// for the sharded correction sweep and the cross-step memoization
-    /// switch). `SweepOptions::default()` — all cores, cache on — is what
+    /// for the sharded correction sweep and its removal policy).
+    /// `SweepOptions::default()` — all cores — is what
     /// `PipelineOptions::default()` carries; like `concurrency`, the knob
     /// never changes the report bytes.
     pub sweep: SweepOptions,
@@ -296,7 +269,7 @@ impl Default for PipelineOptions {
 
 impl PipelineOptions {
     /// Options pinned to `concurrency` worker threads (the sweep follows
-    /// the same worker count, with memoization enabled; the frontier
+    /// the same worker count; the frontier
     /// expansion stays sequential unless [`with_frontier`](Self::with_frontier)
     /// retunes it).
     pub fn with_concurrency(concurrency: usize) -> Self {
@@ -307,8 +280,7 @@ impl PipelineOptions {
         }
     }
 
-    /// The fully sequential execution path (sweep memoization stays on —
-    /// it trades memory, not determinism).
+    /// The fully sequential execution path.
     pub fn sequential() -> Self {
         Self::with_concurrency(1)
     }
@@ -423,8 +395,8 @@ pub struct Pipeline {
     pub evaluate_baseline: bool,
     /// Attach the sweep's execution statistics (memo hits, delta repairs
     /// vs full BFS) to the report. Off by default: the counters depend on
-    /// the cache/incremental knobs, so reports in the determinism matrix
-    /// and the committed golden snapshots never carry them.
+    /// the removal policy, so reports in the determinism matrix and the
+    /// committed golden snapshots never carry them.
     pub emit_sweep_stats: bool,
     /// Execution options (worker threads for the parallel sections).
     pub options: PipelineOptions,
@@ -672,10 +644,14 @@ mod tests {
         Scenario::build(&TopologyConfig::tiny(), &SimConfig::small())
     }
 
+    fn scenario_input(scenario: &routesim::Scenario) -> PipelineInput {
+        PipelineInput::builder().scenario(scenario).build().expect("scenario inputs cannot fail")
+    }
+
     #[test]
     fn pipeline_runs_end_to_end_on_a_simulated_scenario() {
         let scenario = scenario();
-        let report = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+        let report = Pipeline::default().run(scenario_input(&scenario));
         assert!(report.dataset.ipv6_paths > 0);
         assert!(report.dataset.ipv6_links > 0);
         assert!(report.dataset.dual_stack_links > 0);
@@ -696,7 +672,7 @@ mod tests {
     #[test]
     fn detected_hybrids_match_ground_truth_relationships() {
         let scenario = scenario();
-        let report = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+        let report = Pipeline::default().run(scenario_input(&scenario));
         // Every detected hybrid whose relationships we compare against the
         // ground truth must agree with it (communities never lie in the
         // simulator; coverage, not correctness, is the limiting factor).
@@ -713,9 +689,9 @@ mod tests {
     #[test]
     fn locpref_extension_increases_or_preserves_coverage() {
         let scenario = scenario();
-        let with = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
-        let without = Pipeline { use_locpref: false, ..Default::default() }
-            .run(PipelineInput::from_scenario(&scenario));
+        let with = Pipeline::default().run(scenario_input(&scenario));
+        let without =
+            Pipeline { use_locpref: false, ..Default::default() }.run(scenario_input(&scenario));
         assert!(with.dataset.ipv6_links_classified >= without.dataset.ipv6_links_classified);
         assert_eq!(without.dataset.ipv6_links_from_locpref, 0);
     }
@@ -724,7 +700,7 @@ mod tests {
     fn impact_sweep_is_produced_when_requested() {
         let scenario = scenario();
         let pipeline = Pipeline::with_impact(5, Some(64));
-        let report = pipeline.run(PipelineInput::from_scenario(&scenario));
+        let report = pipeline.run(scenario_input(&scenario));
         let curve = report.impact.expect("impact requested");
         assert!(!curve.steps.is_empty());
         assert_eq!(curve.steps[0].corrected, 0);
@@ -737,8 +713,8 @@ mod tests {
         let scenario = scenario();
         let silent = Pipeline::with_impact(5, Some(64));
         let chatty = Pipeline { emit_sweep_stats: true, ..Pipeline::with_impact(5, Some(64)) };
-        let without = silent.run(PipelineInput::from_scenario(&scenario));
-        let with = chatty.run(PipelineInput::from_scenario(&scenario));
+        let without = silent.run(scenario_input(&scenario));
+        let with = chatty.run(scenario_input(&scenario));
         let stats = with.sweep_stats.expect("stats requested");
         assert!(stats.lookups() > 0);
         assert_eq!(stats.misses, stats.delta_repairs + stats.full_rebuilds);
@@ -760,9 +736,9 @@ mod tests {
         let registry_path = dir.join("irr.txt");
         scenario.registry.save(&registry_path).unwrap();
 
-        let input = PipelineInput::from_files(&mrt_paths, &registry_path).unwrap();
+        let input = PipelineInput::builder().files(&mrt_paths, &registry_path).build().unwrap();
         let from_disk = Pipeline::default().run(input);
-        let in_memory = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+        let in_memory = Pipeline::default().run(scenario_input(&scenario));
         // LocPrf and communities survive the MRT round trip, so the headline
         // numbers match exactly.
         assert_eq!(from_disk.dataset.ipv6_links, in_memory.dataset.ipv6_links);
@@ -777,15 +753,14 @@ mod tests {
 
     #[test]
     fn missing_files_surface_an_error() {
-        let result = PipelineInput::from_files(&["/nonexistent/a.mrt"], "/nonexistent/irr.txt");
-        assert!(result.is_err());
-        // The sequential path surfaces the same error.
-        let sequential = PipelineInput::from_files_with(
-            &["/nonexistent/a.mrt"],
-            "/nonexistent/irr.txt",
-            &PipelineOptions::sequential(),
-        );
-        assert!(sequential.is_err());
+        // Both the sequential and the sharded file parse surface the error.
+        for options in [PipelineOptions::sequential(), PipelineOptions::with_concurrency(2)] {
+            let result = PipelineInput::builder()
+                .files(&["/nonexistent/a.mrt", "/nonexistent/b.mrt"], "/nonexistent/irr.txt")
+                .options(options)
+                .build();
+            assert!(result.is_err(), "workers={}", options.workers());
+        }
     }
 
     #[test]
@@ -795,12 +770,13 @@ mod tests {
         assert_eq!(PipelineOptions::with_concurrency(5).workers(), 5);
         assert_eq!(Pipeline::with_concurrency(3).options.concurrency, 3);
         // The sweep follows the pipeline's worker count unless overridden.
-        assert!(PipelineOptions::default().sweep.cache);
+        assert_eq!(PipelineOptions::default().sweep, SweepOptions::default());
         assert_eq!(PipelineOptions::with_concurrency(5).sweep.concurrency, 5);
         assert_eq!(Pipeline::with_concurrency(3).options.sweep.workers(), 3);
-        let custom = PipelineOptions::with_concurrency(4).with_sweep(SweepOptions::sequential());
+        let custom =
+            PipelineOptions::with_concurrency(4).with_sweep(SweepOptions::with_concurrency(1));
         assert_eq!(custom.concurrency, 4);
-        assert_eq!(custom.sweep, SweepOptions::sequential());
+        assert_eq!(custom.sweep, SweepOptions::with_concurrency(1));
     }
 
     #[test]
@@ -891,15 +867,6 @@ mod tests {
         for workers in [2usize, 4] {
             let parallel = render(PipelineOptions::with_concurrency(workers));
             assert!(parallel == sequential, "concurrency={workers} diverged");
-            // The sweep memoization switch must not change a byte either.
-            let uncached =
-                render(PipelineOptions::with_concurrency(workers).with_sweep(SweepOptions {
-                    concurrency: workers,
-                    cache: false,
-                    incremental: false,
-                    removal_repair: false,
-                }));
-            assert!(uncached == sequential, "concurrency={workers} uncached sweep diverged");
             // Neither may the origin schedule or the removal-repair tier.
             let static_schedule = render(
                 PipelineOptions::with_concurrency(workers)

@@ -28,7 +28,9 @@ fn main() {
     let topology = TopologyConfig::small();
     eprintln!("building scenario with {} ASes ...", topology.total_as_count());
     let scenario = Scenario::build(&topology, &SimConfig::default());
-    let report = Pipeline::with_impact(20, Some(200)).run(PipelineInput::from_scenario(&scenario));
+    let input =
+        PipelineInput::builder().scenario(&scenario).build().expect("scenario inputs cannot fail");
+    let report = Pipeline::with_impact(20, Some(200)).run(input);
     let curve = report.impact.expect("impact sweep requested");
 
     println!(

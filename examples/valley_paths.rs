@@ -24,7 +24,9 @@ fn run(relaxation: bool, leak_probability: f64) -> Report {
         ..TopologyConfig::small()
     };
     let scenario = Scenario::build(&topology, &sim);
-    Pipeline::default().run(PipelineInput::from_scenario(&scenario))
+    Pipeline::default().run(
+        PipelineInput::builder().scenario(&scenario).build().expect("scenario inputs cannot fail"),
+    )
 }
 
 fn main() {

@@ -178,24 +178,17 @@ fn backend_matrix_produces_byte_identical_reports() {
 
 /// Render the report with the Figure 2 impact sweep enabled, pinning the
 /// whole stack (simulator, pipeline stages, sweep) to `concurrency`
-/// workers, the sweep's cross-step memo to `cache` and its delta engine
-/// to `incremental`.
+/// workers and the sweep's delta tier to the given removal policy.
 fn impact_report_json(
     topology: &TopologyConfig,
     sim: &SimConfig,
     concurrency: usize,
-    cache: bool,
-    incremental: bool,
     removal_repair: bool,
 ) -> String {
     let sim = sim.clone().with_concurrency(concurrency);
     let scenario = Scenario::build(topology, &sim);
-    let options = PipelineOptions::with_concurrency(concurrency).with_sweep(SweepOptions {
-        concurrency,
-        cache,
-        incremental,
-        removal_repair,
-    });
+    let options = PipelineOptions::with_concurrency(concurrency)
+        .with_sweep(SweepOptions { concurrency, removal_repair });
     let pipeline = Pipeline {
         run_impact: true,
         impact_options: ImpactOptions { top_k: 5, source_cap: Some(64) },
@@ -210,29 +203,21 @@ fn impact_report_json(
 fn impact_sweep_matrix_produces_byte_identical_reports() {
     let topology = TopologyConfig::tiny();
     let sim = SimConfig::small();
-    // The reference computation: fully sequential, no memoization, full
-    // recomputation per step — exactly what the pre-sharding
-    // implementation produced.
-    let sequential = impact_report_json(&topology, &sim, 1, false, false, false);
+    // The reference: the sequential sweep under the default removal
+    // policy. The engine itself is checked against a memo-free oracle in
+    // tests/properties.rs; this matrix pins the whole report.
+    let sequential = impact_report_json(&topology, &sim, 1, false);
     for concurrency in [1usize, 2, 8] {
-        for cache in [false, true] {
-            for incremental in [false, true] {
-                for removal_repair in [false, true] {
-                    let report = impact_report_json(
-                        &topology,
-                        &sim,
-                        concurrency,
-                        cache,
-                        incremental,
-                        removal_repair,
-                    );
-                    assert!(
-                        report == sequential,
-                        "impact sweep diverged at concurrency={concurrency} cache={cache} \
-                         incremental={incremental} removal_repair={removal_repair}"
-                    );
-                }
+        for removal_repair in [false, true] {
+            if (concurrency, removal_repair) == (1, false) {
+                continue;
             }
+            let report = impact_report_json(&topology, &sim, concurrency, removal_repair);
+            assert!(
+                report == sequential,
+                "impact sweep diverged at concurrency={concurrency} \
+                 removal_repair={removal_repair}"
+            );
         }
     }
 }
@@ -241,9 +226,9 @@ fn impact_sweep_matrix_produces_byte_identical_reports() {
 fn ingest_replay_matrix_produces_byte_identical_reports() {
     use hybrid_as_rel::sim::UpdateStreamConfig;
     use hybrid_as_rel::tor::ingest::{TemporalSweep, UpdateStream};
-    // The streaming ingest path adds two execution dimensions on top of
+    // The streaming ingest path adds an execution dimension on top of
     // the worker count: delta-repaired replay vs full per-window
-    // recompute (`HYBRID_INGEST_DELTA` in the harness). Per window, every
+    // recompute (`TemporalSweep::new`'s flag). Per window, every
     // (concurrency × mode) combination must render the bytes of the
     // sequential full-recompute run — the caches are exact, never an
     // output knob.

@@ -7,6 +7,11 @@ use hybrid_as_rel::topology::HybridClass;
 use hybrid_as_rel::tor::communities::InferenceSource;
 use hybrid_as_rel::tor::extract::extract;
 
+/// The pipeline input for a simulated scenario.
+fn input(scenario: &Scenario) -> PipelineInput {
+    PipelineInput::builder().scenario(scenario).build().expect("scenario inputs cannot fail")
+}
+
 fn scenario(seed: u64) -> Scenario {
     let mut topology = TopologyConfig::small();
     topology.seed = seed;
@@ -42,7 +47,7 @@ fn inferred_relationships_always_agree_with_ground_truth() {
 #[test]
 fn full_pipeline_reproduces_the_paper_shape() {
     let scenario = scenario(2);
-    let report = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+    let report = Pipeline::default().run(input(&scenario));
 
     // E1 shape: substantial but partial coverage on IPv6, higher coverage
     // on the dual-stack subset of links that big (tagging) ASes dominate.
@@ -89,7 +94,7 @@ fn full_pipeline_reproduces_the_paper_shape() {
 #[test]
 fn every_detected_hybrid_is_a_real_hybrid() {
     let scenario = scenario(3);
-    let report = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+    let report = Pipeline::default().run(input(&scenario));
     assert!(!report.hybrids.findings.is_empty());
     for finding in &report.hybrids.findings {
         let pair = scenario
@@ -108,7 +113,7 @@ fn hybrid_recall_improves_with_documentation() {
     let recall_at = |documentation: f64| {
         let sim = SimConfig { documentation_probability: documentation, ..SimConfig::default() };
         let scenario = Scenario::build_from_truth(truth.clone(), TopologyConfig::small(), &sim);
-        let report = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+        let report = Pipeline::default().run(input(&scenario));
         report.hybrids.findings.len() as f64 / truth.hybrid_links.len().max(1) as f64
     };
     let low = recall_at(0.2);
@@ -126,9 +131,9 @@ fn mrt_files_and_registry_reproduce_the_in_memory_measurement() {
     let registry_path = dir.join("registry.txt");
     scenario.registry.save(&registry_path).unwrap();
 
-    let from_disk =
-        Pipeline::default().run(PipelineInput::from_files(&mrt_paths, &registry_path).unwrap());
-    let in_memory = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+    let from_disk = Pipeline::default()
+        .run(PipelineInput::builder().files(&mrt_paths, &registry_path).build().unwrap());
+    let in_memory = Pipeline::default().run(input(&scenario));
 
     assert_eq!(from_disk.dataset.ipv6_paths, in_memory.dataset.ipv6_paths);
     assert_eq!(from_disk.dataset.ipv6_links, in_memory.dataset.ipv6_links);
@@ -144,7 +149,7 @@ fn figure2_correction_sweep_moves_toward_the_truth_metrics() {
     // hybrid link must change the tree metrics in the direction the paper
     // reports (better valley-free connectivity of the customer-tree union).
     let scenario = scenario(5);
-    let report = Pipeline::with_impact(20, Some(150)).run(PipelineInput::from_scenario(&scenario));
+    let report = Pipeline::with_impact(20, Some(150)).run(input(&scenario));
     let curve = report.impact.unwrap();
     assert!(curve.steps.len() >= 2, "needs at least one correction");
     // Every step carries sane metrics over a non-trivial tree union.
@@ -188,7 +193,7 @@ fn observed_topology_is_a_subgraph_of_the_ground_truth() {
 #[test]
 fn reports_serialize_to_json_and_back() {
     let scenario = scenario(7);
-    let report = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+    let report = Pipeline::default().run(input(&scenario));
     let json = report.to_json();
     let back: Report = serde_json::from_str(&json).unwrap();
     assert_eq!(back.dataset.ipv6_links, report.dataset.ipv6_links);

@@ -1,10 +1,20 @@
 //! MRT round-trip integration test: a merged collector snapshot written
 //! with `mrt::writer` and re-read with `mrt::read_snapshot_from_path` must
-//! be equivalent, and the `PipelineInput::from_files` path must reproduce
-//! the in-memory measurement.
+//! be equivalent, and the builder's file source
+//! (`PipelineInput::builder().files(..)`) must reproduce the in-memory
+//! measurement.
 
 use hybrid_as_rel::mrt;
 use hybrid_as_rel::prelude::*;
+
+/// Load MRT files plus an IRR dump through the builder's file source.
+fn load_files(
+    mrt_paths: &[std::path::PathBuf],
+    registry_path: impl AsRef<std::path::Path>,
+    options: PipelineOptions,
+) -> std::io::Result<PipelineInput> {
+    PipelineInput::builder().files(mrt_paths, registry_path).options(options).build()
+}
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("hybrid-as-rel-{tag}-{}", std::process::id()));
@@ -63,20 +73,18 @@ fn pipeline_from_files_matches_the_in_memory_measurement() {
     let registry_path = dir.join("irr.txt");
     scenario.registry.save(&registry_path).expect("write IRR registry dump");
 
-    let from_disk = Pipeline::default()
-        .run(PipelineInput::from_files(&mrt_paths, &registry_path).expect("load files"));
-    let in_memory = Pipeline::default().run(PipelineInput::from_scenario(&scenario));
+    let from_disk = Pipeline::default().run(
+        load_files(&mrt_paths, &registry_path, PipelineOptions::default()).expect("load files"),
+    );
+    let in_memory = Pipeline::default().run(
+        PipelineInput::builder().scenario(&scenario).build().expect("scenario inputs cannot fail"),
+    );
 
     // Sequential and parallel file loading pool the same snapshot.
-    let sequential =
-        PipelineInput::from_files_with(&mrt_paths, &registry_path, &PipelineOptions::sequential())
-            .expect("load files sequentially");
-    let parallel = PipelineInput::from_files_with(
-        &mrt_paths,
-        &registry_path,
-        &PipelineOptions::with_concurrency(4),
-    )
-    .expect("load files in parallel");
+    let sequential = load_files(&mrt_paths, &registry_path, PipelineOptions::sequential())
+        .expect("load files sequentially");
+    let parallel = load_files(&mrt_paths, &registry_path, PipelineOptions::with_concurrency(4))
+        .expect("load files in parallel");
     assert_eq!(sequential.snapshot, parallel.snapshot, "pooling order depends on worker count");
 
     assert_eq!(from_disk.dataset.ipv6_paths, in_memory.dataset.ipv6_paths);
@@ -89,7 +97,7 @@ fn pipeline_from_files_matches_the_in_memory_measurement() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// `PipelineInput::from_files` error paths: a missing MRT file, a
+/// File-source error paths: a missing MRT file, a
 /// truncated MRT record, and bad registry paths must all surface errors
 /// (on the sequential and the sharded loader alike) instead of silently
 /// producing a partial measurement.
@@ -105,29 +113,39 @@ fn pipeline_from_files_surfaces_missing_and_malformed_inputs() {
     // worker count.
     let mut with_missing = mrt_paths.clone();
     with_missing.push(dir.join("missing.rib.mrt"));
-    for options in [PipelineOptions::sequential(), PipelineOptions::with_concurrency(4)] {
-        let err = PipelineInput::from_files_with(&with_missing, &registry_path, &options)
+    let workers = [PipelineOptions::sequential(), PipelineOptions::with_concurrency(4)];
+    for options in workers {
+        let err = load_files(&with_missing, &registry_path, options)
             .expect_err("missing MRT file must fail");
         assert!(!err.to_string().is_empty());
     }
 
     // A stream that ends mid-record is a truncation error, not a short
-    // but "successful" snapshot.
+    // but "successful" snapshot — alone, and after a valid file (the
+    // sharded loader only engages with more than one file).
     let bytes = std::fs::read(&mrt_paths[0]).expect("read a valid MRT file");
     assert!(bytes.len() > 16, "fixture MRT file is implausibly small");
     let truncated_path = dir.join("truncated.rib.mrt");
     std::fs::write(&truncated_path, &bytes[..bytes.len() - 7]).expect("write truncated file");
-    let err = PipelineInput::from_files(&[truncated_path], &registry_path)
-        .expect_err("truncated MRT record must fail");
-    assert!(
-        err.to_string().to_lowercase().contains("truncated"),
-        "unexpected truncation error: {err}"
-    );
+    for options in workers {
+        for paths in
+            [vec![truncated_path.clone()], vec![mrt_paths[0].clone(), truncated_path.clone()]]
+        {
+            let err = load_files(&paths, &registry_path, options)
+                .expect_err("truncated MRT record must fail");
+            assert!(
+                err.to_string().to_lowercase().contains("truncated"),
+                "unexpected truncation error: {err}"
+            );
+        }
+    }
 
     // Registry problems surface too: a missing dump and a directory where
     // a file is expected.
-    assert!(PipelineInput::from_files(&mrt_paths, dir.join("missing-irr.txt")).is_err());
-    assert!(PipelineInput::from_files(&mrt_paths, &dir).is_err());
+    for options in workers {
+        assert!(load_files(&mrt_paths, dir.join("missing-irr.txt"), options).is_err());
+        assert!(load_files(&mrt_paths, &dir, options).is_err());
+    }
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

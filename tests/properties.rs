@@ -1,18 +1,22 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: text and wire round trips, orientation consistency of the
-//! annotated graph, the valley-free rule, and the parallel-equals-
-//! sequential contract of the sharded execution layer.
+//! annotated graph, the valley-free rule, the parallel-equals-sequential
+//! contract of the sharded execution layer, and the Figure 2 sweep engine
+//! against a memo-free oracle.
 
 use proptest::prelude::*;
 
-use hybrid_as_rel::graph::valley::{first_violation, is_valley_free};
+use hybrid_as_rel::graph::customer_tree::{customer_tree_union, tree_union_metrics};
+use hybrid_as_rel::graph::valley::{first_violation, is_valley_free, valley_free_distances};
 use hybrid_as_rel::graph::AsGraph;
 use hybrid_as_rel::mrt::bgp::{decode_attributes, encode_attributes, AttrContext};
 use hybrid_as_rel::prelude::{Scenario, SimConfig, TopologyConfig};
 use hybrid_as_rel::sim::propagate::{propagate_origins, PropagationOptions};
 use hybrid_as_rel::topology::HybridClass;
 use hybrid_as_rel::tor::hybrid::HybridFinding;
-use hybrid_as_rel::tor::impact::{correction_sweep_with, ImpactOptions, SweepOptions};
+use hybrid_as_rel::tor::impact::{
+    correction_sweep_in, CorrectionStep, ImpactOptions, SweepCache, SweepOptions,
+};
 use hybrid_as_rel::types::{
     AsPath, Asn, Community, CommunitySet, IpVersion, PathAttributes, Prefix, Relationship,
     RelationshipPair,
@@ -36,6 +40,63 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
             Prefix::V6(hybrid_as_rel::types::Ipv6Net::new_truncated(addr.into(), len))
         }),
     ]
+}
+
+/// The Figure 2 curve computed the obvious way, as `correction_sweep_in`
+/// documents it: fix the customer-tree union, the sources and each
+/// source's baseline-reachable pairs on the uncorrected graph, then per
+/// step apply the correction, recompute every source from scratch with
+/// `valley_free_distances` and fold the metrics over the union pairs. No
+/// memo and no delta repair.
+fn oracle_sweep(
+    misinferred: &AsGraph,
+    findings: &[HybridFinding],
+    options: &ImpactOptions,
+) -> Vec<CorrectionStep> {
+    let mut graph = misinferred.clone();
+    let mut union = customer_tree_union(&graph, IpVersion::V6);
+    union.sort();
+    if union.len() < 2 {
+        let m = tree_union_metrics(&graph, IpVersion::V6, options.source_cap);
+        return vec![CorrectionStep {
+            corrected: 0,
+            link: None,
+            avg_path_length: m.avg_path_length,
+            diameter: m.diameter,
+            reachability: m.reachability(),
+        }];
+    }
+    let index = |graph: &AsGraph, asn: Asn| graph.node(asn).expect("union member").index();
+    let members: Vec<usize> = union.iter().map(|&asn| index(&graph, asn)).collect();
+    let sources = &union[..options.source_cap.map_or(union.len(), |cap| cap.min(union.len()))];
+    let distances = |graph: &AsGraph| -> Vec<Vec<Option<u32>>> {
+        sources.iter().map(|&src| valley_free_distances(graph, src, IpVersion::V6)).collect()
+    };
+    let baseline = distances(&graph);
+    let mut steps = vec![(None, baseline.clone())];
+    for finding in findings.iter().take(options.top_k) {
+        graph.annotate(finding.a, finding.b, IpVersion::V6, finding.relationships.v6);
+        steps.push((Some((finding.a, finding.b)), distances(&graph)));
+    }
+    let mut curve = Vec::new();
+    for (corrected, (link, rows)) in steps.into_iter().enumerate() {
+        let (mut sum, mut count, mut diameter, mut reachable, mut pairs) =
+            (0u64, 0u64, 0, 0u64, 0u64);
+        for (si, row) in rows.iter().enumerate() {
+            let src = index(&graph, sources[si]);
+            for &m in members.iter().filter(|&&m| m != src) {
+                pairs += 1;
+                reachable += u64::from(row[m].is_some());
+                if let (Some(d), Some(_)) = (row[m], baseline[si][m]) {
+                    (sum, count, diameter) = (sum + u64::from(d), count + 1, diameter.max(d));
+                }
+            }
+        }
+        let avg_path_length = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
+        let reachability = if pairs == 0 { 0.0 } else { reachable as f64 / pairs as f64 };
+        curve.push(CorrectionStep { corrected, link, avg_path_length, diameter, reachability });
+    }
+    curve
 }
 
 proptest! {
@@ -266,7 +327,7 @@ proptest! {
             return Ok(());
         }
         let root = graph.asns().next().unwrap();
-        let policy = hybrid_as_rel::graph::valley::valley_free_distances(&graph, root, IpVersion::V6);
+        let policy = valley_free_distances(&graph, root, IpVersion::V6);
         let plain = hybrid_as_rel::graph::metrics::bfs_distances(&graph, root, IpVersion::V6);
         for (p, b) in policy.iter().zip(plain.iter()) {
             match (p, b) {
@@ -437,7 +498,6 @@ proptest! {
             prop_assert_eq!(&csr_outcomes, &map_outcomes, "threads={}", threads);
         }
         if let Some(root) = origins.first().copied() {
-            use hybrid_as_rel::graph::valley::valley_free_distances;
             prop_assert_eq!(
                 valley_free_distances(&frozen, root, IpVersion::V6),
                 valley_free_distances(&graph, root, IpVersion::V6)
@@ -446,7 +506,7 @@ proptest! {
     }
 
     #[test]
-    fn parallel_correction_sweep_matches_sequential_on_random_graphs(
+    fn correction_sweep_matches_the_oracle_on_random_graphs(
         links in prop::collection::vec((1u32..40, 1u32..40, arb_relationship()), 1..60),
         corrections in prop::collection::vec((any::<usize>(), arb_relationship()), 0..8),
         top_k in 0usize..8,
@@ -476,28 +536,19 @@ proptest! {
             })
             .collect();
         let options = ImpactOptions { top_k, source_cap };
-        // The reference: fully sequential, uncached and fully
-        // recomputing, exactly the computation the pre-sharding
-        // implementation performed.
-        let sequential =
-            correction_sweep_with(&graph, &findings, &options, &SweepOptions::sequential());
-        for threads in [2usize, 4] {
-            for cache in [false, true] {
-                for incremental in [false, true] {
-                    for removal_repair in [false, true] {
-                        let sweep = SweepOptions { concurrency: threads, cache, incremental, removal_repair };
-                        let curve = correction_sweep_with(&graph, &findings, &options, &sweep);
-                        prop_assert_eq!(
-                            &curve.steps,
-                            &sequential.steps,
-                            "threads={} cache={} incremental={} removal_repair={}",
-                            threads,
-                            cache,
-                            incremental,
-                            removal_repair
-                        );
-                    }
-                }
+        let expected = oracle_sweep(&graph, &findings, &options);
+        for threads in [1usize, 2, 4] {
+            for removal_repair in [false, true] {
+                let sweep = SweepOptions { concurrency: threads, removal_repair };
+                let curve =
+                    correction_sweep_in(&graph, &findings, &options, &sweep, &mut SweepCache::new());
+                prop_assert_eq!(
+                    &curve.steps,
+                    &expected,
+                    "threads={} removal_repair={}",
+                    threads,
+                    removal_repair
+                );
             }
         }
     }
@@ -508,7 +559,6 @@ proptest! {
         corrections in prop::collection::vec((any::<usize>(), arb_relationship()), 1..10),
     ) {
         use hybrid_as_rel::graph::delta::{DistanceMap, EdgeCorrection};
-        use hybrid_as_rel::graph::valley::valley_free_distances;
 
         let mut graph = AsGraph::new();
         for (a, b, rel) in &links {
@@ -555,7 +605,6 @@ proptest! {
         corrections in prop::collection::vec((any::<usize>(), arb_relationship()), 1..10),
     ) {
         use hybrid_as_rel::graph::delta::{DistanceMap, EdgeCorrection, RemovalPolicy};
-        use hybrid_as_rel::graph::valley::valley_free_distances;
 
         let mut graph = AsGraph::new();
         for (a, b, rel) in &links {

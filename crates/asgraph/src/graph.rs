@@ -207,7 +207,7 @@ impl EdgeView {
 pub struct MemoryBreakdown {
     /// Bytes held by the adjacency-map backend (always resident).
     pub map_bytes: usize,
-    /// Bytes held by the frozen CSR mirror (0 while thawed).
+    /// Bytes held by the frozen CSR mirror (0 while unfrozen).
     pub csr_bytes: usize,
 }
 
@@ -404,11 +404,6 @@ impl AsGraph {
                 .push(u32::try_from(targets.len()).expect("AsGraph CSR offset exceeds u32 range"));
         }
         self.csr = Some(CsrCore { offsets, targets, edge_ids, plane_info });
-    }
-
-    /// Drop the frozen CSR mirror, returning to map-backed traversal.
-    pub fn thaw(&mut self) {
-        self.csr = None;
     }
 
     /// True while a frozen CSR mirror is active.
@@ -790,33 +785,32 @@ mod tests {
         g.freeze();
         assert!(g.is_frozen());
         assert_eq!(all_neighbor_seqs(&g), map_seqs, "CSR must mirror adjacency order exactly");
-        // Freezing twice is a no-op; thawing restores the map backend.
+        // Freezing twice is a no-op.
         g.freeze();
-        g.thaw();
-        assert!(!g.is_frozen());
         assert_eq!(all_neighbor_seqs(&g), map_seqs);
     }
 
     #[test]
     fn frozen_csr_absorbs_annotation_only_mutations_in_place() {
-        let mut g = small_graph();
-        g.freeze();
         // Re-annotate an existing edge, annotate a present-but-bare edge,
         // observe a new plane of an existing edge, and clear a rel: all
-        // annotation-only, so the graph must stay frozen and exact.
-        g.annotate(Asn(3), Asn(1), IpVersion::V4, Relationship::CustomerToProvider);
-        g.annotate(Asn(2), Asn(3), IpVersion::V6, Relationship::PeerToPeer);
-        g.observe_link(Asn(2), Asn(3), IpVersion::V4);
-        g.clear_relationship(Asn(1), Asn(2), IpVersion::V6);
+        // annotation-only, so the graph must stay frozen and exact. The
+        // reference is an unfrozen clone taking the same mutations.
+        let mut map = small_graph();
+        let mut g = map.clone();
+        g.freeze();
+        for graph in [&mut g, &mut map] {
+            graph.annotate(Asn(3), Asn(1), IpVersion::V4, Relationship::CustomerToProvider);
+            graph.annotate(Asn(2), Asn(3), IpVersion::V6, Relationship::PeerToPeer);
+            graph.observe_link(Asn(2), Asn(3), IpVersion::V4);
+            graph.clear_relationship(Asn(1), Asn(2), IpVersion::V6);
+        }
         assert!(g.is_frozen());
-        let frozen_seqs = all_neighbor_seqs(&g);
-        let frozen_counts = (g.plane_edge_count(IpVersion::V4), g.plane_edge_count(IpVersion::V6));
-        g.thaw();
-        assert_eq!(all_neighbor_seqs(&g), frozen_seqs);
-        assert_eq!(
-            (g.plane_edge_count(IpVersion::V4), g.plane_edge_count(IpVersion::V6)),
-            frozen_counts
-        );
+        assert!(!map.is_frozen());
+        assert_eq!(all_neighbor_seqs(&g), all_neighbor_seqs(&map));
+        for plane in [IpVersion::V4, IpVersion::V6] {
+            assert_eq!(g.plane_edge_count(plane), map.plane_edge_count(plane));
+        }
         assert_eq!(
             g.relationship(Asn(1), Asn(3), IpVersion::V4),
             Some(Relationship::ProviderToCustomer),
@@ -844,9 +838,11 @@ mod tests {
         let mut g = small_graph();
         let before = g.memory_footprint();
         assert!(before > 0);
+        assert_eq!(g.memory_breakdown().csr_bytes, 0);
         g.freeze();
-        assert!(g.memory_footprint() > before, "freezing adds the CSR arrays");
-        g.thaw();
-        assert_eq!(g.memory_footprint(), before);
+        let frozen = g.memory_breakdown();
+        assert!(frozen.csr_bytes > 0, "freezing adds the CSR arrays");
+        assert_eq!(frozen.map_bytes, before, "freezing leaves the maps untouched");
+        assert_eq!(g.memory_footprint(), before + frozen.csr_bytes);
     }
 }

@@ -186,14 +186,17 @@ pub struct ExecKnobs {
     pub frontier: usize,
     /// `HYBRID_REMOVAL_REPAIR` — whether the sweep repairs load-bearing
     /// removals in place instead of falling back to a full BFS (default
-    /// off, the conservative tier).
+    /// off, the conservative tier). Every pipeline built from
+    /// [`ExecKnobs::pipeline`] carries it, so it reaches the Figure 2
+    /// sweep and the temporal replay alike.
     pub removal_repair: bool,
     /// `HYBRID_SCHEDULING` — how propagation assigns origins to workers:
     /// `dynamic` (the default, self-balancing claims) or `static` (index
     /// striping).
     pub scheduling: routesim::OriginScheduling,
-    /// `HYBRID_CSR` — whether graphs are frozen into the flat CSR
-    /// backend before the heavy traversals run (default on).
+    /// `HYBRID_CSR` — whether the pipeline freezes its extracted graph
+    /// into the flat CSR backend before the heavy traversals run (default
+    /// on). Scenario propagation always runs on the CSR.
     pub csr: bool,
     /// `HYBRID_SCENARIO` — the adversarial scenario propagation runs
     /// under: `classic` (the default), `leak`, `prefix-hijack` or
@@ -297,29 +300,35 @@ impl ExecKnobs {
         Pipeline { options: PipelineOptions::from(self), ..Default::default() }
     }
 
-    /// Apply the worker/scheduling/backend/scenario knobs to a simulator
-    /// configuration, via `PipelineOptions::configure_sim`: knobs the
-    /// configuration leaves at their *defaults* take these values,
-    /// anything else is kept. Every scenario the harness builds —
-    /// including the per-rate/per-collector rebuilds inside
-    /// [`coverage_sweep`] and [`collector_sensitivity`] — goes through
-    /// this.
+    /// `sim` with the worker, frontier, scheduling, scenario and
+    /// deployment knobs written into their `SimConfig` fields; every
+    /// other field (seeds, probabilities, origin sampling) is kept. Every
+    /// scenario the harness builds — including the per-rate/per-collector
+    /// rebuilds inside [`coverage_sweep`] and [`collector_sensitivity`] —
+    /// goes through this.
     pub fn sim(&self, sim: &SimConfig) -> SimConfig {
-        PipelineOptions::from(self).configure_sim(sim.clone())
+        SimConfig {
+            concurrency: self.concurrency,
+            frontier_concurrency: self.frontier,
+            scheduling: self.scheduling,
+            policy_scenario: self.scenario,
+            policy_deployment: self.deployment,
+            ..sim.clone()
+        }
     }
 }
 
-/// The single place the knob struct becomes pipeline execution options —
-/// the sweep knobs ride separately via [`ExecKnobs::sweep`], the service
-/// knobs via the `ServerConfig` the daemon assembles.
+/// The single place the knob struct becomes pipeline execution options,
+/// sweep settings included; the service knobs ride separately via the
+/// `ServerConfig` the daemon assembles.
 impl From<&ExecKnobs> for PipelineOptions {
     fn from(knobs: &ExecKnobs) -> PipelineOptions {
-        PipelineOptions::with_concurrency(knobs.concurrency)
-            .with_frontier(knobs.frontier)
-            .with_scheduling(knobs.scheduling)
-            .with_csr(knobs.csr)
-            .with_scenario(knobs.scenario)
-            .with_deployment(knobs.deployment)
+        PipelineOptions {
+            concurrency: knobs.concurrency,
+            csr: knobs.csr,
+            sweep: knobs.sweep(),
+            policy_scenario: knobs.scenario,
+        }
     }
 }
 
@@ -469,8 +478,8 @@ pub fn scale_from_args() -> ExperimentScale {
     scale_from_argv(std::env::args().skip(1)).unwrap_or_else(|message| panic!("{message}"))
 }
 
-/// Build the scenario for a scale, honouring `HYBRID_THREADS` when the
-/// scale does not pin a worker count itself.
+/// Build the scenario for a scale under the `HYBRID_*` execution and
+/// scenario knobs.
 pub fn build_scenario(scale: &ExperimentScale) -> Scenario {
     Scenario::build(&scale.topology, &ExecKnobs::from_env().sim(&scale.sim))
 }
@@ -523,9 +532,8 @@ pub fn run_measurement_with_impact(
     top_k: usize,
     source_cap: Option<usize>,
 ) -> Report {
-    let knobs = ExecKnobs::from_env();
     let pipeline = Pipeline {
-        options: PipelineOptions::from(&knobs).with_sweep(knobs.sweep()),
+        options: PipelineOptions::from(&ExecKnobs::from_env()),
         emit_sweep_stats: true,
         ..Pipeline::with_impact(top_k, source_cap)
     };
@@ -865,6 +873,92 @@ mod tests {
         assert!(origins >= 1 && frontier >= 1);
         assert!(origins * frontier <= knobs.threads().max(1), "split never oversubscribes");
         assert!(knobs.csr, "the CSR backend is the default");
+    }
+
+    #[test]
+    fn each_exec_knob_lands_in_its_one_consumer_field() {
+        use routesim::{OriginScheduling, PolicyScenario};
+        type Expect = fn(&mut SimConfig, &mut PipelineOptions);
+        let base = ExecKnobs::default();
+        let preset = SimConfig::small();
+        // Each row sets one knob off its default and names the fields it
+        // must change; everything else in the simulator configuration and
+        // the pipeline options must stay at the all-default resolution.
+        let cases: [(&str, ExecKnobs, Expect); 11] = [
+            ("concurrency", ExecKnobs { concurrency: 3, ..base.clone() }, |sim, options| {
+                sim.concurrency = 3;
+                options.concurrency = 3;
+                options.sweep.concurrency = 3;
+            }),
+            ("frontier", ExecKnobs { frontier: 4, ..base.clone() }, |sim, _| {
+                sim.frontier_concurrency = 4;
+            }),
+            ("removal_repair", ExecKnobs { removal_repair: true, ..base.clone() }, |_, options| {
+                options.sweep.removal_repair = true;
+            }),
+            (
+                "scheduling",
+                ExecKnobs { scheduling: OriginScheduling::Static, ..base.clone() },
+                |sim, _| sim.scheduling = OriginScheduling::Static,
+            ),
+            ("csr", ExecKnobs { csr: false, ..base.clone() }, |_, options| options.csr = false),
+            (
+                "scenario",
+                ExecKnobs { scenario: PolicyScenario::RouteLeak, ..base.clone() },
+                |sim, options| {
+                    sim.policy_scenario = PolicyScenario::RouteLeak;
+                    options.policy_scenario = PolicyScenario::RouteLeak;
+                },
+            ),
+            ("deployment", ExecKnobs { deployment: 0.5, ..base.clone() }, |sim, _| {
+                sim.policy_deployment = 0.5;
+            }),
+            // The service and replay knobs never reach either struct.
+            ("update_windows", ExecKnobs { update_windows: 4, ..base.clone() }, |_, _| {}),
+            (
+                "addr",
+                ExecKnobs { addr: "127.0.0.1:0".parse().expect("literal address"), ..base.clone() },
+                |_, _| {},
+            ),
+            ("batch", ExecKnobs { batch: 8, ..base.clone() }, |_, _| {}),
+            ("epoch_check_ms", ExecKnobs { epoch_check_ms: 0, ..base.clone() }, |_, _| {}),
+        ];
+        for (knob, knobs, expect) in cases {
+            assert_ne!(knobs, base, "{knob}: the row must move its knob off the default");
+            let mut sim = base.sim(&preset);
+            let mut options = base.pipeline().options;
+            expect(&mut sim, &mut options);
+            assert_eq!(knobs.sim(&preset), sim, "{knob}");
+            assert_eq!(knobs.pipeline().options, options, "{knob}");
+            assert_eq!(knobs.sweep(), options.sweep, "{knob}");
+        }
+    }
+
+    #[test]
+    fn removal_repair_knob_reaches_the_pipeline_sweep() {
+        // The regression this guards: `knobs.pipeline()` used to drop the
+        // knob, so the temporal replay and the daemon always rebuilt.
+        let knobs = ExecKnobs { removal_repair: true, ..Default::default() };
+        assert!(knobs.pipeline().options.sweep.removal_repair);
+    }
+
+    #[test]
+    fn default_knobs_leave_every_preset_unchanged_but_its_worker_count() {
+        let presets = [
+            ("tiny", tiny_scale()),
+            ("small", bench_scale()),
+            ("paper", paper_scale()),
+            ("10k", internet_10k_scale()),
+            ("50k", internet_50k_scale()),
+            ("100k", internet_100k_scale()),
+        ];
+        for (name, preset) in presets {
+            for concurrency in [0usize, 1, 2] {
+                let knobs = ExecKnobs { concurrency, ..Default::default() };
+                let expected = SimConfig { concurrency, ..preset.sim.clone() };
+                assert_eq!(knobs.sim(&preset.sim), expected, "{name} concurrency={concurrency}");
+            }
+        }
     }
 
     // The knob parsers are pure functions over `Option<&str>` so these

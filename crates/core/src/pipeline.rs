@@ -201,35 +201,20 @@ impl<'a> PipelineInputBuilder<'a> {
 /// Parallelism in this codebase is an execution detail, never an output
 /// knob — every worker count produces byte-identical reports (the
 /// determinism suite runs the same seeds at `concurrency` 1, 2 and 8 and
-/// compares the JSON byte-for-byte).
+/// compares the JSON byte-for-byte). Route propagation is not the
+/// pipeline's business: its knobs (frontier workers, origin schedule,
+/// defensive deployment) live in [`routesim::SimConfig`] alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineOptions {
     /// Worker threads for the parallel sections: `0` uses all available
     /// parallelism (the default), `1` is the fully sequential path.
     pub concurrency: usize,
-    /// Worker threads for the within-origin frontier expansion of any
-    /// route propagation run on this pipeline's behalf (`0` = all cores,
-    /// `1` — the default — = sequential level scans). The pipeline itself
-    /// consumes already-propagated snapshots; this field completes the
-    /// one-struct description of the execution stack so callers that
-    /// *do* build or rebuild scenarios for a run (the bench harness
-    /// resolves `HYBRID_FRONTIER` into it and into
-    /// `SimConfig::frontier_concurrency`) steer both levels from one
-    /// place. Execution only — never a byte of the report.
-    pub frontier_concurrency: usize,
-    /// How route propagation assigns origins to its workers (see
-    /// [`routesim::OriginScheduling`]): self-balancing claims by default,
-    /// static striping as the reference schedule. Resolved into
-    /// `SimConfig::scheduling` by [`configure_sim`](Self::configure_sim);
-    /// execution only — never a byte of the report.
-    pub scheduling: routesim::OriginScheduling,
     /// Serve the pipeline's graph walks (hybrid detection, valley
     /// analysis, the correction sweep) from the frozen CSR mirror of the
     /// extracted graph (`true`, the default) or the adjacency-map
-    /// reference backend (`false`). Resolved into `SimConfig::csr` by
-    /// [`configure_sim`](Self::configure_sim); execution only — the CSR
-    /// iterates neighbours in adjacency order, so reports are
-    /// byte-identical either way.
+    /// reference backend (`false`). Execution only — the CSR iterates
+    /// neighbours in adjacency order, so reports are byte-identical
+    /// either way.
     pub csr: bool,
     /// Execution options for the Figure 2 impact subsystem (worker threads
     /// for the sharded correction sweep and its removal policy).
@@ -237,41 +222,28 @@ pub struct PipelineOptions {
     /// `PipelineOptions::default()` carries; like `concurrency`, the knob
     /// never changes the report bytes.
     pub sweep: SweepOptions,
-    /// The adversarial scenario any scenario built on this pipeline's
-    /// behalf propagates under (see [`routesim::PolicyScenario`]).
-    /// Resolved into `SimConfig::policy_scenario` by
-    /// [`configure_sim`](Self::configure_sim). Unlike every knob above,
-    /// this is an **output** knob: a non-default scenario changes the
-    /// routes, so it changes the report — but it must stay invisible to
-    /// worker counts (the determinism matrix pins that).
+    /// The adversarial scenario the report is labelled with (see
+    /// [`routesim::PolicyScenario`]); the routes themselves were shaped
+    /// by `SimConfig::policy_scenario` when the scenario was built.
+    /// Unlike every knob above, this is an **output** knob: a
+    /// non-default scenario is recorded in the report.
     pub policy_scenario: routesim::PolicyScenario,
-    /// The fraction of ASes deploying the scenario's defensive policy
-    /// (ROV / ASPA-lite), in `[0, 1]`. Resolved into
-    /// `SimConfig::policy_deployment` by
-    /// [`configure_sim`](Self::configure_sim). An output knob, like
-    /// [`policy_scenario`](Self::policy_scenario).
-    pub policy_deployment: f64,
 }
 
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
             concurrency: 0,
-            frontier_concurrency: 1,
-            scheduling: routesim::OriginScheduling::default(),
             csr: true,
             sweep: SweepOptions::default(),
             policy_scenario: routesim::PolicyScenario::default(),
-            policy_deployment: 0.0,
         }
     }
 }
 
 impl PipelineOptions {
     /// Options pinned to `concurrency` worker threads (the sweep follows
-    /// the same worker count; the frontier
-    /// expansion stays sequential unless [`with_frontier`](Self::with_frontier)
-    /// retunes it).
+    /// the same worker count).
     pub fn with_concurrency(concurrency: usize) -> Self {
         PipelineOptions {
             concurrency,
@@ -290,76 +262,15 @@ impl PipelineOptions {
         PipelineOptions { sweep, ..self }
     }
 
-    /// These options with the given within-origin frontier worker count.
-    pub fn with_frontier(self, frontier_concurrency: usize) -> Self {
-        PipelineOptions { frontier_concurrency, ..self }
-    }
-
-    /// These options with the given origin-to-worker schedule.
-    pub fn with_scheduling(self, scheduling: routesim::OriginScheduling) -> Self {
-        PipelineOptions { scheduling, ..self }
-    }
-
     /// These options with the CSR mirror enabled (`true`) or the
     /// adjacency-map reference backend (`false`).
     pub fn with_csr(self, csr: bool) -> Self {
         PipelineOptions { csr, ..self }
     }
 
-    /// These options with the given adversarial scenario.
-    pub fn with_scenario(self, policy_scenario: routesim::PolicyScenario) -> Self {
-        PipelineOptions { policy_scenario, ..self }
-    }
-
-    /// These options with the given defensive-deployment fraction.
-    pub fn with_deployment(self, policy_deployment: f64) -> Self {
-        PipelineOptions { policy_deployment, ..self }
-    }
-
     /// The worker count these options resolve to (`0` = all cores).
     pub fn workers(&self) -> usize {
         routesim::effective_concurrency(self.concurrency)
-    }
-
-    /// The frontier worker count these options resolve to (`0` = all
-    /// cores).
-    pub fn frontier_workers(&self) -> usize {
-        routesim::effective_concurrency(self.frontier_concurrency)
-    }
-
-    /// Stamp these options onto a simulator configuration so a scenario
-    /// built for this pipeline run propagates under the same worker
-    /// budget, frontier split, origin schedule, graph backend and
-    /// adversarial scenario. Only knobs the configuration leaves at their
-    /// *default values* are overwritten (`concurrency == 0`,
-    /// `frontier_concurrency == 1`, `scheduling == Dynamic`, `csr ==
-    /// true`, `policy_scenario == Classic`, `policy_deployment == 0.0`);
-    /// any other value is kept. Note the defaults double as the
-    /// "unpinned" sentinels: a caller that wants `concurrency = 0` (all
-    /// cores), `frontier_concurrency = 1` (sequential scans), dynamic
-    /// scheduling, the CSR backend, the classic policy or a zero
-    /// deployment *regardless of these options* must set them after this
-    /// call, not before.
-    pub fn configure_sim(&self, mut sim: routesim::SimConfig) -> routesim::SimConfig {
-        if sim.concurrency == 0 {
-            sim.concurrency = self.concurrency;
-        }
-        if sim.frontier_concurrency == 1 {
-            sim.frontier_concurrency = self.frontier_concurrency;
-        }
-        if sim.scheduling == routesim::OriginScheduling::Dynamic {
-            sim.scheduling = self.scheduling;
-        }
-        if sim.csr {
-            sim.csr = self.csr;
-        }
-        if sim.policy_scenario == routesim::PolicyScenario::Classic {
-            sim.policy_scenario = self.policy_scenario;
-        }
-        if sim.policy_deployment == 0.0 {
-            sim.policy_deployment = self.policy_deployment;
-        }
-        sim
     }
 }
 
@@ -780,77 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_knob_resolves_and_stamps_unpinned_sim_configs() {
-        assert_eq!(PipelineOptions::default().frontier_concurrency, 1, "default is sequential");
-        assert_eq!(PipelineOptions::sequential().frontier_workers(), 1);
-        let options = PipelineOptions::with_concurrency(4).with_frontier(2);
-        assert_eq!(options.frontier_workers(), 2);
-        assert!(PipelineOptions::default().with_frontier(0).frontier_workers() >= 1);
-        // Unpinned sim knobs take the pipeline's execution options ...
-        let sim = options.configure_sim(SimConfig::small());
-        assert_eq!(sim.concurrency, 4);
-        assert_eq!(sim.frontier_concurrency, 2);
-        // ... pinned ones are kept.
-        let pinned = SimConfig::small().with_concurrency(3).with_frontier(5);
-        let kept = options.configure_sim(pinned);
-        assert_eq!(kept.concurrency, 3);
-        assert_eq!(kept.frontier_concurrency, 5);
-    }
-
-    #[test]
-    fn scheduling_knob_resolves_and_stamps_unpinned_sim_configs() {
-        use routesim::OriginScheduling;
-        assert_eq!(PipelineOptions::default().scheduling, OriginScheduling::Dynamic);
-        let options =
-            PipelineOptions::with_concurrency(4).with_scheduling(OriginScheduling::Static);
-        assert_eq!(options.scheduling, OriginScheduling::Static);
-        // An unpinned sim config takes the pipeline's schedule ...
-        let sim = options.configure_sim(SimConfig::small());
-        assert_eq!(sim.scheduling, OriginScheduling::Static);
-        // ... a pinned one is kept (Dynamic is the unpinned sentinel, so a
-        // config pinned to Static survives a Dynamic-scheduled pipeline).
-        let pinned = SimConfig::small().with_scheduling(OriginScheduling::Static);
-        let kept = PipelineOptions::default().configure_sim(pinned);
-        assert_eq!(kept.scheduling, OriginScheduling::Static);
-    }
-
-    #[test]
-    fn csr_knob_resolves_and_stamps_unpinned_sim_configs() {
-        assert!(PipelineOptions::default().csr, "the CSR mirror is the default backend");
-        let options = PipelineOptions::default().with_csr(false);
-        assert!(!options.csr);
-        // An unpinned sim config takes the pipeline's backend ...
-        let sim = options.configure_sim(SimConfig::small());
-        assert!(!sim.csr);
-        // ... a pinned one is kept (`true` is the unpinned sentinel, so a
-        // config pinned to the map backend survives a CSR pipeline).
-        let pinned = SimConfig::small().with_csr(false);
-        let kept = PipelineOptions::default().configure_sim(pinned);
-        assert!(!kept.csr);
-    }
-
-    #[test]
-    fn scenario_knobs_resolve_and_stamp_unpinned_sim_configs() {
-        use routesim::PolicyScenario;
-        assert_eq!(PipelineOptions::default().policy_scenario, PolicyScenario::Classic);
-        assert_eq!(PipelineOptions::default().policy_deployment, 0.0);
-        let options = PipelineOptions::default()
-            .with_scenario(PolicyScenario::RouteLeak)
-            .with_deployment(0.5);
-        // An unpinned sim config takes the pipeline's scenario ...
-        let sim = options.configure_sim(SimConfig::small());
-        assert_eq!(sim.policy_scenario, PolicyScenario::RouteLeak);
-        assert_eq!(sim.policy_deployment, 0.5);
-        // ... a pinned one is kept (Classic / 0.0 are the unpinned
-        // sentinels, so any other value survives the stamp).
-        let pinned =
-            SimConfig::small().with_scenario(PolicyScenario::SubprefixHijack).with_deployment(0.25);
-        let kept = options.configure_sim(pinned);
-        assert_eq!(kept.policy_scenario, PolicyScenario::SubprefixHijack);
-        assert_eq!(kept.policy_deployment, 0.25);
-    }
-
-    #[test]
     fn concurrent_pipeline_reports_are_byte_identical_to_sequential() {
         let scenario = scenario();
         let render = |options: PipelineOptions| {
@@ -867,13 +707,12 @@ mod tests {
         for workers in [2usize, 4] {
             let parallel = render(PipelineOptions::with_concurrency(workers));
             assert!(parallel == sequential, "concurrency={workers} diverged");
-            // Neither may the origin schedule or the removal-repair tier.
-            let static_schedule = render(
+            // Neither may the removal-repair tier.
+            let repair = render(
                 PipelineOptions::with_concurrency(workers)
-                    .with_scheduling(routesim::OriginScheduling::Static)
                     .with_sweep(SweepOptions::with_concurrency(workers).with_removal_repair(true)),
             );
-            assert!(static_schedule == sequential, "concurrency={workers} static/repair diverged");
+            assert!(repair == sequential, "concurrency={workers} removal repair diverged");
             // Nor may the graph backend: the adjacency-map reference path
             // must render the same bytes as the frozen CSR mirror.
             let map_backend = render(PipelineOptions::with_concurrency(workers).with_csr(false));

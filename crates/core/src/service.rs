@@ -38,7 +38,7 @@ pub const HOT_ROOTS: usize = 32;
 pub struct ServiceMemory {
     /// Adjacency-map backend of the annotated graph.
     pub graph_map_bytes: u64,
-    /// Frozen CSR mirror of the annotated graph (0 while thawed).
+    /// Frozen CSR mirror of the annotated graph (0 while unfrozen).
     pub graph_csr_bytes: u64,
     /// Flattened per-origin RIB path arena.
     pub rib_arena_bytes: u64,

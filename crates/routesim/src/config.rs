@@ -81,13 +81,6 @@ pub struct SimConfig {
     /// counts, an execution detail with byte-identical output.
     pub scheduling: OriginScheduling,
 
-    /// Run the propagation over the frozen CSR graph mirror (`true`, the
-    /// default) or the adjacency-map backend (`false`, the reference
-    /// path). Both backends visit neighbors in the same order, so this is
-    /// an execution detail with byte-identical output — the determinism
-    /// suite's map-vs-CSR dimension enforces it.
-    pub csr: bool,
-
     /// Propagate only every `origin_sample`-th eligible origin (after the
     /// deterministic ASN sort): `0` (the default) propagates all of them.
     /// Internet-scale experiment presets use a stride so a 100k-AS
@@ -132,7 +125,6 @@ impl Default for SimConfig {
             concurrency: 0,
             frontier_concurrency: 1,
             scheduling: OriginScheduling::default(),
-            csr: true,
             origin_sample: 0,
             policy_scenario: PolicyScenario::default(),
             policy_deployment: 0.0,
@@ -161,12 +153,6 @@ impl SimConfig {
     /// The same configuration pinned to an origin-to-worker schedule.
     pub fn with_scheduling(self, scheduling: OriginScheduling) -> Self {
         SimConfig { scheduling, ..self }
-    }
-
-    /// The same configuration pinned to the CSR (`true`) or adjacency-map
-    /// (`false`) graph backend.
-    pub fn with_csr(self, csr: bool) -> Self {
-        SimConfig { csr, ..self }
     }
 
     /// The same configuration pinned to an origin sampling stride
@@ -261,12 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn csr_and_origin_sample_knobs_default_and_pin() {
-        let sim = SimConfig::default();
-        assert!(sim.csr, "the frozen CSR backend is the default");
-        assert_eq!(sim.origin_sample, 0, "default propagates every eligible origin");
-        let pinned = SimConfig::small().with_csr(false).with_origin_sample(16);
-        assert!(!pinned.csr);
+    fn origin_sample_knob_defaults_and_pins() {
+        assert_eq!(SimConfig::default().origin_sample, 0, "default propagates every origin");
+        let pinned = SimConfig::small().with_origin_sample(16);
         assert_eq!(pinned.origin_sample, 16);
         assert!(pinned.validate().is_ok());
     }

@@ -165,9 +165,9 @@ pub struct Scenario {
 
 /// Every [`SimConfig`] knob that feeds the generated artefacts (policies,
 /// registry, collectors, propagation and RIB materialisation) — i.e.
-/// everything except `concurrency`, `frontier_concurrency`, `scheduling`
-/// and `csr`, which are execution details with byte-identical output by
-/// contract. `origin_sample` *is* in the key: sampling origins changes
+/// everything except `concurrency`, `frontier_concurrency` and
+/// `scheduling`, which are execution details with byte-identical output
+/// by contract. `origin_sample` *is* in the key: sampling origins changes
 /// which routes exist, so it is an output knob like the probabilities.
 /// The exhaustive destructuring is the point: adding a field to
 /// `SimConfig` refuses to compile here until the rebuild logic accounts
@@ -201,7 +201,6 @@ fn output_key(sim: &SimConfig) -> OutputKey {
         concurrency: _,
         frontier_concurrency: _,
         scheduling: _,
-        csr: _,
     } = *sim;
     (
         (
@@ -343,15 +342,10 @@ impl Scenario {
         reuse: &PropagationCache,
     ) -> Scenario {
         sim_config.validate().expect("invalid simulation configuration");
-        // Serve the hot per-plane walks from the flat CSR mirror (or drop
-        // it when the reference adjacency-map backend was requested). A
-        // pure execution knob: the CSR iterates neighbours in the exact
-        // adjacency order, so every downstream byte is identical.
-        if sim_config.csr {
-            truth.graph.freeze();
-        } else {
-            truth.graph.thaw();
-        }
+        // Serve the hot per-plane walks from the flat CSR mirror. It
+        // iterates neighbours in the exact adjacency order, so every
+        // downstream byte is what the map backend would produce.
+        truth.graph.freeze();
         let policies = PolicyTable::build(&truth, sim_config);
 
         // Document the chosen subset of schemes in the registry.
@@ -774,21 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_knob_is_invisible_in_scenario_outputs() {
-        let frozen = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-        assert!(frozen.truth.graph.is_frozen(), "csr defaults on");
-        let map = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small().with_csr(false));
-        assert!(!map.truth.graph.is_frozen());
-        assert_same_outputs(&frozen, &map, "csr backend");
-        // And a csr-only patch is the clone-and-patch fast path.
-        let patched = frozen.rebuild_with(|s| s.csr = false);
-        assert_eq!(patched.snapshots, frozen.snapshots);
-        for plane in IpVersion::BOTH {
-            assert!(patched.propagation.shares_outcomes(&frozen.propagation, plane));
-        }
-    }
-
-    #[test]
     fn origin_sampling_prunes_routes_deterministically() {
         let full = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
         let sampled =
@@ -814,6 +793,7 @@ mod tests {
     #[test]
     fn scenario_builds_and_has_routes_on_both_planes() {
         let s = small_scenario();
+        assert!(s.truth.graph.is_frozen(), "propagation walks the CSR mirror");
         assert_eq!(s.snapshots.len(), s.collectors.len());
         assert!(s.total_rib_entries() > 0);
         let merged = s.merged_snapshot();

@@ -12,8 +12,8 @@ use hybrid_as_rel::topology::fixtures::two_plane_fixture;
 use hybrid_as_rel::tor::impact::{ImpactOptions, SweepOptions};
 
 /// Render the report for `(topology, sim)` with both the simulator and
-/// the pipeline pinned to `concurrency` worker threads and `frontier`
-/// within-origin frontier workers.
+/// the pipeline pinned to `concurrency` worker threads, and the
+/// simulator to `frontier` within-origin frontier workers.
 fn report_json_at(
     topology: &TopologyConfig,
     sim: &SimConfig,
@@ -22,8 +22,7 @@ fn report_json_at(
 ) -> String {
     let sim = sim.clone().with_concurrency(concurrency).with_frontier(frontier);
     let scenario = Scenario::build(topology, &sim);
-    let mut pipeline = Pipeline::with_concurrency(concurrency);
-    pipeline.options = pipeline.options.with_frontier(frontier);
+    let pipeline = Pipeline::with_concurrency(concurrency);
     let report = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));
     serde_json::to_string_pretty(&report).expect("report serializes")
 }
@@ -146,15 +145,16 @@ fn scenario_matrix_produces_byte_identical_reports() {
 #[test]
 fn backend_matrix_produces_byte_identical_reports() {
     // The graph backend is the fourth dimension of the execution stack:
-    // the frozen flat CSR arrays and the mutable adjacency maps must
-    // serve identical neighbor orders, so every (backend × worker count)
-    // combination reproduces the bytes of the sequential map-backend
-    // run.
+    // the pipeline's walks over the frozen flat CSR arrays and over the
+    // mutable adjacency maps must see identical neighbor orders, so every
+    // (`PipelineOptions::csr` × worker count) combination reproduces the
+    // bytes of the sequential map-backend run. (Scenario propagation
+    // always runs on the CSR; tests/properties.rs checks it against the
+    // map backend on random graphs.)
     let topology = TopologyConfig::tiny();
     let sim = SimConfig::small();
     let render = |csr: bool, concurrency: usize| {
-        let pinned = sim.clone().with_concurrency(concurrency).with_csr(csr);
-        let scenario = Scenario::build(&topology, &pinned);
+        let scenario = Scenario::build(&topology, &sim.clone().with_concurrency(concurrency));
         let mut pipeline = Pipeline::with_concurrency(concurrency);
         pipeline.options = pipeline.options.with_csr(csr);
         let report = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));

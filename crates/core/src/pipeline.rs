@@ -690,6 +690,94 @@ mod tests {
         assert_eq!(custom.sweep, SweepOptions::with_concurrency(1));
     }
 
+    /// The report of `pipeline` on `scenario`, as JSON.
+    fn render_on(scenario: &routesim::Scenario, pipeline: &Pipeline) -> String {
+        let input = PipelineInput::from_scenario_with(scenario, &pipeline.options);
+        serde_json::to_string_pretty(&pipeline.run(input)).expect("report serializes")
+    }
+
+    // The four knob tests below check that each propagation knob has one
+    // home: a scenario keeps exactly the `SimConfig` value it was built
+    // with (no pipeline option stamps over it), and the pipeline's reports
+    // move only where the knob is an output knob.
+
+    #[test]
+    fn frontier_knob_resolves_and_stamps_unpinned_sim_configs() {
+        assert_eq!(SimConfig::small().frontier_concurrency, 1, "default is sequential");
+        let reference = scenario();
+        let split = Scenario::build(
+            &TopologyConfig::tiny(),
+            &SimConfig::small().with_concurrency(2).with_frontier(2),
+        );
+        assert_eq!(split.sim_config.frontier_concurrency, 2, "the pin is kept");
+        assert_eq!(split.sim_config.concurrency, 2, "the pin is kept");
+        // Execution only: the split frontier renders the reference bytes
+        // under any pipeline worker count.
+        let sequential = render_on(&reference, &Pipeline::with_concurrency(1));
+        for workers in [1usize, 4] {
+            let report = render_on(&split, &Pipeline::with_concurrency(workers));
+            assert!(report == sequential, "frontier=2 diverged at concurrency={workers}");
+        }
+    }
+
+    #[test]
+    fn scheduling_knob_resolves_and_stamps_unpinned_sim_configs() {
+        use routesim::OriginScheduling;
+        assert_eq!(SimConfig::small().scheduling, OriginScheduling::Dynamic);
+        let reference = scenario();
+        let striped = Scenario::build(
+            &TopologyConfig::tiny(),
+            &SimConfig::small().with_concurrency(2).with_scheduling(OriginScheduling::Static),
+        );
+        assert_eq!(striped.sim_config.scheduling, OriginScheduling::Static, "the pin is kept");
+        // Execution only: the static schedule renders the reference bytes.
+        let sequential = render_on(&reference, &Pipeline::with_concurrency(1));
+        for workers in [1usize, 4] {
+            let report = render_on(&striped, &Pipeline::with_concurrency(workers));
+            assert!(report == sequential, "static schedule diverged at concurrency={workers}");
+        }
+    }
+
+    #[test]
+    fn csr_knob_resolves_and_stamps_unpinned_sim_configs() {
+        assert!(PipelineOptions::default().csr, "the CSR mirror is the default backend");
+        let options = PipelineOptions::sequential().with_csr(false);
+        assert!(!options.csr);
+        assert_eq!(options, PipelineOptions { csr: false, ..PipelineOptions::sequential() });
+        // The backend is the pipeline's own knob: scenarios always
+        // propagate on the frozen CSR, whatever the pipeline walks.
+        let scenario = scenario();
+        assert!(scenario.truth.graph.is_frozen(), "scenarios propagate on the CSR");
+        let impact = |options| Pipeline { options, ..Pipeline::with_impact(3, Some(64)) };
+        let csr = render_on(&scenario, &impact(PipelineOptions::sequential()));
+        let map = render_on(&scenario, &impact(options));
+        assert!(map == csr, "the adjacency-map backend diverged from the CSR");
+    }
+
+    #[test]
+    fn scenario_knobs_resolve_and_stamp_unpinned_sim_configs() {
+        use routesim::PolicyScenario;
+        assert_eq!(PipelineOptions::default().policy_scenario, PolicyScenario::Classic);
+        assert_eq!(SimConfig::small().policy_scenario, PolicyScenario::Classic);
+        assert_eq!(SimConfig::small().policy_deployment, 0.0);
+        let leak = Scenario::build(
+            &TopologyConfig::tiny(),
+            &SimConfig::small().with_scenario(PolicyScenario::RouteLeak).with_deployment(0.5),
+        );
+        assert_eq!(leak.sim_config.policy_scenario, PolicyScenario::RouteLeak, "the pin is kept");
+        assert_eq!(leak.sim_config.policy_deployment, 0.5, "the pin is kept");
+        // The pipeline's scenario option labels the report and does
+        // nothing else: the routes were shaped when the scenario was built.
+        let options =
+            PipelineOptions { policy_scenario: PolicyScenario::RouteLeak, ..Default::default() };
+        let labelled = Pipeline { options, ..Default::default() }.run(scenario_input(&leak));
+        assert_eq!(labelled.policy_scenario, Some(PolicyScenario::RouteLeak));
+        let plain = Pipeline::default().run(scenario_input(&leak));
+        assert!(plain.policy_scenario.is_none(), "Classic is never recorded");
+        let unlabelled = crate::Report { policy_scenario: None, ..labelled };
+        assert_eq!(unlabelled.to_json(), plain.to_json());
+    }
+
     #[test]
     fn concurrent_pipeline_reports_are_byte_identical_to_sequential() {
         let scenario = scenario();

@@ -141,9 +141,7 @@ fn components(c: &mut Criterion) {
     // whole host (0 = all cores), while 100k runs at one and at two
     // workers, the pair whose ratio says whether a second core pays off
     // at internet scale. The `memory/graph_bytes/*` gauges next to
-    // them pin the frozen graph's heap footprint at each scale, and
-    // `memory/propagation_bytes/scale=10k` what a built scenario's
-    // propagation cache retains (one next-hop table per origin and plane).
+    // them pin the frozen graph's heap footprint at each scale.
     for (name, scale, worker_rows) in [
         ("scale=10k", bench::internet_10k_scale(), &[None][..]),
         ("scale=50k", bench::internet_50k_scale(), &[None][..]),
@@ -188,12 +186,6 @@ fn components(c: &mut Criterion) {
                     )
                 })
             });
-        }
-        if name == "scale=10k" {
-            let built = Scenario::build(&scale.topology, &scale.sim);
-            let bytes = built.propagation.memory_footprint();
-            println!("memory/propagation_bytes/{name}: {bytes} bytes retained");
-            record_gauge(&format!("memory/propagation_bytes/{name}"), bytes as u128);
         }
     }
     group.finish();
@@ -330,8 +322,9 @@ fn components(c: &mut Criterion) {
 
     // Sweep-point scenario construction: a full from-config rebuild (what
     // the experiment bins did before the reuse layer) against
-    // `Scenario::rebuild_with` patching the same sweep point out of a
-    // built base. Outputs are byte-identical; only the work differs.
+    // `ScenarioPool::scenario_with` building the same sweep point on the
+    // pool's ground truth and base-point propagation. Outputs are
+    // byte-identical; only the work differs.
     let mut group = c.benchmark_group("scenario");
     group.bench_function("rebuild", |b| {
         b.iter(|| {
@@ -341,35 +334,11 @@ fn components(c: &mut Criterion) {
         })
     });
     group.bench_function("reuse", |b| {
+        let mut pool = bench::scenario_pool(&scale);
         b.iter(|| {
             black_box(
-                scenario
-                    .rebuild_with(|sim| sim.documentation_probability = 0.5)
-                    .total_rib_entries(),
+                pool.scenario_with(|sim| sim.documentation_probability = 0.5).total_rib_entries(),
             )
-        })
-    });
-    // Alternating sweep points through the pool: with the options-keyed
-    // propagation LRU both points stay resident, so revisits stop
-    // rebuilding propagation. Outside the timed region, prove the LRU
-    // actually gets hit under the alternation this row measures.
-    {
-        let mut pool = bench::scenario_pool(&scale);
-        for leak in [0.1, 0.2, 0.1, 0.2] {
-            let _ = pool.scenario_with(|sim| sim.leak_probability = leak);
-        }
-        assert!(
-            pool.propagation_reuses() > 0,
-            "alternating sweep points must hit the propagation LRU"
-        );
-    }
-    group.bench_function("lru", |b| {
-        let mut pool = bench::scenario_pool(&scale);
-        let mut flip = false;
-        b.iter(|| {
-            flip = !flip;
-            let leak = if flip { 0.1 } else { 0.2 };
-            black_box(pool.scenario_with(|sim| sim.leak_probability = leak).total_rib_entries())
         })
     });
     group.finish();

@@ -152,7 +152,9 @@ pub enum Request {
     /// Every AS plus the hybrid pairs — what a load generator needs to
     /// form valid queries (opcode 8).
     Universe,
-    /// Rebuild the snapshot and publish it as a new epoch (opcode 9).
+    /// Rebuild the snapshot and publish it as a new epoch (opcode 9). A
+    /// rebuild that panics publishes nothing and answers
+    /// [`Response::Error`]; the current epoch keeps serving.
     Reload,
 }
 

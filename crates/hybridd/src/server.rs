@@ -23,6 +23,7 @@
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -163,17 +164,34 @@ fn handle_connection(
         for plan in planned {
             let response = match plan {
                 Planned::Pure(response) => response,
-                Planned::Reload => {
-                    let epoch = cell.publish((rebuild)());
-                    snapshot = cell.load();
-                    checked = Instant::now();
-                    Response::Reloaded { epoch }
-                }
+                // A panicking rebuild publishes nothing: the current
+                // epoch keeps serving and the client gets an error frame.
+                Planned::Reload => match catch_unwind(AssertUnwindSafe(|| (rebuild)())) {
+                    Ok(state) => {
+                        let epoch = cell.publish(state);
+                        snapshot = cell.load();
+                        checked = Instant::now();
+                        Response::Reloaded { epoch }
+                    }
+                    Err(panic) => {
+                        Response::Error(format!("reload failed: {}", panic_message(&*panic)))
+                    }
+                },
             };
             write_frame(&mut writer, &response.encode())?;
         }
         writer.flush()?;
     }
+}
+
+/// The text a panic was raised with, for the error frame a failed reload
+/// answers with.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("rebuild panicked")
 }
 
 /// Answer one request against one snapshot. Pure: equal `(state, request)`

@@ -152,3 +152,43 @@ fn single_shot_clients_and_slow_writers_are_served_promptly() {
         assert!(matches!(Response::decode(&raw), Ok(Response::Json(_))));
     }
 }
+
+#[test]
+fn a_panicking_reload_keeps_the_epoch_and_answers_an_error() {
+    // The first rebuild panics, later ones succeed: a following reload
+    // publishing epoch 2 proves the failed one published nothing.
+    let attempts = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let counter = Arc::clone(&attempts);
+    let rebuild: hybridd::Rebuild = Arc::new(move || {
+        if counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+            panic!("rebuild exploded");
+        }
+        build_state()
+    });
+    let state = build_state();
+    let server = Server::bind("127.0.0.1:0", build_state(), rebuild, ServerConfig::default())
+        .expect("bind an ephemeral loopback port");
+    let addr = server.local_addr().expect("ephemeral port resolved");
+    let cell = server.cell();
+    std::thread::spawn(move || server.run());
+
+    let stream = TcpStream::connect(addr).expect("connect to the test daemon");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).ok();
+    let mut writer = stream.try_clone().expect("clone the stream");
+    let mut reader = std::io::BufReader::new(stream);
+    let mut exchange = |request: Request| {
+        write_frame(&mut writer, &request.encode()).expect("send a request frame");
+        writer.flush().expect("flush");
+        Response::decode(&read_frame(&mut reader).expect("the connection survives"))
+            .expect("response decodes")
+    };
+
+    let failed = exchange(Request::Reload);
+    assert!(
+        matches!(&failed, Response::Error(message) if message.contains("rebuild exploded")),
+        "a panicking rebuild must answer Error, got {failed:?}"
+    );
+    assert_eq!(cell.epoch(), 1, "the failed reload must not publish");
+    assert_eq!(exchange(Request::Summary), answer(&state, &Request::Summary));
+    assert_eq!(exchange(Request::Reload), Response::Reloaded { epoch: 2 });
+}

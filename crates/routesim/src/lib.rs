@@ -58,7 +58,7 @@ pub use propagate::{
     propagate_origin, propagate_origin_with, propagate_origins, OriginScheduling,
     PropagationOptions, RouteClass, RouteInfo, RouteTaint, RoutingOutcome,
 };
-pub use scenario::{PropagationCache, Scenario, ScenarioPool, PROPAGATION_LRU_CAPACITY};
+pub use scenario::{Scenario, ScenarioPool};
 pub use shard::{
     effective_concurrency, shard_frontier, shard_map, shard_map_dynamic, shard_map_owned,
 };

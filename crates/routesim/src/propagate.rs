@@ -245,8 +245,8 @@ impl RouteTable {
 /// node's next hop — the node itself at an origin, `None` without a
 /// route. `None` when `from` has no route or the pointers loop for more
 /// than `limit` hops. Every path the simulator emits goes through here,
-/// whether it reads a walk's full routes or the next hops the scenario
-/// cache keeps.
+/// whether it reads a walk's full routes or the next hops a scenario
+/// build materialises from.
 pub(crate) fn follow_next_hops(
     graph: &AsGraph,
     from: Asn,
@@ -340,11 +340,13 @@ impl PropagationOptions {
 
     /// True when `other` selects exactly the same routes: every field
     /// that feeds route selection matches, ignoring the execution-only
-    /// `frontier_concurrency` and `scheduling`. The scenario layer's
-    /// propagation cache compares options with this (not `==`), so
+    /// `frontier_concurrency` and `scheduling`. This is the reuse key of
+    /// [`ScenarioPool`](crate::ScenarioPool): a sweep point reuses the
+    /// base point's outcomes on a plane whose options compare equal here
+    /// (not `==`) and whose origin-sampling stride is unchanged, so
     /// retuning the frontier or scheduling knob between sweep points
-    /// neither invalidates cached outcomes nor smuggles an execution
-    /// detail into reuse decisions. The exhaustive destructuring makes a
+    /// neither forces a re-propagation nor smuggles an execution detail
+    /// into reuse decisions. The exhaustive destructuring makes a
     /// new field refuse to compile until it is classified as route model
     /// or execution detail.
     pub fn same_route_model(&self, other: &PropagationOptions) -> bool {
@@ -429,8 +431,8 @@ impl RoutingOutcome {
 /// One origin's routes reduced to what RIB materialisation reads: per
 /// node, the `u32` next hop towards the origin — the node itself at an
 /// origin, [`NextHops::NO_ROUTE`] without a route. Half the size of the
-/// packed routes and a third of the decoded ones, which is what lets the
-/// scenario cache keep every origin of a plane.
+/// packed routes and a third of the decoded ones, which is what lets a
+/// scenario pool keep every origin of its base point's planes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct NextHops {
     /// The origin AS.
@@ -450,11 +452,6 @@ impl NextHops {
             let hop = self.hops[node.index()];
             (hop != Self::NO_ROUTE).then_some(NodeId(hop))
         })
-    }
-
-    /// Bytes this table keeps on the heap plus its own size.
-    pub(crate) fn memory_footprint(&self) -> usize {
-        std::mem::size_of::<Self>() + self.hops.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -1524,7 +1521,7 @@ mod tests {
         );
         assert!(!base.same_route_model(&PropagationOptions { leak_probability: 0.5, ..base }));
         // The adversarial knobs are route-model fields, not execution
-        // knobs: changing either must invalidate a cached propagation.
+        // knobs: changing either must force a re-propagation.
         assert!(!base.same_route_model(&base.with_scenario(PolicyScenario::RouteLeak)));
         assert!(!base
             .same_route_model(&base.with_deployment(PolicyDeployment { fraction: 0.5, seed: 0 })));

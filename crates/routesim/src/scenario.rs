@@ -1,14 +1,13 @@
 //! End-to-end scenario assembly: topology → policies → propagation →
-//! collector RIBs → IRR registry → MRT files — plus the sweep-point reuse
-//! layer ([`Scenario::rebuild_with`] / [`ScenarioPool`]) that patches a
-//! built scenario into a neighbouring configuration without recomputing
-//! the state the patch provably cannot change.
+//! collector RIBs → IRR registry → MRT files — plus the sweep-point
+//! factory ([`ScenarioPool`]) that keeps its base point's propagation
+//! outcomes and reuses them for every patch that provably cannot change
+//! them.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -24,120 +23,9 @@ use topogen::{GroundTruth, TopologyConfig};
 
 use crate::collector::{build_collectors, CollectorSetup, FeederKind};
 use crate::config::SimConfig;
-use crate::policy::{PolicyDeployment, PolicyScenario, PolicyTable};
+use crate::policy::{PolicyDeployment, PolicyTable};
 use crate::propagate::{propagate_next_hops, NextHops, PropagationOptions};
 use crate::shard::shard_map;
-
-/// How many per-plane propagation outcomes [`PropagationCache`] retains.
-/// Four covers the sweep shapes the harness actually runs (an A/B
-/// alternation plus the base point, with headroom) without letting a
-/// long one-shot sweep pin unbounded memory.
-pub const PROPAGATION_LRU_CAPACITY: usize = 4;
-
-/// The per-plane propagation outcomes a built [`Scenario`] carries so
-/// sweep-point rebuilds can reuse them. Each origin's outcome is kept as
-/// one `u32` next hop per node — all RIB materialisation reads — rather
-/// than its full routes. Outcomes are `Arc`-shared: cloning a scenario
-/// (or rebuilding one with an unchanged propagation configuration) costs
-/// pointer bumps, not a re-propagation.
-///
-/// Per plane this is a small options-keyed LRU (capacity
-/// [`PROPAGATION_LRU_CAPACITY`], keyed by the route-model subset of
-/// [`PropagationOptions`] — execution knobs never key anything): sweep
-/// points that *alternate* between option sets, as the A2/A3 bins do,
-/// keep hitting instead of evicting each other the way the old
-/// one-entry-per-plane cache did. Eviction is deterministic — the
-/// least-recently-used entry (the back of the list) goes first.
-///
-/// A cache is only meaningful against the ground truth it was computed
-/// from — [`Scenario::rebuild_with`] maintains that invariant by always
-/// pairing `self.propagation` with `self.truth`.
-#[derive(Debug, Clone, Default)]
-pub struct PropagationCache {
-    /// Per-plane entries, most recently used first.
-    planes: [Vec<PlaneOutcomes>; 2],
-}
-
-#[derive(Debug, Clone)]
-struct PlaneOutcomes {
-    options: PropagationOptions,
-    /// The origin-sampling stride the outcomes were computed under —
-    /// part of the cache key because it selects *which* origins were
-    /// propagated, upstream of the route model.
-    origin_sample: usize,
-    outcomes: Arc<Vec<NextHops>>,
-}
-
-fn plane_slot(plane: IpVersion) -> usize {
-    match plane {
-        IpVersion::V4 => 0,
-        IpVersion::V6 => 1,
-    }
-}
-
-impl PropagationCache {
-    /// The cached outcomes for a plane, if any entry was computed under
-    /// the same *route model* as `options` and the same origin-sampling
-    /// stride — execution knobs (frontier worker count, origin
-    /// scheduling) are ignored, so retuning them between sweep points
-    /// still reuses the cached propagation.
-    fn matching(
-        &self,
-        plane: IpVersion,
-        options: &PropagationOptions,
-        origin_sample: usize,
-    ) -> Option<Arc<Vec<NextHops>>> {
-        self.planes[plane_slot(plane)]
-            .iter()
-            .find(|entry| {
-                entry.origin_sample == origin_sample && entry.options.same_route_model(options)
-            })
-            .map(|entry| Arc::clone(&entry.outcomes))
-    }
-
-    /// Record `outcomes` as the plane's most recently used entry: any
-    /// existing entry with the same route model is replaced (so a reuse
-    /// refreshes its recency instead of duplicating it), and the
-    /// least-recently-used entry is evicted once the plane exceeds
-    /// [`PROPAGATION_LRU_CAPACITY`].
-    fn insert(
-        &mut self,
-        plane: IpVersion,
-        options: PropagationOptions,
-        origin_sample: usize,
-        outcomes: Arc<Vec<NextHops>>,
-    ) {
-        let entries = &mut self.planes[plane_slot(plane)];
-        entries.retain(|entry| {
-            entry.origin_sample != origin_sample || !entry.options.same_route_model(&options)
-        });
-        entries.insert(0, PlaneOutcomes { options, origin_sample, outcomes });
-        entries.truncate(PROPAGATION_LRU_CAPACITY);
-    }
-
-    /// True when `self`'s most recently used outcomes for the plane are
-    /// the *same allocation* as any entry of `other` — the tell that a
-    /// rebuild served the plane from `other`'s cache rather than
-    /// recomputing it.
-    pub fn shares_outcomes(&self, other: &PropagationCache, plane: IpVersion) -> bool {
-        let slot = plane_slot(plane);
-        let Some(used) = self.planes[slot].first() else { return false };
-        other.planes[slot].iter().any(|entry| Arc::ptr_eq(&used.outcomes, &entry.outcomes))
-    }
-
-    /// Bytes the cache retains across both planes and every LRU entry:
-    /// the next-hop tables plus their bookkeeping.
-    pub fn memory_footprint(&self) -> usize {
-        self.planes
-            .iter()
-            .flatten()
-            .map(|entry| {
-                std::mem::size_of::<PlaneOutcomes>()
-                    + entry.outcomes.iter().map(NextHops::memory_footprint).sum::<usize>()
-            })
-            .sum()
-    }
-}
 
 /// A fully materialised measurement scenario: the synthetic Internet, what
 /// its operators configured, and what the collectors recorded.
@@ -157,70 +45,13 @@ pub struct Scenario {
     pub topology_config: TopologyConfig,
     /// The simulation configuration used.
     pub sim_config: SimConfig,
-    /// The propagation outcomes the snapshots were materialised from,
-    /// kept (Arc-shared) so [`Scenario::rebuild_with`] can patch the
-    /// configuration without re-running propagation.
-    pub propagation: PropagationCache,
 }
 
-/// Every [`SimConfig`] knob that feeds the generated artefacts (policies,
-/// registry, collectors, propagation and RIB materialisation) — i.e.
-/// everything except `concurrency`, `frontier_concurrency` and
-/// `scheduling`, which are execution details with byte-identical output
-/// by contract. `origin_sample` *is* in the key: sampling origins changes
-/// which routes exist, so it is an output knob like the probabilities.
-/// The exhaustive destructuring is the point: adding a field to
-/// `SimConfig` refuses to compile here until the rebuild logic accounts
-/// for it.
-type OutputKey = (
-    (u64, f64, f64, f64, f64),
-    (f64, f64, f64, bool, f64),
-    (usize, usize, f64, u64, usize),
-    (PolicyScenario, f64),
-);
-
-fn output_key(sim: &SimConfig) -> OutputKey {
-    let SimConfig {
-        seed,
-        transit_tagging_probability,
-        stub_tagging_probability,
-        documentation_probability,
-        te_documentation_probability,
-        te_request_probability,
-        location_tag_probability,
-        community_scrub_probability,
-        v6_reachability_relaxation,
-        leak_probability,
-        collector_count,
-        feeders_per_collector,
-        full_feeder_fraction,
-        timestamp,
-        origin_sample,
-        policy_scenario,
-        policy_deployment,
-        concurrency: _,
-        frontier_concurrency: _,
-        scheduling: _,
-    } = *sim;
-    (
-        (
-            seed,
-            transit_tagging_probability,
-            stub_tagging_probability,
-            documentation_probability,
-            te_documentation_probability,
-        ),
-        (
-            te_request_probability,
-            location_tag_probability,
-            community_scrub_probability,
-            v6_reachability_relaxation,
-            leak_probability,
-        ),
-        (collector_count, feeders_per_collector, full_feeder_fraction, timestamp, origin_sample),
-        (policy_scenario, policy_deployment),
-    )
-}
+/// One plane's propagation outcomes with their reuse key: the options
+/// they were computed under and the origin-sampling stride, which
+/// selects *which* origins were propagated. Indexed in
+/// [`IpVersion::BOTH`] order.
+type BaseOutcomes = [(PropagationOptions, usize, Vec<NextHops>); 2];
 
 /// The propagation configuration of one plane, derived from the
 /// simulation config exactly as the build derives it. The frontier
@@ -300,47 +131,21 @@ impl Scenario {
         topology_config: TopologyConfig,
         sim_config: &SimConfig,
     ) -> Scenario {
-        Self::assemble(truth, topology_config, sim_config, &PropagationCache::default())
-    }
-
-    /// Rebuild this scenario under a patched configuration, reusing every
-    /// cached artefact the patch provably cannot change:
-    ///
-    /// * the ground truth is always reused (the topology is a function of
-    ///   `topology_config` alone);
-    /// * per-plane propagation outcomes are reused whenever the patch
-    ///   leaves that plane's [`PropagationOptions`] (seed, leak
-    ///   probability, v6 relaxation) untouched — this is the expensive
-    ///   part of a build, and it is independent of policies, collectors
-    ///   and documentation by construction;
-    /// * if the patch changes *nothing* that feeds the generated
-    ///   artefacts (e.g. only `concurrency`), the policies, registry,
-    ///   collectors and RIB snapshots are cloned outright.
-    ///
-    /// The result is byte-identical to `Scenario::build` with the patched
-    /// configuration — reuse is an execution detail, never an output knob
-    /// (the scenario tests and the determinism suite enforce it).
-    pub fn rebuild_with(&self, patch: impl FnOnce(&mut SimConfig)) -> Scenario {
-        let mut sim = self.sim_config.clone();
-        patch(&mut sim);
-        sim.validate().expect("invalid simulation configuration");
-        if output_key(&sim) == output_key(&self.sim_config) {
-            // Clone-and-patch: nothing that reaches the outputs changed.
-            return Scenario { sim_config: sim, ..self.clone() };
-        }
-        Self::assemble(self.truth.clone(), self.topology_config.clone(), &sim, &self.propagation)
+        Self::assemble(truth, topology_config, sim_config, None).0
     }
 
     /// The shared build path: generate policies, registry and collectors
-    /// for `sim_config`, reuse propagation outcomes from `reuse` where the
-    /// options match (computing and caching them otherwise), and
-    /// materialise the collector RIBs.
+    /// for `sim_config`, then materialise each plane's collector RIBs from
+    /// its next hops and drop them. A plane's next hops come from `base`
+    /// when they were computed under the same route model and
+    /// origin-sampling stride, and are propagated afresh otherwise. Also
+    /// returns how many planes `base` served.
     fn assemble(
         mut truth: GroundTruth,
         topology_config: TopologyConfig,
         sim_config: &SimConfig,
-        reuse: &PropagationCache,
-    ) -> Scenario {
+        base: Option<&BaseOutcomes>,
+    ) -> (Scenario, u64) {
         sim_config.validate().expect("invalid simulation configuration");
         // Serve the hot per-plane walks from the flat CSR mirror. It
         // iterates neighbours in the exact adjacency order, so every
@@ -364,17 +169,23 @@ impl Scenario {
             .map(|c| RibSnapshot::new(c.id.clone(), sim_config.timestamp))
             .collect();
 
-        // Inherit the reuse cache wholesale so entries the *current*
-        // options do not match stay available to later rebuilds — that is
-        // what lets an A/B/A sweep alternation keep hitting. The entry
-        // actually used is (re)inserted, refreshing its LRU position.
-        let mut propagation = reuse.clone();
-        for plane in IpVersion::BOTH {
+        let mut reused = 0;
+        for (slot, plane) in IpVersion::BOTH.into_iter().enumerate() {
             let options = propagation_options(sim_config, plane);
-            let outcomes =
-                reuse.matching(plane, &options, sim_config.origin_sample).unwrap_or_else(|| {
-                    Arc::new(Self::propagate_plane(&truth, sim_config, plane, &options))
-                });
+            let computed: Vec<NextHops>;
+            let next_hops = match base.map(|base| &base[slot]) {
+                Some((base_options, origin_sample, next_hops))
+                    if *origin_sample == sim_config.origin_sample
+                        && base_options.same_route_model(&options) =>
+                {
+                    reused += 1;
+                    next_hops
+                }
+                _ => {
+                    computed = Self::propagate_plane(&truth, sim_config, plane, &options);
+                    &computed
+                }
+            };
             Self::materialise_plane(
                 &truth,
                 &policies,
@@ -382,12 +193,11 @@ impl Scenario {
                 &mut snapshots,
                 sim_config,
                 plane,
-                &outcomes,
+                next_hops,
             );
-            propagation.insert(plane, options, sim_config.origin_sample, outcomes);
         }
 
-        Scenario {
+        let scenario = Scenario {
             truth,
             policies,
             registry,
@@ -395,8 +205,8 @@ impl Scenario {
             snapshots,
             topology_config,
             sim_config: sim_config.clone(),
-            propagation,
-        }
+        };
+        (scenario, reused)
     }
 
     /// One plane's propagation round: every origin present on the plane,
@@ -541,69 +351,74 @@ impl Scenario {
     }
 }
 
-/// A sweep-point factory over one topology: builds a base scenario once,
-/// then derives every further sweep point from it with
-/// [`Scenario::rebuild_with`], so the topology is never regenerated and
-/// propagation is only re-run when a patch actually changes its inputs.
+/// A sweep-point factory over one topology: generates the ground truth
+/// and propagates the base configuration's planes once, then builds
+/// every sweep point as a patch of the base configuration, so the
+/// topology is never regenerated and propagation only re-runs on a plane
+/// whose route model or origin sampling the patch changes.
 ///
 /// This is the layer the paper-scale experiment bins sweep on (the
 /// coverage sweep patches `documentation_probability`, the collector
 /// sensitivity sweep patches `collector_count`; neither touches
-/// propagation, so every point after the first reuses the routed
-/// outcomes). The reuse counters report how often that happened.
+/// propagation, so every point reuses the base's routed outcomes). Only
+/// the base point's outcomes are kept: a point that propagates afresh
+/// drops its outcomes once its RIBs are materialised. The reuse counters
+/// report how often each happened.
 #[derive(Debug, Clone)]
 pub struct ScenarioPool {
-    base: Scenario,
+    truth: GroundTruth,
+    topology_config: TopologyConfig,
+    sim_config: SimConfig,
+    base: BaseOutcomes,
     propagation_reuses: u64,
     propagation_computes: u64,
 }
 
 impl ScenarioPool {
-    /// Build the base scenario (topology generation + full build) the
-    /// pool derives sweep points from.
+    /// Generate the topology and propagate both planes of the base
+    /// configuration the pool derives sweep points from.
     pub fn new(topology: &TopologyConfig, sim: &SimConfig) -> ScenarioPool {
-        Self::from_scenario(Scenario::build(topology, sim))
-    }
-
-    /// Wrap an already-built scenario as the pool's base.
-    pub fn from_scenario(base: Scenario) -> ScenarioPool {
-        // The base build propagated both planes itself.
-        ScenarioPool { base, propagation_reuses: 0, propagation_computes: 2 }
-    }
-
-    /// The base scenario sweep points are derived from.
-    pub fn base(&self) -> &Scenario {
-        &self.base
+        sim.validate().expect("invalid simulation configuration");
+        let mut truth = topogen::generate(topology);
+        truth.graph.freeze();
+        let base = IpVersion::BOTH.map(|plane| {
+            let options = propagation_options(sim, plane);
+            let next_hops = Scenario::propagate_plane(&truth, sim, plane, &options);
+            (options, sim.origin_sample, next_hops)
+        });
+        ScenarioPool {
+            truth,
+            topology_config: topology.clone(),
+            sim_config: sim.clone(),
+            base,
+            propagation_reuses: 0,
+            propagation_computes: 2,
+        }
     }
 
     /// Build the sweep point obtained by patching the base configuration
     /// — byte-identical to `Scenario::build` with the patched config.
     pub fn scenario_with(&mut self, patch: impl FnOnce(&mut SimConfig)) -> Scenario {
-        let scenario = self.base.rebuild_with(patch);
-        for plane in IpVersion::BOTH {
-            if scenario.propagation.shares_outcomes(&self.base.propagation, plane) {
-                self.propagation_reuses += 1;
-            } else {
-                self.propagation_computes += 1;
-            }
-        }
-        // Adopt the sweep point's cache as the pool's: it carries every
-        // entry the base had plus whatever this point computed (all
-        // against the same, never-changing ground truth), so a later
-        // point that returns to these options reuses instead of
-        // recomputing. Without this write-back the base cache never
-        // learns and an A/B/A alternation re-propagates every iteration.
-        self.base.propagation = scenario.propagation.clone();
+        let mut sim = self.sim_config.clone();
+        patch(&mut sim);
+        let (scenario, reused) = Scenario::assemble(
+            self.truth.clone(),
+            self.topology_config.clone(),
+            &sim,
+            Some(&self.base),
+        );
+        self.propagation_reuses += reused;
+        self.propagation_computes += IpVersion::BOTH.len() as u64 - reused;
         scenario
     }
 
-    /// Per-plane propagation rounds served from the base's cache.
+    /// Per-plane propagation rounds served from the base point's outcomes.
     pub fn propagation_reuses(&self) -> u64 {
         self.propagation_reuses
     }
 
     /// Per-plane propagation rounds actually computed (including the two
-    /// the base build ran).
+    /// the base point ran).
     pub fn propagation_computes(&self) -> u64 {
         self.propagation_computes
     }
@@ -784,10 +599,12 @@ mod tests {
         for entry in &sampled.merged_snapshot().entries {
             assert!(full_prefixes.contains(&entry.prefix));
         }
-        // An output knob: rebuild_with must re-materialise, and the two
+        // An output knob: a pool must re-propagate for it, and the two
         // strides must agree with from-scratch builds byte for byte.
-        let rebuilt = full.rebuild_with(|s| s.origin_sample = 4);
+        let mut pool = ScenarioPool::new(&TopologyConfig::tiny(), &SimConfig::small());
+        let rebuilt = pool.scenario_with(|s| s.origin_sample = 4);
         assert_same_outputs(&rebuilt, &sampled, "origin_sample rebuild");
+        assert_eq!(pool.propagation_reuses(), 0, "the stride keys propagation reuse");
     }
 
     #[test]
@@ -800,13 +617,6 @@ mod tests {
         assert_eq!(merged.len(), s.total_rib_entries());
         assert!(merged.plane_entries(IpVersion::V4).count() > 0);
         assert!(merged.plane_entries(IpVersion::V6).count() > 0);
-        // The cache keeps a 4-byte next hop per node for every origin.
-        let graph = &s.truth.graph;
-        let origins: usize = IpVersion::BOTH
-            .iter()
-            .map(|&plane| graph.asns().filter(|&a| graph.degree(a, plane) > 0).count())
-            .sum();
-        assert!(s.propagation.memory_footprint() >= origins * graph.node_count() * 4);
         // v4 visibility exceeds v6 visibility (partial adoption).
         assert!(
             merged.plane_entries(IpVersion::V4).count()
@@ -860,26 +670,28 @@ mod tests {
         );
         assert_eq!(dynamic.snapshots, statically.snapshots);
         assert_eq!(dynamic.registry, statically.registry);
-        // And a scheduling-only patch is the clone-and-patch fast path.
-        let patched = dynamic.rebuild_with(|s| s.scheduling = OriginScheduling::Static);
+        // And a scheduling-only patch reuses the pool's base outcomes.
+        let mut pool = ScenarioPool::new(
+            &TopologyConfig::tiny(),
+            &SimConfig::small().with_scheduling(OriginScheduling::Dynamic),
+        );
+        let patched = pool.scenario_with(|s| s.scheduling = OriginScheduling::Static);
         assert_eq!(patched.snapshots, dynamic.snapshots);
-        for plane in IpVersion::BOTH {
-            assert!(patched.propagation.shares_outcomes(&dynamic.propagation, plane));
-        }
+        assert_eq!(pool.propagation_reuses(), 2, "both planes reused");
     }
 
     #[test]
     fn rebuild_with_a_frontier_only_patch_reuses_everything() {
         let base = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-        // The frontier knob never reaches the outputs, so the rebuild is
-        // the clone-and-patch fast path: snapshots identical, propagation
-        // outcomes Arc-shared on both planes.
-        let patched = base.rebuild_with(|s| s.frontier_concurrency = 4);
+        // The frontier knob never reaches the route model, so the pool
+        // serves both planes from its base outcomes and the snapshots
+        // come out identical.
+        let mut pool = ScenarioPool::new(&TopologyConfig::tiny(), &SimConfig::small());
+        let patched = pool.scenario_with(|s| s.frontier_concurrency = 4);
         assert_eq!(patched.snapshots, base.snapshots);
         assert_eq!(patched.sim_config.frontier_concurrency, 4);
-        for plane in IpVersion::BOTH {
-            assert!(patched.propagation.shares_outcomes(&base.propagation, plane));
-        }
+        assert_eq!(pool.propagation_reuses(), 2, "both planes reused");
+        assert_eq!(pool.propagation_computes(), 2, "only the base point propagated");
     }
 
     #[test]
@@ -1032,7 +844,7 @@ mod tests {
     #[test]
     fn rebuild_with_matches_a_from_scratch_build() {
         let topology = TopologyConfig::tiny();
-        let base = Scenario::build(&topology, &SimConfig::small());
+        let mut pool = ScenarioPool::new(&topology, &SimConfig::small());
         // Patches the three sweep bins apply, plus a propagation-relevant
         // one that must force a recompute — all must be byte-identical to
         // building from config.
@@ -1048,7 +860,7 @@ mod tests {
             ("identity", Box::new(|_| {})),
         ];
         for (what, patch) in &patches {
-            let rebuilt = base.rebuild_with(patch);
+            let rebuilt = pool.scenario_with(patch);
             let mut sim = SimConfig::small();
             patch(&mut sim);
             let scratch = Scenario::build(&topology, &sim);
@@ -1059,23 +871,15 @@ mod tests {
 
     #[test]
     fn rebuild_with_reuses_propagation_only_when_its_inputs_are_unchanged() {
-        let base = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-        let doc_patched = base.rebuild_with(|s| s.documentation_probability = 0.3);
-        let leak_patched = base.rebuild_with(|s| s.leak_probability = 0.3);
-        for plane in IpVersion::BOTH {
-            assert!(
-                doc_patched.propagation.shares_outcomes(&base.propagation, plane),
-                "documentation patch must reuse {plane:?} propagation"
-            );
-            assert!(
-                !leak_patched.propagation.shares_outcomes(&base.propagation, plane),
-                "leak patch must recompute {plane:?} propagation"
-            );
-        }
+        let mut pool = ScenarioPool::new(&TopologyConfig::tiny(), &SimConfig::small());
+        let counts = |pool: &ScenarioPool| (pool.propagation_reuses(), pool.propagation_computes());
+        let _ = pool.scenario_with(|s| s.documentation_probability = 0.3);
+        assert_eq!(counts(&pool), (2, 2), "documentation patch must reuse both planes");
+        let _ = pool.scenario_with(|s| s.leak_probability = 0.3);
+        assert_eq!(counts(&pool), (2, 4), "leak patch must recompute both planes");
         // Relaxation is a v6-only input: v4 outcomes survive the patch.
-        let relax_patched = base.rebuild_with(|s| s.v6_reachability_relaxation = false);
-        assert!(relax_patched.propagation.shares_outcomes(&base.propagation, IpVersion::V4));
-        assert!(!relax_patched.propagation.shares_outcomes(&base.propagation, IpVersion::V6));
+        let _ = pool.scenario_with(|s| s.v6_reachability_relaxation = false);
+        assert_eq!(counts(&pool), (3, 5), "relaxation patch reuses v4 and recomputes v6");
     }
 
     #[test]
@@ -1084,7 +888,6 @@ mod tests {
         let mut pool = ScenarioPool::new(&topology, &SimConfig::small());
         assert_eq!(pool.propagation_computes(), 2, "the base build propagates both planes");
         assert_eq!(pool.propagation_reuses(), 0);
-        assert!(pool.base().total_rib_entries() > 0);
         for rate in [0.1, 0.5, 1.0] {
             let pooled = pool.scenario_with(|s| s.documentation_probability = rate);
             let mut sim = SimConfig::small();
@@ -1099,58 +902,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_alternating_sweep_points_hit_the_propagation_lru() {
-        // Regression: the old one-entry-per-plane cache thrashed on an
-        // A/B/A/B alternation of propagation-relevant options — every
-        // sweep point evicted the other's outcomes and re-propagated.
-        // With the options-keyed LRU (plus the pool's cache write-back)
-        // the second A and the second B must both be served from cache.
-        let topology = TopologyConfig::tiny();
-        let mut pool = ScenarioPool::new(&topology, &SimConfig::small());
-        for leak in [0.1, 0.2, 0.1, 0.2] {
-            let pooled = pool.scenario_with(|s| s.leak_probability = leak);
-            let mut sim = SimConfig::small();
-            sim.leak_probability = leak;
-            let scratch = Scenario::build(&topology, &sim);
-            assert_same_outputs(&pooled, &scratch, "alternating sweep point");
-        }
-        assert!(pool.propagation_reuses() >= 1, "the A/B/A revisits must hit the cache");
-        assert_eq!(pool.propagation_reuses(), 4, "second A and second B reuse both planes");
-        assert_eq!(pool.propagation_computes(), 6, "base + first A + first B compute");
-    }
-
-    #[test]
-    fn propagation_lru_evicts_the_oldest_entry_deterministically() {
-        let mut cache = PropagationCache::default();
-        let options_for = |seed: u64| PropagationOptions { seed, ..Default::default() };
-        let distinct_outcomes = || Arc::new(Vec::new());
-        for seed in 0..=PROPAGATION_LRU_CAPACITY as u64 {
-            cache.insert(IpVersion::V4, options_for(seed), 0, distinct_outcomes());
-        }
-        // One past capacity: the oldest (seed 0) is gone, everything else
-        // — and nothing on the untouched plane — survives.
-        assert!(cache.matching(IpVersion::V4, &options_for(0), 0).is_none(), "oldest evicted");
-        for seed in 1..=PROPAGATION_LRU_CAPACITY as u64 {
-            assert!(cache.matching(IpVersion::V4, &options_for(seed), 0).is_some(), "seed {seed}");
-        }
-        assert!(cache.matching(IpVersion::V6, &options_for(1), 0).is_none(), "planes are separate");
-        // The sampling stride is part of the key: a different stride under
-        // the same route model must miss, never alias.
-        assert!(cache.matching(IpVersion::V4, &options_for(1), 4).is_none(), "stride keys");
-        // A re-insert of an existing route model replaces (refreshes)
-        // instead of duplicating: inserting seed 1 again and then one
-        // fresh entry must evict seed 2, not seed 1.
-        cache.insert(IpVersion::V4, options_for(1), 0, distinct_outcomes());
-        cache.insert(IpVersion::V4, options_for(99), 0, distinct_outcomes());
-        assert!(cache.matching(IpVersion::V4, &options_for(1), 0).is_some(), "refreshed survives");
-        assert!(cache.matching(IpVersion::V4, &options_for(2), 0).is_none(), "LRU evicted");
-    }
-
-    #[test]
     #[should_panic(expected = "invalid simulation configuration")]
     fn rebuild_with_rejects_invalid_patches() {
-        let base = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-        let _ = base.rebuild_with(|s| s.collector_count = 0);
+        let mut pool = ScenarioPool::new(&TopologyConfig::tiny(), &SimConfig::small());
+        let _ = pool.scenario_with(|s| s.collector_count = 0);
     }
 
     #[test]

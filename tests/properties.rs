@@ -1,8 +1,11 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: text and wire round trips, orientation consistency of the
 //! annotated graph, the valley-free rule, the parallel-equals-sequential
-//! contract of the sharded execution layer, and the Figure 2 sweep engine
-//! against a memo-free oracle.
+//! contract of the sharded execution layer, the Figure 2 sweep engine
+//! against a memo-free oracle, the scenario pool's propagation reuse
+//! rule, and the MRT decoders and pipeline under hostile input.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
@@ -10,13 +13,17 @@ use hybrid_as_rel::graph::customer_tree::{customer_tree_union, tree_union_metric
 use hybrid_as_rel::graph::valley::{first_violation, is_valley_free, valley_free_distances};
 use hybrid_as_rel::graph::AsGraph;
 use hybrid_as_rel::mrt::bgp::{decode_attributes, encode_attributes, AttrContext};
+use hybrid_as_rel::mrt::{read_snapshot_bytes, write_snapshot};
+use hybrid_as_rel::prelude::{Pipeline, PipelineInput, RibSnapshot};
 use hybrid_as_rel::prelude::{Scenario, SimConfig, TopologyConfig};
 use hybrid_as_rel::sim::propagate::{propagate_origins, PropagationOptions};
+use hybrid_as_rel::sim::{PolicyDeployment, PolicyScenario, ScenarioPool, UpdateStreamConfig};
 use hybrid_as_rel::topology::HybridClass;
 use hybrid_as_rel::tor::hybrid::HybridFinding;
 use hybrid_as_rel::tor::impact::{
     correction_sweep_in, CorrectionStep, ImpactOptions, SweepCache, SweepOptions,
 };
+use hybrid_as_rel::tor::ingest::{ApplyStats, LiveRib, UpdateStream};
 use hybrid_as_rel::types::{
     AsPath, Asn, Community, CommunitySet, IpVersion, PathAttributes, Prefix, Relationship,
     RelationshipPair,
@@ -684,10 +691,7 @@ proptest! {
         windows in 1usize..4,
         events in 4usize..32,
     ) {
-        use hybrid_as_rel::mrt::{read_snapshot_bytes, write_snapshot};
-        use hybrid_as_rel::sim::UpdateStreamConfig;
-        use hybrid_as_rel::tor::ingest::{ApplyStats, LiveRib, TemporalSweep, UpdateStream};
-        use hybrid_as_rel::tor::pipeline::{Pipeline, PipelineInput};
+        use hybrid_as_rel::tor::ingest::TemporalSweep;
 
         let scenario = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
         let config =
@@ -725,6 +729,153 @@ proptest! {
             .build()
             .expect("snapshot inputs cannot fail");
         prop_assert_eq!(pipeline.run(input).to_json(), replayed);
+    }
+}
+
+/// `Some` value in one case out of six, `None` (keep what is there)
+/// otherwise, so a patch of several fields often leaves most alone.
+fn keep_or<S: Strategy>(values: S) -> impl Strategy<Value = Option<S::Value>> {
+    (0u8..6, values).prop_map(|(keep, value)| (keep == 0).then_some(value))
+}
+
+/// The route-model part of a plane's propagation options as a build
+/// derives them from `sim`. The build seeds the deployment sample from
+/// `seed` one-to-one, so keying it on `seed` itself decides equality
+/// the same way.
+fn route_model(sim: &SimConfig, plane: IpVersion) -> PropagationOptions {
+    PropagationOptions {
+        reachability_relaxation: plane == IpVersion::V6 && sim.v6_reachability_relaxation,
+        leak_probability: sim.leak_probability,
+        seed: sim.seed,
+        scenario: sim.policy_scenario,
+        deployment: PolicyDeployment { fraction: sim.policy_deployment, seed: sim.seed },
+        ..PropagationOptions::default()
+    }
+}
+
+/// A valid TABLE_DUMP_V2 file and BGP4MP update stream of a tiny
+/// scenario, encoded once for the hostile-input properties.
+fn valid_encodings() -> &'static (Scenario, Vec<u8>, Vec<u8>) {
+    static ENCODINGS: OnceLock<(Scenario, Vec<u8>, Vec<u8>)> = OnceLock::new();
+    ENCODINGS.get_or_init(|| {
+        let scenario = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
+        let mut dump = Vec::new();
+        write_snapshot(&mut dump, &scenario.snapshots[0]).expect("encode table dump");
+        let config = UpdateStreamConfig { windows: 2, events_per_window: 16, seed: 5 };
+        let stream =
+            UpdateStream::from_windows(scenario.update_stream(&config)).to_bytes().to_vec();
+        (scenario, dump, stream)
+    })
+}
+
+/// `valid` with `flips` XOR-ed in (positions wrap around the buffer; a
+/// zero mask still flips the low bit), then cut to `cut` bytes if given.
+fn mutate(valid: &[u8], flips: &[(usize, u8)], cut: Option<usize>) -> Vec<u8> {
+    let mut bytes = valid.to_vec();
+    for &(at, mask) in flips {
+        let len = bytes.len();
+        bytes[at % len] ^= mask.max(1);
+    }
+    if let Some(cut) = cut {
+        bytes.truncate(cut % (valid.len() + 1));
+    }
+    bytes
+}
+
+fn run_pipeline(scenario: &Scenario, snapshot: RibSnapshot) {
+    let input = PipelineInput::builder()
+        .snapshot(snapshot, scenario.registry.build_dictionary(), Some(scenario.truth.clone()))
+        .build()
+        .expect("snapshot inputs cannot fail");
+    let _ = Pipeline::with_concurrency(1).run(input).to_json();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn pool_sweep_points_match_builds_and_reuse_exactly_the_unchanged_planes(
+        route in (
+            keep_or(1u64..4),
+            keep_or(prop_oneof![Just(0.0), Just(0.1), Just(0.3)]),
+            // The base relaxes v6; `false` is the only value that differs.
+            keep_or(Just(false)),
+            keep_or(0usize..4),
+            keep_or(prop_oneof![
+                Just(PolicyScenario::Classic),
+                Just(PolicyScenario::RouteLeak),
+                Just(PolicyScenario::PrefixHijack),
+                Just(PolicyScenario::SubprefixHijack),
+            ]),
+            keep_or(prop_oneof![Just(0.0), Just(0.5), Just(1.0)]),
+        ),
+        measurement in (
+            keep_or(prop_oneof![Just(0.0), Just(0.4), Just(1.0)]),
+            keep_or(1usize..4),
+        ),
+    ) {
+        let (seed, leak, relaxation, origin_sample, scenario, deployment) = route;
+        let (documentation, collectors) = measurement;
+        let patch = |sim: &mut SimConfig| {
+            sim.seed = seed.unwrap_or(sim.seed);
+            sim.leak_probability = leak.unwrap_or(sim.leak_probability);
+            sim.v6_reachability_relaxation = relaxation.unwrap_or(sim.v6_reachability_relaxation);
+            sim.origin_sample = origin_sample.unwrap_or(sim.origin_sample);
+            sim.policy_scenario = scenario.unwrap_or(sim.policy_scenario);
+            sim.policy_deployment = deployment.unwrap_or(sim.policy_deployment);
+            sim.documentation_probability =
+                documentation.unwrap_or(sim.documentation_probability);
+            sim.collector_count = collectors.unwrap_or(sim.collector_count);
+        };
+        let topology = TopologyConfig::tiny();
+        let base = SimConfig::small();
+        let mut patched = base.clone();
+        patch(&mut patched);
+
+        let mut pool = ScenarioPool::new(&topology, &base);
+        let pooled = pool.scenario_with(patch);
+        let scratch = Scenario::build(&topology, &patched);
+        prop_assert_eq!(&pooled.snapshots, &scratch.snapshots);
+        prop_assert_eq!(&pooled.registry, &scratch.registry);
+        prop_assert_eq!(&pooled.collectors, &scratch.collectors);
+
+        let reusable = IpVersion::BOTH
+            .into_iter()
+            .filter(|&plane| {
+                patched.origin_sample == base.origin_sample
+                    && route_model(&patched, plane).same_route_model(&route_model(&base, plane))
+            })
+            .count() as u64;
+        prop_assert_eq!(pool.propagation_reuses(), reusable);
+        prop_assert_eq!(pool.propagation_computes(), 2 + 2 - reusable);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn hostile_mrt_input_never_panics_the_decoders_or_the_pipeline(
+        dump_flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        dump_cut in keep_or(any::<usize>()),
+        stream_flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        stream_cut in keep_or(any::<usize>()),
+    ) {
+        let (scenario, dump, stream) = valid_encodings();
+        // Every outcome is fine except a panic: an error is the expected
+        // answer to garbage, and whatever still decodes must survive the
+        // whole pipeline.
+        if let Ok(snapshot) = read_snapshot_bytes(mutate(dump, &dump_flips, dump_cut).into()) {
+            run_pipeline(scenario, snapshot);
+        }
+        if let Ok(updates) = UpdateStream::from_bytes(mutate(stream, &stream_flips, stream_cut).into()) {
+            let mut live = LiveRib::from_snapshot(&scenario.pooled_snapshot(1));
+            let mut stats = ApplyStats::default();
+            for record in updates.windows().iter().flatten() {
+                live.apply_record(record, &mut stats);
+            }
+            run_pipeline(scenario, live.snapshot());
+        }
     }
 }
 

@@ -245,8 +245,8 @@ impl RouteTable {
 /// node's next hop — the node itself at an origin, `None` without a
 /// route. `None` when `from` has no route or the pointers loop for more
 /// than `limit` hops. Every path the simulator emits goes through here,
-/// whether it reads a walk's full routes or the next hops a scenario
-/// build materialises from.
+/// whether it reads a walk's live routes or the next hops a scenario pool
+/// stores for its base point.
 pub(crate) fn follow_next_hops(
     graph: &AsGraph,
     from: Asn,
@@ -432,7 +432,9 @@ impl RoutingOutcome {
 /// node, the `u32` next hop towards the origin — the node itself at an
 /// origin, [`NextHops::NO_ROUTE`] without a route. Half the size of the
 /// packed routes and a third of the decoded ones, which is what lets a
-/// scenario pool keep every origin of its base point's planes.
+/// scenario pool keep every origin of its base point's planes. Only the
+/// pool keeps them: a plain scenario build materialises each origin's
+/// RIB entries from its live outcome and never builds these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct NextHops {
     /// The origin AS.
@@ -1080,7 +1082,7 @@ pub fn propagate_origins(
 
 /// [`propagate_origins`] reduced to next hops on the worker that computed
 /// each outcome, so the full routes of only one origin per worker are
-/// ever alive at once.
+/// ever alive at once. What a scenario pool stores for its base point.
 pub(crate) fn propagate_next_hops(
     graph: &AsGraph,
     origins: &[Asn],
@@ -1092,8 +1094,9 @@ pub(crate) fn propagate_next_hops(
 }
 
 /// The shared batch driver: propagate every origin under the configured
-/// schedule and pass each outcome through `keep` before it is stored.
-fn map_origins<U: Send>(
+/// schedule and pass each outcome through `keep` on the worker that
+/// computed it, so only `keep`'s result outlives the walk.
+pub(crate) fn map_origins<U: Send>(
     graph: &AsGraph,
     origins: &[Asn],
     plane: IpVersion,

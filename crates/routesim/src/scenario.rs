@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::path::{Path, PathBuf};
 
 use rand::Rng;
@@ -15,8 +15,8 @@ use rand_chacha::ChaCha8Rng;
 
 use asgraph::AsGraph;
 use bgp_types::{
-    Asn, CollectorId, IpVersion, Ipv4Net, Ipv6Net, PathAttributes, Prefix, RibEntry, RibSnapshot,
-    RouteSource,
+    Asn, CollectorId, IpVersion, Ipv4Net, Ipv6Net, PathAttributes, PeerId, Prefix, RibEntry,
+    RibSnapshot, RouteSource,
 };
 use irr::{IrrRegistry, TrafficAction};
 use topogen::{GroundTruth, TopologyConfig};
@@ -24,7 +24,7 @@ use topogen::{GroundTruth, TopologyConfig};
 use crate::collector::{build_collectors, CollectorSetup, FeederKind};
 use crate::config::SimConfig;
 use crate::policy::{PolicyDeployment, PolicyTable};
-use crate::propagate::{propagate_next_hops, NextHops, PropagationOptions};
+use crate::propagate::{map_origins, propagate_next_hops, NextHops, PropagationOptions};
 use crate::shard::shard_map;
 
 /// A fully materialised measurement scenario: the synthetic Internet, what
@@ -53,6 +53,10 @@ pub struct Scenario {
 /// [`IpVersion::BOTH`] order.
 type BaseOutcomes = [(PropagationOptions, usize, Vec<NextHops>); 2];
 
+/// One origin's RIB entries on one plane, tagged with the index of the
+/// collector each entry belongs to, in feeder-ASN order.
+type OriginEntries = Vec<(usize, RibEntry)>;
+
 /// The propagation configuration of one plane, derived from the
 /// simulation config exactly as the build derives it. The frontier
 /// worker count comes from [`SimConfig::propagation_split`], so nested
@@ -71,6 +75,19 @@ fn propagation_options(sim_config: &SimConfig, plane: IpVersion) -> PropagationO
         frontier_concurrency: frontier_workers,
         scheduling: sim_config.scheduling,
     }
+}
+
+/// The origins propagated on one plane: every AS with a link on it, in
+/// ASN order, strided by [`SimConfig::origin_sample`]. Sampling strides
+/// the *sorted* list, so which origins survive is a pure function of the
+/// topology and the knob — never of iteration order or worker count.
+fn plane_origins(graph: &AsGraph, sim_config: &SimConfig, plane: IpVersion) -> Vec<Asn> {
+    let mut origins: Vec<Asn> = graph.asns().filter(|a| graph.degree(*a, plane) > 0).collect();
+    origins.sort();
+    if sim_config.origin_sample > 1 {
+        origins = origins.into_iter().step_by(sim_config.origin_sample).collect();
+    }
+    origins
 }
 
 /// The deterministic prefix an AS originates on a plane.
@@ -135,11 +152,13 @@ impl Scenario {
     }
 
     /// The shared build path: generate policies, registry and collectors
-    /// for `sim_config`, then materialise each plane's collector RIBs from
-    /// its next hops and drop them. A plane's next hops come from `base`
-    /// when they were computed under the same route model and
-    /// origin-sampling stride, and are propagated afresh otherwise. Also
-    /// returns how many planes `base` served.
+    /// for `sim_config`, then materialise each plane's collector RIBs. A
+    /// plane is served from `base` — the pool's stored next hops — when
+    /// they were computed under the same route model and origin-sampling
+    /// stride; otherwise it is propagated afresh and each origin's RIB
+    /// entries are materialised on the worker right after its walk, so
+    /// the build never holds a plane of next hops. Also returns how many
+    /// planes `base` served.
     fn assemble(
         mut truth: GroundTruth,
         topology_config: TopologyConfig,
@@ -172,29 +191,29 @@ impl Scenario {
         let mut reused = 0;
         for (slot, plane) in IpVersion::BOTH.into_iter().enumerate() {
             let options = propagation_options(sim_config, plane);
-            let computed: Vec<NextHops>;
-            let next_hops = match base.map(|base| &base[slot]) {
+            let materialiser =
+                PlaneMaterialiser::new(&truth.graph, &policies, &collectors, sim_config, plane);
+            let batches = match base.map(|base| &base[slot]) {
                 Some((base_options, origin_sample, next_hops))
                     if *origin_sample == sim_config.origin_sample
                         && base_options.same_route_model(&options) =>
                 {
                     reused += 1;
-                    next_hops
+                    let workers = sim_config.effective_concurrency();
+                    shard_map(next_hops, workers, |hops| {
+                        materialiser
+                            .origin_entries(hops.origin, |feeder| hops.path(&truth.graph, feeder))
+                    })
                 }
-                _ => {
-                    computed = Self::propagate_plane(&truth, sim_config, plane, &options);
-                    &computed
-                }
+                _ => Self::propagate_plane(&truth, sim_config, plane, &options, &materialiser),
             };
-            Self::materialise_plane(
-                &truth,
-                &policies,
-                &collectors,
-                &mut snapshots,
-                sim_config,
-                plane,
-                next_hops,
-            );
+            // Batches come back in origin order, reproducing the
+            // sequential entry sequence exactly.
+            for batch in batches {
+                for (collector_idx, entry) in batch {
+                    snapshots[collector_idx].push(entry);
+                }
+            }
         }
 
         let scenario = Scenario {
@@ -209,101 +228,28 @@ impl Scenario {
         (scenario, reused)
     }
 
-    /// One plane's propagation round: every origin present on the plane,
-    /// sharded across worker threads, each origin's own walk expanded
-    /// with the frontier workers `options` carries (the split computed by
+    /// One plane's propagation round, fused with RIB materialisation:
+    /// every origin of the plane (see [`plane_origins`]), sharded across
+    /// worker threads, each origin's own walk expanded with the frontier
+    /// workers `options` carries (the split computed by
     /// [`SimConfig::propagation_split`], so origins × frontier stays
-    /// within the budget); each worker reduces its outcomes to next hops
-    /// as it goes, and they come back in origin order, so the rest of the
-    /// build is oblivious to how (or whether) it was parallelised.
+    /// within the budget). Each worker hands its live outcome straight to
+    /// `materialiser` and keeps only the origin's RIB entries, which come
+    /// back in origin order, so the rest of the build is oblivious to how
+    /// (or whether) it was parallelised.
     fn propagate_plane(
         truth: &GroundTruth,
         sim_config: &SimConfig,
         plane: IpVersion,
         options: &PropagationOptions,
-    ) -> Vec<NextHops> {
+        materialiser: &PlaneMaterialiser<'_>,
+    ) -> Vec<OriginEntries> {
         let graph = &truth.graph;
-        let mut origins: Vec<Asn> = graph.asns().filter(|a| graph.degree(*a, plane) > 0).collect();
-        origins.sort();
-        // Origin sampling strides the *sorted* origin list, so which
-        // origins survive is a pure function of the topology and the
-        // knob — never of iteration order or worker count.
-        if sim_config.origin_sample > 1 {
-            origins = origins.into_iter().step_by(sim_config.origin_sample).collect();
-        }
+        let origins = plane_origins(graph, sim_config, plane);
         let (origin_workers, _) = sim_config.propagation_split();
-        propagate_next_hops(graph, &origins, plane, options, origin_workers)
-    }
-
-    /// Materialise one plane's RIB entries from its propagation outcomes.
-    fn materialise_plane(
-        truth: &GroundTruth,
-        policies: &PolicyTable,
-        collectors: &[CollectorSetup],
-        snapshots: &mut [RibSnapshot],
-        sim_config: &SimConfig,
-        plane: IpVersion,
-        outcomes: &[NextHops],
-    ) {
-        let graph = &truth.graph;
-        // Feeder -> collector index, for the feeders active on this plane.
-        let mut feeder_map: Vec<(Asn, usize, FeederKind)> = Vec::new();
-        for (ci, collector) in collectors.iter().enumerate() {
-            for feeder in collector.plane_feeders(plane) {
-                feeder_map.push((feeder.asn, ci, feeder.kind));
-            }
-        }
-        feeder_map.sort_by_key(|(asn, _, _)| *asn);
-
-        let workers = sim_config.effective_concurrency();
-
-        // Materialise each origin's RIB entries, sharded: everything an
-        // origin contributes is a pure function of (origin, outcome)
-        // because the route RNG is seeded per origin. Batches are pushed
-        // into the per-collector snapshots in origin order, reproducing
-        // the sequential entry sequence exactly.
-        let batches: Vec<Vec<(usize, RibEntry)>> = shard_map(outcomes, workers, |outcome| {
-            let origin = outcome.origin;
-            let prefix = origin_prefix(origin, plane);
-            // Per-origin deterministic RNG so results do not depend on how
-            // many feeders or collectors exist.
-            let mut route_rng = ChaCha8Rng::seed_from_u64(
-                sim_config.seed ^ (u64::from(origin.value()) << 32) ^ u64::from(plane.afi()),
-            );
-            // TE request: does this origin ask its first provider for lower
-            // preference on this prefix?
-            let te_requested = route_rng.gen_bool(sim_config.te_request_probability);
-
-            let mut batch: Vec<(usize, RibEntry)> = Vec::new();
-            for &(feeder_asn, collector_idx, kind) in &feeder_map {
-                let Some(path) = outcome.path(graph, feeder_asn) else { continue };
-                let mut entry = build_rib_entry(
-                    graph,
-                    policies,
-                    sim_config,
-                    plane,
-                    prefix,
-                    &path,
-                    feeder_asn,
-                    kind,
-                    te_requested,
-                    &mut route_rng,
-                );
-                let feeder = collectors[collector_idx]
-                    .feeders
-                    .iter()
-                    .find(|f| f.asn == feeder_asn)
-                    .expect("feeder map is built from collectors");
-                entry.peer = feeder.peer_id(plane);
-                batch.push((collector_idx, entry));
-            }
-            batch
-        });
-        for batch in batches {
-            for (collector_idx, entry) in batch {
-                snapshots[collector_idx].push(entry);
-            }
-        }
+        map_origins(graph, &origins, plane, options, origin_workers, |outcome| {
+            materialiser.origin_entries(outcome.origin, |feeder| outcome.path(graph, feeder))
+        })
     }
 
     /// Pool every collector's snapshot into one view, as the paper pools
@@ -381,9 +327,12 @@ impl ScenarioPool {
         sim.validate().expect("invalid simulation configuration");
         let mut truth = topogen::generate(topology);
         truth.graph.freeze();
+        let (origin_workers, _) = sim.propagation_split();
         let base = IpVersion::BOTH.map(|plane| {
             let options = propagation_options(sim, plane);
-            let next_hops = Scenario::propagate_plane(&truth, sim, plane, &options);
+            let origins = plane_origins(&truth.graph, sim, plane);
+            let next_hops =
+                propagate_next_hops(&truth.graph, &origins, plane, &options, origin_workers);
             (options, sim.origin_sample, next_hops)
         });
         ScenarioPool {
@@ -424,121 +373,176 @@ impl ScenarioPool {
     }
 }
 
-/// Construct one collector RIB entry from a feeder's path to an origin.
-#[allow(clippy::too_many_arguments)]
-fn build_rib_entry<R: Rng>(
-    graph: &AsGraph,
-    policies: &PolicyTable,
-    sim_config: &SimConfig,
+/// The next hop every simulated v6 route carries.
+const V6_NEXT_HOP: Ipv6Addr = Ipv6Addr::new(0x2001, 0xdb8, 0xbeef, 0, 0, 0, 0, 1);
+
+/// One plane's RIB materialiser: turns an origin's routes into the
+/// entries its plane's feeders export to their collectors. Built once per
+/// plane; what it makes of an origin is a pure function of the origin and
+/// the feeders' paths to it, because the route RNG is seeded per origin,
+/// so it runs on whichever worker holds the origin's routes.
+struct PlaneMaterialiser<'a> {
+    graph: &'a AsGraph,
+    policies: &'a PolicyTable,
+    sim_config: &'a SimConfig,
     plane: IpVersion,
-    prefix: Prefix,
-    path: &[Asn],
-    feeder_asn: Asn,
-    feeder_kind: FeederKind,
-    te_requested: bool,
-    rng: &mut R,
-) -> RibEntry {
-    let as_path: bgp_types::AsPath = bgp_types::AsPath::from_sequence(path.to_vec());
-    let mut attrs = PathAttributes::with_path(as_path);
-    attrs.next_hop = Some(match plane {
-        IpVersion::V4 => std::net::IpAddr::V4(Ipv4Addr::new(203, 0, 113, 1)),
-        IpVersion::V6 => std::net::IpAddr::V6("2001:db8:beef::1".parse().unwrap()),
-    });
+    /// The plane's feeders in ASN order: collector index, feed kind and
+    /// the session identity on this plane.
+    feeders: Vec<(usize, FeederKind, PeerId)>,
+}
 
-    // The TE community the origin attached, addressed to its first upstream
-    // (the AS right before the origin on the path), if that AS has a
-    // documented lower-preference value.
-    let origin = *path.last().expect("paths are never empty");
-    let mut te_target: Option<(Asn, bgp_types::Community)> = None;
-    if te_requested && path.len() >= 2 {
-        let upstream = path[path.len() - 2];
-        if let Some(upstream_policy) = policies.get(upstream) {
-            if let Some(c) = upstream_policy.scheme.te_community(TrafficAction::LowerPreference) {
-                te_target = Some((upstream, c));
+impl<'a> PlaneMaterialiser<'a> {
+    fn new(
+        graph: &'a AsGraph,
+        policies: &'a PolicyTable,
+        collectors: &[CollectorSetup],
+        sim_config: &'a SimConfig,
+        plane: IpVersion,
+    ) -> Self {
+        let mut feeders: Vec<(usize, FeederKind, PeerId)> = Vec::new();
+        for (ci, collector) in collectors.iter().enumerate() {
+            for feeder in collector.plane_feeders(plane) {
+                feeders.push((ci, feeder.kind, feeder.peer_id(plane)));
             }
         }
-    }
-    if let Some((_, c)) = te_target {
-        attrs.communities.insert(c);
+        feeders.sort_by_key(|(_, _, peer)| peer.asn);
+        PlaneMaterialiser { graph, policies, sim_config, plane, feeders }
     }
 
-    // Walk the path from the origin towards the feeder, accumulating the
-    // communities each AS adds at ingress (and dropping foreign ones at
-    // scrubbing ASes).
-    let mut per_as_locations: HashMap<Asn, u16> = HashMap::new();
-    for i in (0..path.len() - 1).rev() {
-        let this_as = path[i];
-        let learned_from = path[i + 1];
-        let Some(policy) = policies.get(this_as) else { continue };
-        if policy.scrubs_foreign_communities {
-            // Keep only communities defined by this AS (the usual
-            // "delete foreign communities" policy), plus the TE community
-            // addressed to an AS we have not reached yet.
-            let own: Vec<bgp_types::Community> = attrs.communities.defined_by(this_as).collect();
-            let keep_te = te_target.filter(|(target, _)| {
-                // The TE target is upstream of the origin; once passed it is
-                // allowed to be scrubbed like anything else.
-                path.iter().position(|a| a == target).map(|p| p < i).unwrap_or(false)
-            });
-            attrs.communities = own.into_iter().collect();
-            if let Some((_, c)) = keep_te {
-                attrs.communities.insert(c);
-            }
+    /// The RIB entries `origin`'s prefix produces, one per feeder that
+    /// `path_of` gives a path `feeder → … → origin`.
+    fn origin_entries(
+        &self,
+        origin: Asn,
+        path_of: impl Fn(Asn) -> Option<Vec<Asn>>,
+    ) -> OriginEntries {
+        let prefix = origin_prefix(origin, self.plane);
+        // Per-origin deterministic RNG so results do not depend on how
+        // many feeders or collectors exist.
+        let mut route_rng = ChaCha8Rng::seed_from_u64(
+            self.sim_config.seed ^ (u64::from(origin.value()) << 32) ^ u64::from(self.plane.afi()),
+        );
+        // TE request: does this origin ask its first provider for lower
+        // preference on this prefix?
+        let te_requested = route_rng.gen_bool(self.sim_config.te_request_probability);
+
+        let mut entries = Vec::new();
+        for &(collector_idx, kind, peer) in &self.feeders {
+            let Some(path) = path_of(peer.asn) else { continue };
+            let entry =
+                self.build_rib_entry(prefix, &path, peer, kind, te_requested, &mut route_rng);
+            entries.push((collector_idx, entry));
         }
-        if let Some(rel) = graph.relationship(this_as, learned_from, plane) {
-            if let Some(c) = policy.ingress_community(rel) {
-                attrs.communities.insert(c);
-            }
-        }
-        if policy.scheme.location_count > 0 && rng.gen_bool(sim_config.location_tag_probability) {
-            let index = *per_as_locations
-                .entry(this_as)
-                .or_insert_with(|| rng.gen_range(0..policy.scheme.location_count));
-            if let Some(c) = policy.scheme.location_community(index) {
-                attrs.communities.insert(c);
-            }
-        }
+        entries
     }
 
-    // LocPrf: only full feeders expose it; the value is what the feeder
-    // assigned given the relationship towards the neighbor it learned the
-    // route from, or the TE-lowered value if the route carries the feeder's
-    // lower-preference community.
-    if feeder_kind == FeederKind::Full {
-        if let Some(policy) = policies.get(feeder_asn) {
-            let lowered = policy
-                .scheme
-                .te_community(TrafficAction::LowerPreference)
-                .map(|c| attrs.communities.contains(c))
-                .unwrap_or(false);
-            let local_pref = if path.len() >= 2 {
-                let learned_from = path[1];
-                match graph.relationship(feeder_asn, learned_from, plane) {
-                    Some(rel) if lowered => {
-                        let _ = rel;
-                        policy.locprf.lowered
-                    }
-                    Some(rel) => policy.locprf.for_relationship(rel),
-                    None => policy.locprf.provider,
+    /// Construct one collector RIB entry from a feeder's path to an origin.
+    fn build_rib_entry<R: Rng>(
+        &self,
+        prefix: Prefix,
+        path: &[Asn],
+        peer: PeerId,
+        feeder_kind: FeederKind,
+        te_requested: bool,
+        rng: &mut R,
+    ) -> RibEntry {
+        let (graph, policies, plane) = (self.graph, self.policies, self.plane);
+        let feeder_asn = peer.asn;
+        let as_path: bgp_types::AsPath = bgp_types::AsPath::from_sequence(path.to_vec());
+        let mut attrs = PathAttributes::with_path(as_path);
+        attrs.next_hop = Some(match plane {
+            IpVersion::V4 => IpAddr::V4(Ipv4Addr::new(203, 0, 113, 1)),
+            IpVersion::V6 => IpAddr::V6(V6_NEXT_HOP),
+        });
+
+        // The TE community the origin attached, addressed to its first
+        // upstream (the AS right before the origin on the path), if that
+        // AS has a documented lower-preference value.
+        let mut te_target: Option<(Asn, bgp_types::Community)> = None;
+        if te_requested && path.len() >= 2 {
+            let upstream = path[path.len() - 2];
+            if let Some(upstream_policy) = policies.get(upstream) {
+                if let Some(c) = upstream_policy.scheme.te_community(TrafficAction::LowerPreference)
+                {
+                    te_target = Some((upstream, c));
                 }
-            } else {
-                // The feeder originates the prefix itself.
-                policy.locprf.customer
-            };
-            attrs.local_pref = Some(local_pref);
+            }
         }
-    }
+        if let Some((_, c)) = te_target {
+            attrs.communities.insert(c);
+        }
 
-    let mut entry = RibEntry::new(
-        // Placeholder peer id; the caller overwrites it with the feeder's
-        // session address for the right plane.
-        bgp_types::PeerId::new(feeder_asn, std::net::IpAddr::V4(Ipv4Addr::UNSPECIFIED)),
-        prefix,
-        attrs,
-    );
-    entry.source = RouteSource::Simulated;
-    let _ = origin;
-    entry
+        // Walk the path from the origin towards the feeder, accumulating
+        // the communities each AS adds at ingress (and dropping foreign
+        // ones at scrubbing ASes).
+        let mut per_as_locations: HashMap<Asn, u16> = HashMap::new();
+        for i in (0..path.len() - 1).rev() {
+            let this_as = path[i];
+            let learned_from = path[i + 1];
+            let Some(policy) = policies.get(this_as) else { continue };
+            if policy.scrubs_foreign_communities {
+                // Keep only communities defined by this AS (the usual
+                // "delete foreign communities" policy), plus the TE
+                // community addressed to an AS we have not reached yet.
+                let own: Vec<bgp_types::Community> =
+                    attrs.communities.defined_by(this_as).collect();
+                let keep_te = te_target.filter(|(target, _)| {
+                    // The TE target is upstream of the origin; once passed
+                    // it is allowed to be scrubbed like anything else.
+                    path.iter().position(|a| a == target).map(|p| p < i).unwrap_or(false)
+                });
+                attrs.communities = own.into_iter().collect();
+                if let Some((_, c)) = keep_te {
+                    attrs.communities.insert(c);
+                }
+            }
+            if let Some(rel) = graph.relationship(this_as, learned_from, plane) {
+                if let Some(c) = policy.ingress_community(rel) {
+                    attrs.communities.insert(c);
+                }
+            }
+            if policy.scheme.location_count > 0
+                && rng.gen_bool(self.sim_config.location_tag_probability)
+            {
+                let index = *per_as_locations
+                    .entry(this_as)
+                    .or_insert_with(|| rng.gen_range(0..policy.scheme.location_count));
+                if let Some(c) = policy.scheme.location_community(index) {
+                    attrs.communities.insert(c);
+                }
+            }
+        }
+
+        // LocPrf: only full feeders expose it; the value is what the
+        // feeder assigned given the relationship towards the neighbor it
+        // learned the route from, or the TE-lowered value if the route
+        // carries the feeder's lower-preference community.
+        if feeder_kind == FeederKind::Full {
+            if let Some(policy) = policies.get(feeder_asn) {
+                let lowered = policy
+                    .scheme
+                    .te_community(TrafficAction::LowerPreference)
+                    .map(|c| attrs.communities.contains(c))
+                    .unwrap_or(false);
+                let local_pref = if path.len() >= 2 {
+                    let learned_from = path[1];
+                    match graph.relationship(feeder_asn, learned_from, plane) {
+                        Some(_) if lowered => policy.locprf.lowered,
+                        Some(rel) => policy.locprf.for_relationship(rel),
+                        None => policy.locprf.provider,
+                    }
+                } else {
+                    // The feeder originates the prefix itself.
+                    policy.locprf.customer
+                };
+                attrs.local_pref = Some(local_pref);
+            }
+        }
+
+        let mut entry = RibEntry::new(peer, prefix, attrs);
+        entry.source = RouteSource::Simulated;
+        entry
+    }
 }
 
 #[cfg(test)]
@@ -839,6 +843,41 @@ mod tests {
         assert_eq!(a.snapshots, b.snapshots, "{what}: snapshots diverged");
         assert_eq!(a.registry, b.registry, "{what}: registry diverged");
         assert_eq!(a.collectors, b.collectors, "{what}: collectors diverged");
+    }
+
+    #[test]
+    fn fused_build_matches_materialising_from_stored_next_hops() {
+        use crate::policy::PolicyScenario;
+        // `Scenario::build` materialises each origin from its live routes
+        // on the worker that walked it; an identity sweep point of a pool
+        // materialises every origin from the next hops its base point
+        // stored. Both must emit the same entries in the same order under
+        // every policy scenario and worker split.
+        let topology = TopologyConfig::tiny();
+        for scenario in [
+            PolicyScenario::Classic,
+            PolicyScenario::RouteLeak,
+            PolicyScenario::PrefixHijack,
+            PolicyScenario::SubprefixHijack,
+        ] {
+            for concurrency in [1usize, 2] {
+                for frontier in [1usize, 2] {
+                    let sim = SimConfig::small()
+                        .with_scenario(scenario)
+                        .with_deployment(0.5)
+                        .with_concurrency(concurrency)
+                        .with_frontier(frontier);
+                    let what =
+                        format!("{scenario:?} concurrency={concurrency} frontier={frontier}");
+                    let fused = Scenario::build(&topology, &sim);
+                    let mut pool = ScenarioPool::new(&topology, &sim);
+                    let stored = pool.scenario_with(|_| {});
+                    assert!(fused.total_rib_entries() > 0, "{what}: no routes");
+                    assert_eq!(pool.propagation_reuses(), 2, "{what}: both planes reused");
+                    assert_same_outputs(&stored, &fused, &what);
+                }
+            }
+        }
     }
 
     #[test]

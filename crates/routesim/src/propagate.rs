@@ -471,7 +471,8 @@ struct Candidate {
 /// order. The reordering is output-invariant: each level's candidate
 /// merge is a per-target minimum over `(path_len, next-hop ASN)` (see
 /// [`better`]), so neither the winners nor the next level's membership
-/// depend on the order the frontier was accumulated in.
+/// depend on the order the frontier was accumulated in. Phase 4 keeps its
+/// leakers in one, and Phase 5 collects the routed borders of its holes.
 struct NodeBitSet {
     words: Vec<u64>,
 }
@@ -485,6 +486,12 @@ impl NodeBitSet {
     fn insert(&mut self, node: NodeId) {
         let i = node.index();
         self.words[i / 64] |= 1u64 << (i % 64);
+    }
+
+    #[inline]
+    fn contains(&self, node: NodeId) -> bool {
+        let i = node.index();
+        self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
     /// Move the set bits into `out` (cleared first) in ascending node-id
@@ -556,13 +563,29 @@ pub fn propagate_origin_with(
 }
 
 /// What every origin of one batch shares: the plane, options and policy
-/// engine, plus the plane's sibling-linked nodes in ascending id order —
-/// the only nodes a sibling closure can ever act on.
+/// engine, plus the plane's edges split by the class the phases read.
+///
+/// * `customers`: each node's customers (`ProviderToCustomer` links), the
+///   only edges Phase 3 carries a route over. A node without customers
+///   cannot export downhill, so Phase 3 never schedules it.
+/// * `annotated`: each node's neighbours over links annotated on the
+///   plane, the only edges Phase 5 relaxes across. Its holes' lists seed
+///   the relaxation heap.
+/// * `siblings`: the sibling-linked nodes in ascending id order, the only
+///   nodes a sibling closure can ever act on.
+///
+/// All three come from one pass over the plane's adjacency, and the two
+/// edge lists keep each node's neighbours in [`AsGraph::neighbors_by_id`]
+/// order. The phases push candidates in that order, so the candidate
+/// sequences, and with them every tie the merges see, are exactly those
+/// of a filtered adjacency scan.
 struct Batch<'a> {
     graph: &'a AsGraph,
     plane: IpVersion,
     options: &'a PropagationOptions,
     engine: &'a PolicyEngine,
+    customers: EdgeClass,
+    annotated: EdgeClass,
     siblings: Vec<NodeId>,
 }
 
@@ -573,15 +596,63 @@ impl<'a> Batch<'a> {
         options: &'a PropagationOptions,
         engine: &'a PolicyEngine,
     ) -> Self {
-        let siblings = (0..graph.node_count() as u32)
-            .map(NodeId)
-            .filter(|&node| {
-                graph
-                    .neighbors_by_id(node, plane)
-                    .any(|(_, rel)| rel == Some(Relationship::SiblingToSibling))
-            })
-            .collect();
-        Batch { graph, plane, options, engine, siblings }
+        let n = graph.node_count();
+        let mut customers = EdgeClass::with_capacity(n, 0);
+        let mut annotated = EdgeClass::with_capacity(n, 2 * graph.plane_edge_count(plane));
+        let mut siblings = Vec::new();
+        for node in graph.nodes() {
+            let mut has_sibling = false;
+            for (next, rel) in graph.neighbors_by_id(node, plane) {
+                let Some(rel) = rel else { continue };
+                annotated.targets.push(next.0);
+                match rel {
+                    Relationship::ProviderToCustomer => customers.targets.push(next.0),
+                    Relationship::SiblingToSibling => has_sibling = true,
+                    _ => {}
+                }
+            }
+            customers.end_node();
+            annotated.end_node();
+            if has_sibling {
+                siblings.push(node);
+            }
+        }
+        Batch { graph, plane, options, engine, customers, annotated, siblings }
+    }
+}
+
+/// One class of a plane's directed edges in CSR form: node `v`'s targets
+/// are `targets[offsets[v]..offsets[v + 1]]`, in adjacency order.
+struct EdgeClass {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl EdgeClass {
+    fn with_capacity(nodes: usize, edges: usize) -> Self {
+        let mut offsets = Vec::with_capacity(nodes + 1);
+        offsets.push(0);
+        EdgeClass { offsets, targets: Vec::with_capacity(edges) }
+    }
+
+    /// Close the current node's run of targets.
+    fn end_node(&mut self) {
+        let end =
+            u32::try_from(self.targets.len()).expect("edge class exceeds the u32 offset space");
+        self.offsets.push(end);
+    }
+
+    /// The node's targets in this class.
+    #[inline]
+    fn of(&self, node: NodeId) -> &[u32] {
+        let i = node.index();
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// True when the node has at least one edge in this class.
+    #[inline]
+    fn any(&self, node: NodeId) -> bool {
+        self.offsets[node.index() + 1] > self.offsets[node.index()]
     }
 }
 
@@ -766,7 +837,11 @@ fn run_walk(
     // path length, and a customer accepting a provider route at level
     // d+1 exports at level d+1. Same-level improvements only change the
     // next hop (never the level), so each node is scheduled exactly once
-    // and the levels can be processed strictly in order.
+    // and the levels can be processed strictly in order. Only nodes with
+    // customers are scheduled and only their customer lists are scanned
+    // (`Batch::customers`, in adjacency order): a node without customers
+    // exports nothing, so dropping it leaves every level's candidate
+    // sequence unchanged.
     {
         let mut buckets: Vec<NodeBitSet> = Vec::new();
         let schedule = |buckets: &mut Vec<NodeBitSet>, level: usize, node: NodeId| {
@@ -775,9 +850,9 @@ fn run_walk(
             }
             buckets[level].insert(node);
         };
-        for id in 0..n as u32 {
-            if let Some(info) = routes.get(NodeId(id)) {
-                schedule(&mut buckets, info.path_len as usize, NodeId(id));
+        for node in graph.nodes().filter(|&node| batch.customers.any(node)) {
+            if let Some(info) = routes.get(node) {
+                schedule(&mut buckets, info.path_len as usize, node);
             }
         }
         let mut frontier: Vec<NodeId> = Vec::new();
@@ -793,11 +868,7 @@ fn run_walk(
             // carry it (class preserved, handled by the closure below).
             let candidates: Vec<(NodeId, NodeId)> =
                 shard_frontier(&frontier, level_workers(workers, frontier.len()), |&node, out| {
-                    for (next, rel) in graph.neighbors_by_id(node, plane) {
-                        if rel == Some(Relationship::ProviderToCustomer) {
-                            out.push((next, node));
-                        }
-                    }
+                    out.extend(batch.customers.of(node).iter().map(|&next| (NodeId(next), node)));
                 });
             let next_len = level as u32;
             for (target, sender) in candidates {
@@ -809,7 +880,7 @@ fn run_walk(
                 };
                 let current = routes.get(target);
                 if admit(target, &cand) && better(current, &cand, graph, RouteClass::Provider) {
-                    if current.is_none() {
+                    if current.is_none() && batch.customers.any(target) {
                         schedule(&mut buckets, next_len as usize, target);
                     }
                     routes.set(target, cand);
@@ -850,20 +921,19 @@ fn run_walk(
         let mut rng = ChaCha8Rng::seed_from_u64(
             options.seed ^ (u64::from(origin.value()) << 20) ^ 0x6c65616b,
         );
-        // Decide leaks against the pre-leak state so adoption cannot cycle.
-        let snapshot = routes.clone();
+        // Leaks are decided against the pre-leak state so adoption cannot
+        // cycle: nothing writes `routes` before the adoption loop below.
         let mut adoptions: Vec<(NodeId, RouteInfo)> = Vec::new();
-        let mut leakers: Vec<bool> = vec![false; n];
-        for id in 0..n as u32 {
-            let node = NodeId(id);
-            let Some(info) = snapshot.get(node) else { continue };
+        let mut leakers = NodeBitSet::new(n);
+        for node in graph.nodes() {
+            let Some(info) = routes.get(node) else { continue };
             if !matches!(info.class, RouteClass::Peer | RouteClass::Provider) {
                 continue;
             }
             if !rng.gen_bool(options.leak_probability) {
                 continue;
             }
-            leakers[node.index()] = true;
+            leakers.insert(node);
             for (next, rel) in graph.neighbors_by_id(node, plane) {
                 // Forbidden exports: to providers and peers.
                 let forbidden = matches!(
@@ -879,7 +949,7 @@ fn run_walk(
                     next_hop: node,
                     taint: RouteTaint { hijacked: info.taint.hijacked, leaked: true },
                 };
-                let adopt = match snapshot.get(next) {
+                let adopt = match routes.get(next) {
                     None => true,
                     // The receiver believes it is a customer/peer route, so
                     // it may replace a provider-learned route.
@@ -896,8 +966,8 @@ fn run_walk(
             .sort_by_key(|(next, cand)| (next.0, cand.path_len, graph.asn(cand.next_hop).value()));
         for (next, cand) in adoptions {
             // Never replace the route of a node that is itself leaking (its
-            // exported route was computed from the snapshot).
-            if leakers[next.index()] || !admit(next, &cand) {
+            // exported route was computed from the pre-leak state).
+            if leakers.contains(next) || !admit(next, &cand) {
                 continue;
             }
             let replace = match routes.get(next) {
@@ -916,29 +986,40 @@ fn run_walk(
     // Relaxation only fills holes and never replaces a route, so a node
     // whose annotated neighbors are all routed now stays without work
     // for the whole phase: only the routed nodes that border a hole
-    // seed the heap. The pop order of the remaining entries is the
-    // heap's total order, so the seeding changes nothing it installs.
+    // seed the heap. They are found from the holes' side, through each
+    // unrouted node's annotated list (`Batch::annotated`): annotation is
+    // symmetric, so a routed node borders a hole exactly when it is on
+    // some hole's list. Holes are few after the strict phases, which is
+    // why this side is cheaper. The seeds enter in ascending id order,
+    // and the pop order of the entries is the heap's total order, so the
+    // seeding changes nothing it installs. Expansion reads the same
+    // lists, in adjacency order.
     if options.reachability_relaxation {
-        let mut heap: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
-        for id in 0..n as u32 {
-            let Some(info) = routes.get(NodeId(id)) else { continue };
-            let borders_hole = graph
-                .neighbors_by_id(NodeId(id), plane)
-                .any(|(next, rel)| rel.is_some() && !routes.is_routed(next));
-            if borders_hole {
-                heap.push(Reverse(Candidate { path_len: info.path_len, tie_break: 0, node: id }));
+        let mut borders = NodeBitSet::new(n);
+        for hole in graph.nodes().filter(|&node| !routes.is_routed(node)) {
+            for &next in batch.annotated.of(hole) {
+                if routes.is_routed(NodeId(next)) {
+                    borders.insert(NodeId(next));
+                }
             }
         }
+        let mut seeds = Vec::new();
+        borders.drain_into(&mut seeds);
+        let mut heap: BinaryHeap<Reverse<Candidate>> = seeds
+            .iter()
+            .map(|&node| {
+                let path_len = routes.get(node).expect("hole borders are routed").path_len;
+                Reverse(Candidate { path_len, tie_break: 0, node: node.0 })
+            })
+            .collect();
         while let Some(Reverse(Candidate { path_len, node, .. })) = heap.pop() {
             let node = NodeId(node);
             let Some(current) = routes.get(node) else { continue };
             if current.path_len < path_len {
                 continue;
             }
-            for (next, rel) in graph.neighbors_by_id(node, plane) {
-                if rel.is_none() {
-                    continue;
-                }
+            for &next in batch.annotated.of(node) {
+                let next = NodeId(next);
                 if routes.is_routed(next) {
                     continue; // relaxation only fills holes
                 }
@@ -1570,6 +1651,71 @@ mod tests {
         assert!(
             propagate_origins(&g, &[], IpVersion::V4, &PropagationOptions::default(), 4).is_empty()
         );
+    }
+
+    #[test]
+    fn batch_edge_classes_equal_the_filtered_adjacency_in_order() {
+        // One-plane links, links present but unannotated on a plane,
+        // links on neither plane, hybrids and a sibling chain, so every
+        // filter of the lists has something to drop.
+        let mut g = AsGraph::new();
+        g.annotate_both(Asn(1), Asn(2), Relationship::ProviderToCustomer);
+        g.annotate_both(Asn(1), Asn(3), Relationship::ProviderToCustomer);
+        g.annotate(Asn(1), Asn(4), IpVersion::V4, Relationship::ProviderToCustomer);
+        g.annotate(Asn(4), Asn(1), IpVersion::V6, Relationship::PeerToPeer);
+        g.annotate(Asn(2), Asn(5), IpVersion::V6, Relationship::ProviderToCustomer);
+        g.observe_link(Asn(2), Asn(6), IpVersion::V4);
+        g.observe_link(Asn(3), Asn(6), IpVersion::V6);
+        g.add_link(Asn(5), Asn(6));
+        g.annotate(Asn(3), Asn(5), IpVersion::V4, Relationship::PeerToPeer);
+        g.observe_link(Asn(3), Asn(5), IpVersion::V6);
+        g.annotate_both(Asn(6), Asn(7), Relationship::SiblingToSibling);
+        g.annotate_both(Asn(7), Asn(8), Relationship::SiblingToSibling);
+        g.annotate(Asn(8), Asn(1), IpVersion::V4, Relationship::CustomerToProvider);
+        g.annotate(Asn(8), Asn(2), IpVersion::V6, Relationship::ProviderToCustomer);
+        g.add_node(Asn(9));
+        let options = PropagationOptions::default();
+        let engine = PolicyEngine::classic();
+        for frozen in [false, true] {
+            if frozen {
+                g.freeze();
+            }
+            for plane in IpVersion::BOTH {
+                let batch = Batch::new(&g, plane, &options, &engine);
+                let filtered = |node: NodeId, keep: &dyn Fn(Option<Relationship>) -> bool| {
+                    g.neighbors_by_id(node, plane)
+                        .filter(|&(_, rel)| keep(rel))
+                        .map(|(next, _)| next.0)
+                        .collect::<Vec<u32>>()
+                };
+                let mut siblings = Vec::new();
+                for node in g.nodes() {
+                    let context = format!("node {node:?}, plane {plane:?}, frozen {frozen}");
+                    assert_eq!(
+                        batch.customers.of(node),
+                        filtered(node, &|rel| rel == Some(Relationship::ProviderToCustomer)),
+                        "customers of {context}"
+                    );
+                    assert_eq!(
+                        batch.customers.any(node),
+                        !batch.customers.of(node).is_empty(),
+                        "{context}"
+                    );
+                    assert_eq!(
+                        batch.annotated.of(node),
+                        filtered(node, &|rel| rel.is_some()),
+                        "annotated neighbours of {context}"
+                    );
+                    if !filtered(node, &|rel| rel == Some(Relationship::SiblingToSibling))
+                        .is_empty()
+                    {
+                        siblings.push(node);
+                    }
+                }
+                assert_eq!(batch.siblings, siblings, "plane {plane:?}, frozen {frozen}");
+                assert!(!batch.siblings.is_empty(), "the chain must show on {plane:?}");
+            }
+        }
     }
 
     #[test]

@@ -344,6 +344,73 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn valley_free_distances_equal_brute_force_shortest_paths(
+        links in prop::collection::vec(
+            (1u32..=12, 1u32..=12, arb_relationship(), any::<bool>()), 1..24
+        )
+    ) {
+        // Some links are present but unannotated: no path may cross them.
+        let mut graph = AsGraph::new();
+        for (a, b, rel, annotated) in &links {
+            if a == b {
+                continue;
+            }
+            if *annotated {
+                graph.annotate(Asn(*a), Asn(*b), IpVersion::V6, *rel);
+            } else {
+                graph.observe_link(Asn(*a), Asn(*b), IpVersion::V6);
+            }
+        }
+        for root in graph.asns() {
+            let fast = valley_free_distances(&graph, root, IpVersion::V6);
+            let oracle = brute_force_valley_free_distances(&graph, root, IpVersion::V6);
+            prop_assert_eq!(fast, oracle, "root {}", root);
+        }
+    }
+}
+
+/// The valley-free distances the obvious way: enumerate every simple path
+/// from `root` over links annotated on `plane`, keep those `is_valley_free`
+/// accepts, and take the fewest hops per destination. Exponential, so
+/// only for the tiny graphs of the proptest above.
+fn brute_force_valley_free_distances(
+    graph: &AsGraph,
+    root: Asn,
+    plane: IpVersion,
+) -> Vec<Option<u32>> {
+    fn extend(
+        graph: &AsGraph,
+        plane: IpVersion,
+        path: &mut Vec<Asn>,
+        rels: &mut Vec<Relationship>,
+        best: &mut [Option<u32>],
+    ) {
+        let last = *path.last().expect("paths start at the root");
+        for (next, rel) in graph.neighbors(last, plane) {
+            let Some(rel) = rel else { continue };
+            if path.contains(&next) {
+                continue;
+            }
+            path.push(next);
+            rels.push(rel);
+            if is_valley_free(rels) {
+                let hops = rels.len() as u32;
+                let slot = &mut best[graph.node(next).expect("neighbours are nodes").index()];
+                if slot.is_none_or(|d| hops < d) {
+                    *slot = Some(hops);
+                }
+            }
+            extend(graph, plane, path, rels, best);
+            path.pop();
+            rels.pop();
+        }
+    }
+    let mut best = vec![None; graph.node_count()];
+    best[graph.node(root).expect("the root is a node").index()] = Some(0);
+    extend(graph, plane, &mut vec![root], &mut Vec::new(), &mut best);
+    best
 }
 
 // ---- sharded execution: parallel == sequential -------------------------

@@ -154,8 +154,36 @@ impl AsPath {
         self.asns().any(|a| a == asn)
     }
 
+    /// All ASNs in order of appearance with path prepending removed,
+    /// walked in place without allocating.
+    ///
+    /// Consecutive duplicates collapse only *inside* one AS_SEQUENCE
+    /// segment. The same ASN on both sides of a segment boundary is
+    /// yielded twice (a boundary is not a prepending run, so
+    /// [`AsPath::has_loop`] reports it), and an AS_SET yields its members
+    /// as stored, duplicates included. The walk equals
+    /// `self.deprepended().asns()`.
+    ///
+    /// ```
+    /// use bgp_types::{AsPath, Asn};
+    /// let p: AsPath = "10 10 20 {20,30} 30 30 40".parse().unwrap();
+    /// let walk: Vec<u32> = p.deprepended_asns().map(|a| a.0).collect();
+    /// assert_eq!(walk, vec![10, 20, 20, 30, 30, 40]);
+    /// ```
+    pub fn deprepended_asns(&self) -> impl Iterator<Item = Asn> + '_ {
+        self.segments.iter().flat_map(|seg| {
+            let asns = seg.asns();
+            let collapse = !seg.is_set();
+            asns.iter()
+                .enumerate()
+                .filter(move |&(i, a)| !(collapse && i > 0 && asns[i - 1] == *a))
+                .map(|(_, &a)| a)
+        })
+    }
+
     /// Remove consecutive duplicate ASNs caused by path prepending,
-    /// returning a new path. Only applies within sequence segments.
+    /// returning a new path. Only applies within sequence segments; the
+    /// allocation-free walk is [`AsPath::deprepended_asns`].
     pub fn deprepended(&self) -> AsPath {
         let segments = self
             .segments
@@ -180,19 +208,19 @@ impl AsPath {
     /// de-prepending — a routing loop artifact that the measurement
     /// pipeline discards.
     pub fn has_loop(&self) -> bool {
-        let flat: Vec<Asn> = self.deprepended().asns().collect();
-        let mut seen = std::collections::HashSet::with_capacity(flat.len());
-        for a in flat {
-            if !seen.insert(a) {
-                return true;
-            }
-        }
-        false
+        has_repeat(self.deprepended_asns())
     }
 
     /// True if the path contains any reserved/private/documentation ASN.
     pub fn has_reserved_asn(&self) -> bool {
         self.asns().any(|a| a.is_reserved())
+    }
+
+    /// True if the path is unusable for topology measurement: empty,
+    /// looping after de-prepending, or carrying a reserved ASN. AS_SET
+    /// paths are usable; link extraction skips the set hops.
+    pub fn is_bogus(&self) -> bool {
+        self.is_empty() || self.has_reserved_asn() || self.has_loop()
     }
 
     /// True if any segment is an AS_SET.
@@ -205,16 +233,15 @@ impl AsPath {
     /// the true adjacency is unknown after aggregation. Pairs are oriented
     /// observation-side first: `(closer to collector, closer to origin)`.
     pub fn links(&self) -> impl Iterator<Item = (Asn, Asn)> + '_ {
-        let dep = self.deprepended();
-        let mut pairs = Vec::new();
-        for seg in dep.segments {
-            if let AsPathSegment::Sequence(v) = seg {
-                for w in v.windows(2) {
-                    pairs.push((w[0], w[1]));
-                }
-            }
-        }
-        pairs.into_iter()
+        // De-prepending a segment and taking its windows keeps exactly the
+        // windows of the raw segment whose two ASNs differ.
+        self.segments
+            .iter()
+            .filter_map(|seg| match seg {
+                AsPathSegment::Sequence(v) => Some(v),
+                AsPathSegment::Set(_) => None,
+            })
+            .flat_map(|v| v.windows(2).filter(|w| w[0] != w[1]).map(|w| (w[0], w[1])))
     }
 
     /// Prepend an ASN at the front (what an AS does when exporting a route
@@ -236,6 +263,32 @@ impl AsPath {
         p.prepend(asn);
         p
     }
+}
+
+/// Walks of up to this many hops are checked for repeats in a stack
+/// buffer; longer ones (rare: real paths have a handful of hops) fall
+/// back to sorting a copy.
+const INLINE_HOPS: usize = 32;
+
+/// True if the walk yields any ASN twice.
+fn has_repeat(mut asns: impl Iterator<Item = Asn>) -> bool {
+    let mut seen = [Asn(0); INLINE_HOPS];
+    let mut len = 0;
+    while let Some(asn) = asns.next() {
+        if seen[..len].contains(&asn) {
+            return true;
+        }
+        if len == INLINE_HOPS {
+            let mut all = seen.to_vec();
+            all.push(asn);
+            all.extend(asns);
+            all.sort_unstable();
+            return all.windows(2).any(|w| w[0] == w[1]);
+        }
+        seen[len] = asn;
+        len += 1;
+    }
+    false
 }
 
 impl fmt::Display for AsPath {

@@ -130,13 +130,10 @@ impl RibEntry {
         self.attrs.as_path.origin()
     }
 
-    /// True if the AS path is unusable for topology measurement: empty,
-    /// loops, or contains reserved ASNs. (AS_SET paths are usable but the
-    /// link extraction skips the set hops.)
+    /// True if the AS path is unusable for topology measurement; see
+    /// [`crate::AsPath::is_bogus`].
     pub fn has_bogus_path(&self) -> bool {
-        self.attrs.as_path.is_empty()
-            || self.attrs.as_path.has_loop()
-            || self.attrs.as_path.has_reserved_asn()
+        self.attrs.as_path.is_bogus()
     }
 }
 

@@ -19,6 +19,7 @@
 //! produces the misinference artifacts on hybrid links.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
@@ -94,25 +95,91 @@ impl BaselineInference {
     }
 }
 
+/// A baseline's input paths interned once: every ASN and every canonical
+/// link (lower ASN first) gets a dense id in first-seen order, and each
+/// hop is recorded by the id of its ASN and of the link to the next hop.
+/// Both baselines read degrees from here, so the two share one definition
+/// of degree: the number of distinct neighbours over the pooled paths.
+#[derive(Default)]
+struct InternedPaths {
+    /// The ASN of each ASN id.
+    asns: Vec<Asn>,
+    /// The endpoints (ASN ids, lower ASN first) of each link id.
+    links: Vec<(u32, u32)>,
+    /// The degree of each ASN id.
+    degree: Vec<usize>,
+    /// The ASN ids of every path, paths concatenated.
+    hops: Vec<u32>,
+    /// Per hop, the link id to the path's next hop (unused on a path's
+    /// last hop).
+    hop_links: Vec<u32>,
+    /// The end of each path in `hops`.
+    ends: Vec<usize>,
+}
+
+impl InternedPaths {
+    fn new(data: &ExtractedData, input: BaselineInput) -> Self {
+        let mut asn_ids: HashMap<Asn, u32> = HashMap::new();
+        let mut link_ids: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut interned = InternedPaths::default();
+        for p in input_paths(data, input) {
+            for (i, &asn) in p.path.iter().enumerate() {
+                let id = intern(&mut asn_ids, &mut interned.asns, asn);
+                if i > 0 {
+                    let prev = *interned.hops.last().expect("pushed for the previous hop");
+                    let key = if p.path[i - 1] <= asn { (prev, id) } else { (id, prev) };
+                    interned.hop_links.push(intern(&mut link_ids, &mut interned.links, key));
+                }
+                interned.hops.push(id);
+            }
+            if !p.path.is_empty() {
+                interned.hop_links.push(u32::MAX);
+            }
+            interned.ends.push(interned.hops.len());
+        }
+        interned.degree = vec![0; interned.asns.len()];
+        for &(a, b) in &interned.links {
+            interned.degree[a as usize] += 1;
+            if a != b {
+                interned.degree[b as usize] += 1;
+            }
+        }
+        interned
+    }
+
+    /// Each path as `(ASN ids, link id per hop)`.
+    fn paths(&self) -> impl Iterator<Item = (&[u32], &[u32])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| (&self.hops[start..end], &self.hop_links[start..end]))
+    }
+
+    /// The degree of an ASN id, at least 1 (the ratio rules divide by it).
+    fn degree_at_least_one(&self, id: u32) -> usize {
+        self.degree[id as usize].max(1)
+    }
+}
+
+/// The dense id of `key`, assigning the next free one (and recording the
+/// key under it in `keys`) on first sight.
+fn intern<K: Copy + Eq + Hash>(ids: &mut HashMap<K, u32>, keys: &mut Vec<K>, key: K) -> u32 {
+    *ids.entry(key).or_insert_with(|| {
+        keys.push(key);
+        u32::try_from(keys.len() - 1).expect("fewer than 2^32 distinct keys")
+    })
+}
+
 /// Gao's algorithm (simplified to its core heuristic).
 pub fn gao_inference(data: &ExtractedData, input: BaselineInput) -> BaselineInference {
-    let paths = input_paths(data, input);
-
-    // Degree = number of distinct neighbors over the pooled paths.
-    let mut neighbors: HashMap<Asn, std::collections::HashSet<Asn>> = HashMap::new();
-    for p in &paths {
-        for w in p.path.windows(2) {
-            neighbors.entry(w[0]).or_default().insert(w[1]);
-            neighbors.entry(w[1]).or_default().insert(w[0]);
-        }
-    }
-    let degree = |asn: Asn| neighbors.get(&asn).map(|s| s.len()).unwrap_or(0);
+    let interned = InternedPaths::new(data, input);
+    let degree = &interned.degree;
 
     // Phase 1: vote on transit direction using the top provider of each path.
-    // votes[(a,b)] = (votes for "a is provider of b", votes for "b is provider of a")
-    let mut votes: HashMap<(Asn, Asn), (usize, usize)> = HashMap::new();
-    for p in &paths {
-        if p.path.len() < 2 {
+    // votes[link] = (votes for "a is provider of b", votes for "b is provider of a")
+    let mut votes: Vec<(usize, usize)> = vec![(0, 0); interned.links.len()];
+    for (hops, hop_links) in interned.paths() {
+        if hops.len() < 2 {
             continue;
         }
         // The path's "top provider" is the first AS of maximal degree.
@@ -121,16 +188,18 @@ pub fn gao_inference(data: &ExtractedData, input: BaselineInput) -> BaselineInfe
         // their own nearer hub, the transit votes on the hub-hub link
         // balance out, and the link is recognised as peering below.
         let mut top_idx = 0;
-        for i in 1..p.path.len() {
-            if degree(p.path[i]) > degree(p.path[top_idx]) {
+        for i in 1..hops.len() {
+            if degree[hops[i] as usize] > degree[hops[top_idx] as usize] {
                 top_idx = i;
             }
         }
-        for (i, w) in p.path.windows(2).enumerate() {
-            let (lo, hi, flipped) = canonical(w[0], w[1]);
-            let entry = votes.entry((lo, hi)).or_insert((0, 0));
-            // Before the top provider the route climbs (w[0] is the customer
-            // of w[1]); after it the route descends.
+        for i in 0..hops.len() - 1 {
+            let link = hop_links[i] as usize;
+            // The link's canonical `a` endpoint is the lower ASN.
+            let flipped = interned.links[link].0 != hops[i];
+            let entry = &mut votes[link];
+            // Before the top provider the route climbs (hop i is the
+            // customer of hop i + 1); after it the route descends.
             let first_is_provider = i >= top_idx;
             let lo_is_provider = first_is_provider != flipped;
             if lo_is_provider {
@@ -144,10 +213,8 @@ pub fn gao_inference(data: &ExtractedData, input: BaselineInput) -> BaselineInfe
     // Phase 2: resolve votes into relationships; near-balanced votes between
     // ASes of comparable degree become peering.
     let mut inference = BaselineInference::default();
-    for ((a, b), (a_provider, b_provider)) in votes {
-        let da = degree(a).max(1);
-        let db = degree(b).max(1);
-        let ratio = da as f64 / db as f64;
+    for (&(a, b), &(a_provider, b_provider)) in interned.links.iter().zip(&votes) {
+        let ratio = interned.degree_at_least_one(a) as f64 / interned.degree_at_least_one(b) as f64;
         let total = a_provider + b_provider;
         let balanced = {
             let hi = a_provider.max(b_provider) as f64;
@@ -161,7 +228,7 @@ pub fn gao_inference(data: &ExtractedData, input: BaselineInput) -> BaselineInfe
         } else {
             Relationship::CustomerToProvider
         };
-        inference.links.insert((a, b), rel);
+        inference.links.insert((interned.asns[a as usize], interned.asns[b as usize]), rel);
     }
     inference
 }
@@ -173,21 +240,10 @@ pub fn degree_heuristic_inference(
     input: BaselineInput,
     peer_ratio: f64,
 ) -> BaselineInference {
-    let paths = input_paths(data, input);
-    let mut neighbors: HashMap<Asn, std::collections::HashSet<Asn>> = HashMap::new();
-    let mut links: std::collections::HashSet<(Asn, Asn)> = std::collections::HashSet::new();
-    for p in &paths {
-        for w in p.path.windows(2) {
-            neighbors.entry(w[0]).or_default().insert(w[1]);
-            neighbors.entry(w[1]).or_default().insert(w[0]);
-            let (lo, hi, _) = canonical(w[0], w[1]);
-            links.insert((lo, hi));
-        }
-    }
-    let degree = |asn: Asn| neighbors.get(&asn).map(|s| s.len()).unwrap_or(0).max(1);
+    let interned = InternedPaths::new(data, input);
     let mut inference = BaselineInference::default();
-    for (a, b) in links {
-        let ratio = degree(a) as f64 / degree(b) as f64;
+    for &(a, b) in &interned.links {
+        let ratio = interned.degree_at_least_one(a) as f64 / interned.degree_at_least_one(b) as f64;
         let rel = if ratio >= peer_ratio {
             Relationship::ProviderToCustomer
         } else if ratio <= 1.0 / peer_ratio {
@@ -195,7 +251,7 @@ pub fn degree_heuristic_inference(
         } else {
             Relationship::PeerToPeer
         };
-        inference.links.insert((a, b), rel);
+        inference.links.insert((interned.asns[a as usize], interned.asns[b as usize]), rel);
     }
     inference
 }

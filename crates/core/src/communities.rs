@@ -31,38 +31,32 @@ pub struct InferredRelationship {
     pub source: InferenceSource,
 }
 
-/// Vote tallies for one link on one plane, before resolution.
+/// Vote tallies for one link on one plane, before resolution, indexed by
+/// `Relationship as usize` (the order of [`Relationship::ALL`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct VoteTally {
-    by_relationship: HashMap<Relationship, usize>,
+    by_relationship: [usize; 4],
 }
 
 impl VoteTally {
     fn add(&mut self, rel: Relationship, weight: usize) {
-        *self.by_relationship.entry(rel).or_insert(0) += weight;
+        self.by_relationship[rel as usize] += weight;
     }
 
     /// Resolve the tally: the relationship with the most votes wins;
     /// exact ties are unresolvable (the paper keeps only links whose
-    /// communities agree).
+    /// communities agree), and so is a tally without a single vote.
     fn resolve(&self) -> Option<(Relationship, usize, usize)> {
-        let total: usize = self.by_relationship.values().sum();
-        let (best_rel, best_votes) = self
-            .by_relationship
-            .iter()
-            .max_by_key(|(rel, votes)| (**votes, std::cmp::Reverse(**rel)))
-            .map(|(r, v)| (*r, *v))?;
-        let runner_up = self
-            .by_relationship
-            .iter()
-            .filter(|(rel, _)| **rel != best_rel)
-            .map(|(_, v)| *v)
-            .max()
-            .unwrap_or(0);
-        if best_votes == runner_up {
+        let votes = &self.by_relationship;
+        let total: usize = votes.iter().sum();
+        let best =
+            (1..votes.len()).fold(0, |best, i| if votes[i] > votes[best] { i } else { best });
+        let runner_up =
+            (0..votes.len()).filter(|&i| i != best).map(|i| votes[i]).max().unwrap_or(0);
+        if votes[best] == runner_up {
             return None; // tie: ambiguous, drop the link
         }
-        Some((best_rel, best_votes, total - best_votes))
+        Some((Relationship::ALL[best], votes[best], total - votes[best]))
     }
 }
 
@@ -98,13 +92,18 @@ impl CommunityInference {
     /// are tallied per (link, plane) and resolved by strict majority.
     pub fn from_snapshot(snapshot: &RibSnapshot, dictionary: &CommunityDictionary) -> Self {
         let mut inference = CommunityInference::default();
+        // One scratch path, refilled only for entries that assert something.
+        let mut path: Vec<Asn> = Vec::new();
         for entry in &snapshot.entries {
-            if entry.has_bogus_path() {
+            let mut assertions =
+                dictionary.relationship_assertions(&entry.attrs.communities).peekable();
+            if assertions.peek().is_none() || entry.has_bogus_path() {
                 continue;
             }
             let plane = entry.plane();
-            let path: Vec<Asn> = entry.attrs.as_path.deprepended().asns().collect();
-            for (tagger, tag) in dictionary.relationship_assertions(&entry.attrs.communities) {
+            path.clear();
+            path.extend(entry.attrs.as_path.deprepended_asns());
+            for (tagger, tag) in assertions {
                 // The tagger must be on the path and must have a neighbor
                 // towards the origin.
                 let Some(pos) = path.iter().position(|a| *a == tagger) else { continue };

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use asgraph::AsGraph;
-use bgp_types::{Asn, IpVersion, RibEntry, RibSnapshot};
+use bgp_types::{Asn, IpVersion, RibSnapshot};
 
 /// One distinct observed AS path on one plane, with how many RIB entries
 /// carried it.
@@ -73,7 +73,10 @@ impl ExtractedData {
 /// AS_SET segments are not extracted because the true adjacency is unknown.
 pub fn extract(snapshot: &RibSnapshot) -> ExtractedData {
     let mut data = ExtractedData::default();
-    let mut seen_paths: HashMap<(IpVersion, Vec<Asn>), usize> = HashMap::new();
+    // Distinct de-prepended paths per plane (v4, v6), looked up by slice
+    // from one scratch buffer so only a new path allocates.
+    let mut seen_paths: [HashMap<Vec<Asn>, usize>; 2] = Default::default();
+    let mut path: Vec<Asn> = Vec::new();
 
     for entry in &snapshot.entries {
         if entry.has_bogus_path() {
@@ -85,18 +88,30 @@ pub fn extract(snapshot: &RibSnapshot) -> ExtractedData {
             IpVersion::V4 => data.entries_v4 += 1,
             IpVersion::V6 => data.entries_v6 += 1,
         }
-        record_entry(&mut data, &mut seen_paths, entry, plane);
+        // Links (pairs inside sequence segments only).
+        for (a, b) in entry.attrs.as_path.links() {
+            data.graph.observe_link(a, b, plane);
+        }
+        // Full flattened path for path-level statistics; paths containing
+        // sets still count as paths (the paper counts them) but their set
+        // members are flattened in stored order.
+        path.clear();
+        path.extend(entry.attrs.as_path.deprepended_asns());
+        let paths = &mut seen_paths[usize::from(plane == IpVersion::V6)];
+        match paths.get_mut(path.as_slice()) {
+            Some(occurrences) => *occurrences += 1,
+            None => {
+                paths.insert(path.clone(), 1);
+            }
+        }
     }
 
-    // Materialise the deduplicated paths.
-    let mut paths: Vec<((IpVersion, Vec<Asn>), usize)> = seen_paths.into_iter().collect();
-    paths.sort_by(|a, b| a.0.cmp(&b.0));
-    for ((plane, path), occurrences) in paths {
-        let observed = ObservedPath { path, occurrences };
-        match plane {
-            IpVersion::V4 => data.paths_v4.push(observed),
-            IpVersion::V6 => data.paths_v6.push(observed),
-        }
+    // Materialise the deduplicated paths, each plane sorted by path.
+    let [v4, v6] = seen_paths;
+    for (paths, out) in [(v4, &mut data.paths_v4), (v6, &mut data.paths_v6)] {
+        let mut paths: Vec<(Vec<Asn>, usize)> = paths.into_iter().collect();
+        paths.sort_unstable();
+        out.extend(paths.into_iter().map(|(path, occurrences)| ObservedPath { path, occurrences }));
     }
 
     // Per-link IPv6 path visibility over *distinct* paths.
@@ -109,28 +124,10 @@ pub fn extract(snapshot: &RibSnapshot) -> ExtractedData {
     data
 }
 
-fn record_entry(
-    data: &mut ExtractedData,
-    seen_paths: &mut HashMap<(IpVersion, Vec<Asn>), usize>,
-    entry: &RibEntry,
-    plane: IpVersion,
-) {
-    let deprepended = entry.attrs.as_path.deprepended();
-    // Links (pairs inside sequence segments only).
-    for (a, b) in entry.attrs.as_path.links() {
-        data.graph.observe_link(a, b, plane);
-    }
-    // Full flattened path for path-level statistics; paths containing sets
-    // still count as paths (the paper counts them) but their set members
-    // are flattened in stored order.
-    let flat: Vec<Asn> = deprepended.asns().collect();
-    *seen_paths.entry((plane, flat)).or_insert(0) += 1;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_types::{CollectorId, PathAttributes, PeerId, Prefix};
+    use bgp_types::{CollectorId, PathAttributes, PeerId, Prefix, RibEntry};
     use std::net::IpAddr;
 
     fn entry(peer_asn: u32, peer_addr: &str, prefix: &str, path: &str) -> RibEntry {

@@ -260,10 +260,6 @@ impl UpdateStream {
     }
 }
 
-fn is_bogus(attrs: &PathAttributes) -> bool {
-    attrs.as_path.is_empty() || attrs.as_path.has_loop() || attrs.as_path.has_reserved_asn()
-}
-
 fn canonical(a: Asn, b: Asn) -> (Asn, Asn) {
     if a <= b {
         (a, b)
@@ -295,8 +291,9 @@ impl ExtractCache {
     /// Seed the cache from a resident table.
     pub fn from_rib(rib: &LiveRib) -> Self {
         let mut cache = ExtractCache::default();
+        let mut path = Vec::new();
         for (prefix, _, attrs) in rib.routes() {
-            cache.add(prefix.version(), attrs);
+            cache.add(prefix.version(), attrs, &mut path);
         }
         cache
     }
@@ -304,16 +301,19 @@ impl ExtractCache {
     /// Fold one route-level change into the counters.
     pub fn apply(&mut self, delta: &RibDelta) {
         let plane = delta.prefix.version();
+        let mut path = Vec::new();
         if let Some(old) = &delta.old {
-            self.remove(plane, old);
+            self.remove(plane, old, &mut path);
         }
         if let Some(new) = &delta.new {
-            self.add(plane, new);
+            self.add(plane, new, &mut path);
         }
     }
 
-    fn add(&mut self, plane: IpVersion, attrs: &PathAttributes) {
-        if is_bogus(attrs) {
+    /// Count one route in. `path` is scratch space for its de-prepended
+    /// path; a path's key is allocated only when the path is new.
+    fn add(&mut self, plane: IpVersion, attrs: &PathAttributes, path: &mut Vec<Asn>) {
+        if attrs.as_path.is_bogus() {
             self.discarded += 1;
             return;
         }
@@ -321,19 +321,23 @@ impl ExtractCache {
             IpVersion::V4 => self.entries_v4 += 1,
             IpVersion::V6 => self.entries_v6 += 1,
         }
-        let flat: Vec<Asn> = attrs.as_path.deprepended().asns().collect();
+        path.clear();
+        path.extend(attrs.as_path.deprepended_asns());
         let paths = match plane {
             IpVersion::V4 => &mut self.paths_v4,
             IpVersion::V6 => &mut self.paths_v6,
         };
-        let occurrences = paths.entry(flat.clone()).or_insert(0);
-        *occurrences += 1;
-        if *occurrences == 1 && plane == IpVersion::V6 {
-            // A new distinct IPv6 path raises the visibility of every
-            // link it traverses — over flattened hops, exactly as
-            // `extract` counts them.
-            for pair in flat.windows(2) {
-                *self.v6_path_links.entry(canonical(pair[0], pair[1])).or_insert(0) += 1;
+        if let Some(occurrences) = paths.get_mut(path.as_slice()) {
+            *occurrences += 1;
+        } else {
+            paths.insert(path.clone(), 1);
+            if plane == IpVersion::V6 {
+                // A new distinct IPv6 path raises the visibility of every
+                // link it traverses — over flattened hops, exactly as
+                // `extract` counts them.
+                for pair in path.windows(2) {
+                    *self.v6_path_links.entry(canonical(pair[0], pair[1])).or_insert(0) += 1;
+                }
             }
         }
         let links = match plane {
@@ -345,8 +349,9 @@ impl ExtractCache {
         }
     }
 
-    fn remove(&mut self, plane: IpVersion, attrs: &PathAttributes) {
-        if is_bogus(attrs) {
+    /// Count one route out; `path` as in [`ExtractCache::add`].
+    fn remove(&mut self, plane: IpVersion, attrs: &PathAttributes, path: &mut Vec<Asn>) {
+        if attrs.as_path.is_bogus() {
             self.discarded -= 1;
             return;
         }
@@ -354,17 +359,18 @@ impl ExtractCache {
             IpVersion::V4 => self.entries_v4 -= 1,
             IpVersion::V6 => self.entries_v6 -= 1,
         }
-        let flat: Vec<Asn> = attrs.as_path.deprepended().asns().collect();
+        path.clear();
+        path.extend(attrs.as_path.deprepended_asns());
         let paths = match plane {
             IpVersion::V4 => &mut self.paths_v4,
             IpVersion::V6 => &mut self.paths_v6,
         };
-        let occurrences = paths.get_mut(&flat).expect("removed path was added");
+        let occurrences = paths.get_mut(path.as_slice()).expect("removed path was added");
         *occurrences -= 1;
         if *occurrences == 0 {
-            paths.remove(&flat);
+            paths.remove(path.as_slice());
             if plane == IpVersion::V6 {
-                for pair in flat.windows(2) {
+                for pair in path.windows(2) {
                     let key = canonical(pair[0], pair[1]);
                     let count = self.v6_path_links.get_mut(&key).expect("counted on add");
                     *count -= 1;

@@ -9,12 +9,19 @@
 //! traffic-engineering community* — and then applies the learned mapping
 //! to that feeder's remaining routes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use bgp_types::{Asn, IpVersion, Relationship, RibSnapshot};
+use bgp_types::{Asn, IpVersion, Relationship, RibEntry, RibSnapshot};
 use irr::CommunityDictionary;
 
 use crate::communities::CommunityInference;
+
+/// The feeder (first ASN) and its first hop (second ASN) of an entry's
+/// de-prepended path, read without collecting the path.
+fn feeder_and_first_hop(entry: &RibEntry) -> Option<(Asn, Asn)> {
+    let mut hops = entry.attrs.as_path.deprepended_asns();
+    Some((hops.next()?, hops.next()?))
+}
 
 /// The learned per-feeder LocPrf → relationship mappings.
 #[derive(Debug, Clone, Default)]
@@ -38,9 +45,9 @@ impl LocPrfRosetta {
         inference: &CommunityInference,
     ) -> Self {
         let mut rosetta = LocPrfRosetta::default();
-        // (feeder, plane, locpref) -> set of relationships seen
-        let mut observations: HashMap<(Asn, IpVersion, u32), HashSet<Relationship>> =
-            HashMap::new();
+        // (feeder, plane, locpref) -> relationships seen, one bit per
+        // `Relationship as usize`
+        let mut observations: HashMap<(Asn, IpVersion, u32), u8> = HashMap::new();
         for entry in &snapshot.entries {
             if entry.has_bogus_path() {
                 continue;
@@ -50,20 +57,15 @@ impl LocPrfRosetta {
                 rosetta.te_filtered_routes += 1;
                 continue;
             }
-            let path: Vec<Asn> = entry.attrs.as_path.deprepended().asns().collect();
-            if path.len() < 2 {
-                continue;
-            }
-            let feeder = path[0];
-            let first_hop = path[1];
+            let Some((feeder, first_hop)) = feeder_and_first_hop(entry) else { continue };
             let plane = entry.plane();
             // Only community-validated first hops teach us anything.
             let Some(rel) = inference.relationship(feeder, first_hop, plane) else { continue };
-            observations.entry((feeder, plane, locpref)).or_default().insert(rel);
+            *observations.entry((feeder, plane, locpref)).or_default() |= 1 << rel as u8;
         }
         for (key, rels) in observations {
-            if rels.len() == 1 {
-                rosetta.mappings.insert(key, rels.into_iter().next().unwrap());
+            if rels.count_ones() == 1 {
+                rosetta.mappings.insert(key, Relationship::ALL[rels.trailing_zeros() as usize]);
             } else {
                 rosetta.ambiguous += 1;
             }
@@ -100,12 +102,7 @@ impl LocPrfRosetta {
             if dictionary.has_locpref_tainting_community(&entry.attrs.communities) {
                 continue;
             }
-            let path: Vec<Asn> = entry.attrs.as_path.deprepended().asns().collect();
-            if path.len() < 2 {
-                continue;
-            }
-            let feeder = path[0];
-            let first_hop = path[1];
+            let Some((feeder, first_hop)) = feeder_and_first_hop(entry) else { continue };
             let plane = entry.plane();
             let Some(rel) = self.lookup(feeder, plane, locpref) else { continue };
             if inference.add_locpref_inference(feeder, first_hop, plane, rel) {

@@ -88,17 +88,14 @@ impl CommunityDictionary {
     /// path; each documented relationship community is one assertion about
     /// the link between its *defining* AS and the neighbor that AS learned
     /// the route from.
-    pub fn relationship_assertions(
-        &self,
-        communities: &CommunitySet,
-    ) -> Vec<(Asn, RelationshipTag)> {
-        let mut out = Vec::new();
-        for community in communities.iter() {
-            if let Some(CommunityMeaning::Relationship(tag)) = self.lookup(community) {
-                out.push((community.asn(), tag));
-            }
-        }
-        out
+    pub fn relationship_assertions<'a>(
+        &'a self,
+        communities: &'a CommunitySet,
+    ) -> impl Iterator<Item = (Asn, RelationshipTag)> + 'a {
+        communities.iter().filter_map(|community| match self.lookup(community) {
+            Some(CommunityMeaning::Relationship(tag)) => Some((community.asn(), tag)),
+            _ => None,
+        })
     }
 
     /// True if any community on the route is documented as a
@@ -185,7 +182,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let assertions = d.relationship_assertions(&communities);
+        let assertions: Vec<_> = d.relationship_assertions(&communities).collect();
         assert_eq!(assertions, vec![(Asn(2914), RelationshipTag::FromPeer)]);
         assert!(!d.has_locpref_tainting_community(&communities));
 

@@ -3,8 +3,11 @@
 //! annotated graph, the valley-free rule, the parallel-equals-sequential
 //! contract of the sharded execution layer, the Figure 2 sweep engine
 //! against a memo-free oracle, the scenario pool's propagation reuse
-//! rule, and the MRT decoders and pipeline under hostile input.
+//! rule, the MRT decoders and pipeline under hostile input, and the
+//! allocation-free AS path walk, vote tally and baseline kernels against
+//! their allocating hash-map forms.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -19,14 +22,19 @@ use hybrid_as_rel::prelude::{Scenario, SimConfig, TopologyConfig};
 use hybrid_as_rel::sim::propagate::{propagate_origins, PropagationOptions};
 use hybrid_as_rel::sim::{PolicyDeployment, PolicyScenario, ScenarioPool, UpdateStreamConfig};
 use hybrid_as_rel::topology::HybridClass;
+use hybrid_as_rel::tor::baselines::{
+    degree_heuristic_inference, gao_inference, BaselineInference, BaselineInput,
+};
+use hybrid_as_rel::tor::communities::{CommunityInference, InferenceSource, InferredRelationship};
+use hybrid_as_rel::tor::extract::{ExtractedData, ObservedPath};
 use hybrid_as_rel::tor::hybrid::HybridFinding;
 use hybrid_as_rel::tor::impact::{
     correction_sweep_in, CorrectionStep, ImpactOptions, SweepCache, SweepOptions,
 };
 use hybrid_as_rel::tor::ingest::{ApplyStats, LiveRib, UpdateStream};
 use hybrid_as_rel::types::{
-    AsPath, Asn, Community, CommunitySet, IpVersion, PathAttributes, Prefix, Relationship,
-    RelationshipPair,
+    AsPath, AsPathSegment, Asn, Community, CommunitySet, IpVersion, PathAttributes, PeerId, Prefix,
+    Relationship, RelationshipPair, RibEntry,
 };
 
 fn arb_relationship() -> impl Strategy<Value = Relationship> {
@@ -943,6 +951,370 @@ proptest! {
             }
             run_pipeline(scenario, live.snapshot());
         }
+    }
+}
+
+// ---- the allocation-free path walk and the kernels built on it -------------
+//
+// Each `reference_*` function below is the straightforward allocating form
+// of a path or inference kernel: de-prepend into a fresh path, flatten,
+// hash. The rewritten kernels must agree with them exactly.
+
+/// One generated AS path segment: `(is_set, starts_with_previous_asn,
+/// [(asn seed, run length)])`.
+type SegmentSpec = (bool, bool, Vec<(u32, usize)>);
+
+fn arb_segments(max_runs: usize) -> impl Strategy<Value = Vec<SegmentSpec>> {
+    prop::collection::vec(
+        (
+            any::<bool>(),
+            any::<bool>(),
+            prop::collection::vec((any::<u32>(), 1usize..4), 0..max_runs),
+        ),
+        0..4,
+    )
+}
+
+/// Build a path from generated segments: a small ASN alphabet (so runs,
+/// loops and repeats across segment boundaries are common) or a large one
+/// (so long loop-free paths exist), with an occasional reserved ASN.
+/// Prepending runs appear inside both sequences and sets, and a segment
+/// may open with the ASN that closed the one before it.
+fn build_path(small_alphabet: bool, specs: &[SegmentSpec]) -> AsPath {
+    let to_asn = |seed: u32| match seed % 211 {
+        0 => Asn(64_512 + seed % 100),
+        _ if small_alphabet => Asn(1 + seed % 8),
+        _ => Asn(1 + seed % 1_000_000),
+    };
+    let mut segments = Vec::new();
+    let mut last: Option<Asn> = None;
+    for (is_set, repeat_boundary, runs) in specs {
+        let mut asns = Vec::new();
+        if let (true, Some(prev)) = (*repeat_boundary, last) {
+            asns.push(prev);
+        }
+        for &(seed, run) in runs {
+            asns.extend(std::iter::repeat_n(to_asn(seed), run));
+        }
+        asns.truncate(AsPath::MAX_SEGMENT_LEN);
+        last = asns.last().copied().or(last);
+        segments.push(if *is_set {
+            AsPathSegment::Set(asns)
+        } else {
+            AsPathSegment::Sequence(asns)
+        });
+    }
+    AsPath::from_segments(segments).expect("within wire limits")
+}
+
+fn reference_deprepended_segments(path: &AsPath) -> Vec<AsPathSegment> {
+    path.segments()
+        .iter()
+        .map(|seg| match seg {
+            AsPathSegment::Sequence(v) => {
+                let mut out: Vec<Asn> = Vec::new();
+                for &a in v {
+                    if out.last() != Some(&a) {
+                        out.push(a);
+                    }
+                }
+                AsPathSegment::Sequence(out)
+            }
+            AsPathSegment::Set(v) => AsPathSegment::Set(v.clone()),
+        })
+        .collect()
+}
+
+fn reference_deprepended_asns(path: &AsPath) -> Vec<Asn> {
+    reference_deprepended_segments(path).iter().flat_map(|s| s.asns().to_vec()).collect()
+}
+
+fn reference_has_loop(path: &AsPath) -> bool {
+    let mut seen = HashSet::new();
+    reference_deprepended_asns(path).into_iter().any(|a| !seen.insert(a))
+}
+
+fn reference_links(path: &AsPath) -> Vec<(Asn, Asn)> {
+    let mut pairs = Vec::new();
+    for seg in reference_deprepended_segments(path) {
+        if let AsPathSegment::Sequence(v) = seg {
+            pairs.extend(v.windows(2).map(|w| (w[0], w[1])));
+        }
+    }
+    pairs
+}
+
+fn reference_is_bogus(path: &AsPath) -> bool {
+    path.is_empty() || reference_has_loop(path) || path.asns().any(|a| a.is_reserved())
+}
+
+/// Gao's heuristic with a hash map per quantity, as first written.
+fn reference_gao(paths: &[&ObservedPath]) -> Vec<(Asn, Asn, Relationship)> {
+    let mut neighbors: HashMap<Asn, HashSet<Asn>> = HashMap::new();
+    for p in paths {
+        for w in p.path.windows(2) {
+            neighbors.entry(w[0]).or_default().insert(w[1]);
+            neighbors.entry(w[1]).or_default().insert(w[0]);
+        }
+    }
+    let degree = |asn: Asn| neighbors.get(&asn).map(|s| s.len()).unwrap_or(0);
+    let mut votes: HashMap<(Asn, Asn), (usize, usize)> = HashMap::new();
+    for p in paths {
+        if p.path.len() < 2 {
+            continue;
+        }
+        let mut top_idx = 0;
+        for i in 1..p.path.len() {
+            if degree(p.path[i]) > degree(p.path[top_idx]) {
+                top_idx = i;
+            }
+        }
+        for (i, w) in p.path.windows(2).enumerate() {
+            let flipped = w[0] > w[1];
+            let key = if flipped { (w[1], w[0]) } else { (w[0], w[1]) };
+            let entry = votes.entry(key).or_insert((0, 0));
+            if (i >= top_idx) != flipped {
+                entry.0 += 1;
+            } else {
+                entry.1 += 1;
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for ((a, b), (a_provider, b_provider)) in votes {
+        let ratio = degree(a).max(1) as f64 / degree(b).max(1) as f64;
+        let total = a_provider + b_provider;
+        let balanced = total > 0 && a_provider.max(b_provider) as f64 / total as f64 <= 0.6;
+        let rel = if balanced && (0.2..=5.0).contains(&ratio) {
+            Relationship::PeerToPeer
+        } else if a_provider >= b_provider {
+            Relationship::ProviderToCustomer
+        } else {
+            Relationship::CustomerToProvider
+        };
+        out.push((a, b, rel));
+    }
+    out.sort();
+    out
+}
+
+/// The degree-ratio heuristic with hash-set neighbour sets.
+fn reference_degree_heuristic(
+    paths: &[&ObservedPath],
+    peer_ratio: f64,
+) -> Vec<(Asn, Asn, Relationship)> {
+    let mut neighbors: HashMap<Asn, HashSet<Asn>> = HashMap::new();
+    let mut links = HashSet::new();
+    for p in paths {
+        for w in p.path.windows(2) {
+            neighbors.entry(w[0]).or_default().insert(w[1]);
+            neighbors.entry(w[1]).or_default().insert(w[0]);
+            links.insert(if w[0] <= w[1] { (w[0], w[1]) } else { (w[1], w[0]) });
+        }
+    }
+    let degree = |asn: Asn| neighbors[&asn].len().max(1);
+    let mut out: Vec<_> = links
+        .into_iter()
+        .map(|(a, b)| {
+            let ratio = degree(a) as f64 / degree(b) as f64;
+            let rel = if ratio >= peer_ratio {
+                Relationship::ProviderToCustomer
+            } else if ratio <= 1.0 / peer_ratio {
+                Relationship::CustomerToProvider
+            } else {
+                Relationship::PeerToPeer
+            };
+            (a, b, rel)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+fn sorted_baseline(inference: &BaselineInference) -> Vec<(Asn, Asn, Relationship)> {
+    let mut links: Vec<_> = inference.iter().collect();
+    links.sort();
+    links
+}
+
+type LinkKey = (Asn, Asn, IpVersion);
+
+/// `CommunityInference`'s vote bookkeeping with a hash-map tally per link.
+#[derive(Default)]
+struct ReferenceInference {
+    links: HashMap<LinkKey, InferredRelationship>,
+    tallies: HashMap<LinkKey, HashMap<Relationship, usize>>,
+    conflicted_links: usize,
+}
+
+impl ReferenceInference {
+    fn key(from: Asn, to: Asn, plane: IpVersion, rel: Relationship) -> (LinkKey, Relationship) {
+        if from <= to {
+            ((from, to, plane), rel)
+        } else {
+            ((to, from, plane), rel.reverse())
+        }
+    }
+
+    fn add_vote(&mut self, from: Asn, to: Asn, plane: IpVersion, rel: Relationship, weight: usize) {
+        let (key, rel) = Self::key(from, to, plane, rel);
+        *self.tallies.entry(key).or_default().entry(rel).or_insert(0) += weight;
+    }
+
+    fn add_locpref_inference(
+        &mut self,
+        from: Asn,
+        to: Asn,
+        plane: IpVersion,
+        rel: Relationship,
+    ) -> bool {
+        let (key, rel) = Self::key(from, to, plane, rel);
+        if self.links.contains_key(&key) || self.tallies.contains_key(&key) {
+            return false;
+        }
+        let inferred = InferredRelationship {
+            relationship: rel,
+            votes: 1,
+            dissent: 0,
+            source: InferenceSource::LocalPref,
+        };
+        self.links.insert(key, inferred);
+        true
+    }
+
+    fn resolve(tally: &HashMap<Relationship, usize>) -> Option<(Relationship, usize, usize)> {
+        let total: usize = tally.values().sum();
+        let (best_rel, best_votes) = tally
+            .iter()
+            .max_by_key(|(rel, votes)| (**votes, std::cmp::Reverse(**rel)))
+            .map(|(r, v)| (*r, *v))?;
+        let runner_up =
+            tally.iter().filter(|(rel, _)| **rel != best_rel).map(|(_, v)| *v).max().unwrap_or(0);
+        if best_votes == runner_up {
+            return None;
+        }
+        Some((best_rel, best_votes, total - best_votes))
+    }
+
+    fn resolve_all(&mut self) {
+        self.conflicted_links = 0;
+        let tallies = &self.tallies;
+        self.links.retain(|key, link| {
+            link.source == InferenceSource::LocalPref && !tallies.contains_key(key)
+        });
+        for (key, tally) in tallies {
+            match Self::resolve(tally) {
+                Some((relationship, votes, dissent)) => {
+                    let source = InferenceSource::Communities;
+                    self.links.insert(
+                        *key,
+                        InferredRelationship { relationship, votes, dissent, source },
+                    );
+                }
+                None => self.conflicted_links += 1,
+            }
+        }
+    }
+
+    fn sorted_links(&self) -> Vec<(LinkKey, InferredRelationship)> {
+        let mut links: Vec<_> = self.links.iter().map(|(k, v)| (*k, *v)).collect();
+        links.sort_by_key(|(key, _)| *key);
+        links
+    }
+}
+
+fn arb_observed_paths() -> impl Strategy<Value = Vec<ObservedPath>> {
+    prop::collection::vec(
+        (prop::collection::vec(1u32..9, 0..7), 1usize..4).prop_map(|(asns, occurrences)| {
+            ObservedPath { path: asns.into_iter().map(Asn).collect(), occurrences }
+        }),
+        0..24,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn path_walk_matches_the_allocating_reference(
+        small_alphabet in any::<bool>(),
+        specs in prop_oneof![arb_segments(6).boxed(), arb_segments(120).boxed()],
+    ) {
+        let path = build_path(small_alphabet, &specs);
+        let walk: Vec<Asn> = path.deprepended_asns().collect();
+        prop_assert_eq!(&walk, &reference_deprepended_asns(&path));
+        prop_assert_eq!(path.deprepended().asns().collect::<Vec<_>>(), walk);
+        prop_assert_eq!(path.has_loop(), reference_has_loop(&path));
+        prop_assert_eq!(path.links().collect::<Vec<_>>(), reference_links(&path));
+        prop_assert_eq!(path.is_bogus(), reference_is_bogus(&path));
+        let entry = RibEntry::new(
+            PeerId::new(Asn(1), "192.0.2.1".parse().unwrap()),
+            "198.51.100.0/24".parse().unwrap(),
+            PathAttributes::with_path(path.clone()),
+        );
+        prop_assert_eq!(entry.has_bogus_path(), reference_is_bogus(&path));
+    }
+
+    #[test]
+    fn interned_baselines_match_the_hash_map_reference(
+        paths_v4 in arb_observed_paths(),
+        paths_v6 in arb_observed_paths(),
+        peer_ratio_quarters in 4u32..17,
+    ) {
+        let peer_ratio = f64::from(peer_ratio_quarters) / 4.0;
+        let data = ExtractedData { paths_v4, paths_v6, ..Default::default() };
+        for input in [
+            BaselineInput::SinglePlane(IpVersion::V4),
+            BaselineInput::SinglePlane(IpVersion::V6),
+            BaselineInput::BothPlanes,
+        ] {
+            let paths: Vec<&ObservedPath> = match input {
+                BaselineInput::SinglePlane(plane) => data.paths(plane).iter().collect(),
+                BaselineInput::BothPlanes => data.paths_v4.iter().chain(&data.paths_v6).collect(),
+            };
+            prop_assert_eq!(sorted_baseline(&gao_inference(&data, input)), reference_gao(&paths));
+            prop_assert_eq!(
+                sorted_baseline(&degree_heuristic_inference(&data, input, peer_ratio)),
+                reference_degree_heuristic(&paths, peer_ratio)
+            );
+        }
+    }
+
+    #[test]
+    fn vote_tally_matches_the_hash_map_reference(
+        // (kind, from, to, v6, rel, weight): kinds 0–5 add a vote, 6–8 a
+        // LocPrf inference, 9 re-resolves.
+        ops in prop::collection::vec(
+            (0u8..10, 1u32..6, 1u32..6, any::<bool>(), arb_relationship(), 0usize..3),
+            0..48,
+        ),
+    ) {
+        let mut inference = CommunityInference::default();
+        let mut reference = ReferenceInference::default();
+        for &(kind, from, to, v6, rel, weight) in &ops {
+            let (from, to) = (Asn(from), Asn(to));
+            let plane = if v6 { IpVersion::V6 } else { IpVersion::V4 };
+            match kind {
+                0..=5 => {
+                    inference.add_vote(from, to, plane, rel, weight);
+                    reference.add_vote(from, to, plane, rel, weight);
+                }
+                6..=8 => prop_assert_eq!(
+                    inference.add_locpref_inference(from, to, plane, rel),
+                    reference.add_locpref_inference(from, to, plane, rel)
+                ),
+                _ => {
+                    inference.resolve_all();
+                    reference.resolve_all();
+                }
+            }
+        }
+        inference.resolve_all();
+        reference.resolve_all();
+        let mut links: Vec<_> = inference.iter().map(|(a, b, plane, link)| ((a, b, plane), *link)).collect();
+        links.sort_by_key(|(key, _)| *key);
+        prop_assert_eq!(links, reference.sorted_links());
+        prop_assert_eq!(inference.conflicted_links, reference.conflicted_links);
     }
 }
 

@@ -642,11 +642,7 @@ impl TemporalSweep {
         stream: &UpdateStream,
     ) -> Vec<WindowOutcome> {
         let mut live = LiveRib::from_snapshot(base);
-        let policy = if self.pipeline.options.sweep.removal_repair {
-            RemovalPolicy::Repair
-        } else {
-            RemovalPolicy::Rebuild
-        };
+        let policy = self.pipeline.options.sweep.removal_policy();
         let mut caches = self.incremental.then(|| IngestCaches::from_rib(&live, policy));
         let mut outcomes = Vec::with_capacity(stream.len());
         for window in stream.windows() {

@@ -144,20 +144,14 @@ impl<'a> PipelineInputBuilder<'a> {
                 ))
             }
             InputSource::Scenario(scenario) => {
+                // The caller builds the dictionary, so pooling gets one
+                // worker less to keep the total at the budget.
                 let workers = options.workers();
-                let (snapshot, dictionary) = if workers > 1 {
-                    std::thread::scope(|scope| {
-                        // The main thread builds the dictionary, so pooling
-                        // gets one worker less to keep the total at the
-                        // budget.
-                        let pool_workers = workers - 1;
-                        let pooled = scope.spawn(move || scenario.pooled_snapshot(pool_workers));
-                        let dictionary = scenario.registry.build_dictionary();
-                        (pooled.join().expect("snapshot pooling worker panicked"), dictionary)
-                    })
-                } else {
-                    (scenario.pooled_snapshot(1), scenario.registry.build_dictionary())
-                };
+                let (snapshot, dictionary) = routesim::join(
+                    workers,
+                    || scenario.pooled_snapshot((workers - 1).max(1)),
+                    || scenario.registry.build_dictionary(),
+                );
                 PipelineInput { snapshot, dictionary, truth: Some(scenario.truth.clone()) }
             }
             InputSource::Files { mrt, registry } => {
@@ -165,19 +159,10 @@ impl<'a> PipelineInputBuilder<'a> {
                     mrt::read_snapshot_from_path(path)
                         .map_err(|e| std::io::Error::other(e.to_string()))
                 };
-                let workers = options.workers();
+                // The first failing file in input order is the error.
                 let mut snapshot = RibSnapshot::default();
-                if workers <= 1 || mrt.len() <= 1 {
-                    // Sequential: stop at the first failing file.
-                    for path in &mrt {
-                        snapshot.merge(read(path)?);
-                    }
-                } else {
-                    let parsed: Vec<Result<RibSnapshot, std::io::Error>> =
-                        routesim::shard_map(&mrt, workers, read);
-                    for snap in parsed {
-                        snapshot.merge(snap?);
-                    }
+                for parsed in routesim::shard_map(&mrt, options.workers(), read) {
+                    snapshot.merge(parsed?);
                 }
                 let registry = IrrRegistry::load(registry)?;
                 PipelineInput { snapshot, dictionary: registry.build_dictionary(), truth: None }
@@ -397,17 +382,14 @@ impl Pipeline {
         //      scans of the pooled snapshot. A streaming session skips the
         //      extraction scan entirely: the counters were maintained
         //      route-by-route as updates applied.
-        let (mut data, mut inference) = if let Some(cache) = extract_cache {
-            (cache.materialize(), CommunityInference::from_snapshot(&snapshot, &dictionary))
-        } else if workers > 1 {
-            std::thread::scope(|scope| {
-                let extracted = scope.spawn(|| extract(&snapshot));
-                let inference = CommunityInference::from_snapshot(&snapshot, &dictionary);
-                (extracted.join().expect("extraction worker panicked"), inference)
-            })
-        } else {
-            (extract(&snapshot), CommunityInference::from_snapshot(&snapshot, &dictionary))
-        };
+        let (mut data, mut inference) = routesim::join(
+            workers,
+            || match extract_cache {
+                Some(cache) => cache.materialize(),
+                None => extract(&snapshot),
+            },
+            || CommunityInference::from_snapshot(&snapshot, &dictionary),
+        );
         if self.options.csr {
             // Freeze once the graph is structurally complete; every later
             // stage only *annotates* (which the frozen mirror absorbs in
@@ -427,43 +409,22 @@ impl Pipeline {
         // 4+5+7a. Hybrid detection, valley analysis and the Gao baseline
         //         all read (data, inference) without touching each other.
         //         The caller thread counts against the worker budget, so
-        //         only spawn up to `workers - 1` helpers.
-        let (hybrids, (valleys, annotated), baseline) = if workers > 2 {
-            std::thread::scope(|scope| {
-                let hybrids = scope.spawn(|| detect_hybrids(&data, &inference));
-                let valleys = scope.spawn(|| {
-                    let mut annotated = data.graph.clone();
-                    inference.annotate_graph(&mut annotated);
-                    (run_valley_stage(&data, &annotated, valley_cache), annotated)
-                });
-                let baseline = gao_inference(&data, BaselineInput::BothPlanes);
-                (
-                    hybrids.join().expect("hybrid detection worker panicked"),
-                    valleys.join().expect("valley analysis worker panicked"),
-                    baseline,
+        //         the inner fan-out gets one worker less.
+        let (hybrids, ((valleys, annotated), baseline)) = routesim::join(
+            workers,
+            || detect_hybrids(&data, &inference),
+            || {
+                routesim::join(
+                    workers - 1,
+                    || {
+                        let mut annotated = data.graph.clone();
+                        inference.annotate_graph(&mut annotated);
+                        (run_valley_stage(&data, &annotated, valley_cache), annotated)
+                    },
+                    || gao_inference(&data, BaselineInput::BothPlanes),
                 )
-            })
-        } else if workers > 1 {
-            std::thread::scope(|scope| {
-                let hybrids = scope.spawn(|| detect_hybrids(&data, &inference));
-                let mut annotated = data.graph.clone();
-                inference.annotate_graph(&mut annotated);
-                let valleys = run_valley_stage(&data, &annotated, valley_cache);
-                let baseline = gao_inference(&data, BaselineInput::BothPlanes);
-                (
-                    hybrids.join().expect("hybrid detection worker panicked"),
-                    (valleys, annotated),
-                    baseline,
-                )
-            })
-        } else {
-            let hybrids = detect_hybrids(&data, &inference);
-            let mut annotated = data.graph.clone();
-            inference.annotate_graph(&mut annotated);
-            let valleys = run_valley_stage(&data, &annotated, valley_cache);
-            let baseline = gao_inference(&data, BaselineInput::BothPlanes);
-            (hybrids, (valleys, annotated), baseline)
-        };
+            },
+        );
 
         // 6. Dataset summary.
         let dual_stack_classified_both = data
@@ -664,7 +625,6 @@ mod tests {
 
     #[test]
     fn missing_files_surface_an_error() {
-        // Both the sequential and the sharded file parse surface the error.
         for options in [PipelineOptions::sequential(), PipelineOptions::with_concurrency(2)] {
             let result = PipelineInput::builder()
                 .files(&["/nonexistent/a.mrt", "/nonexistent/b.mrt"], "/nonexistent/irr.txt")

@@ -7,7 +7,7 @@
 //!
 //! The listen address and execution knobs come from the environment
 //! (`HYBRID_ADDR`, `HYBRID_BATCH`, `HYBRID_EPOCH_CHECK_MS`,
-//! `HYBRID_WORKERS`); see the repository README's "Resident service"
+//! `HYBRID_THREADS`); see the repository README's "Resident service"
 //! section.
 
 use std::io::Write;

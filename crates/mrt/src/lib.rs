@@ -52,8 +52,6 @@ pub mod writer;
 
 pub use bgp4mp::Bgp4mpMessage;
 pub use error::MrtError;
-pub use reader::{
-    read_snapshot, read_snapshot_bytes, read_snapshot_from_path, MrtBytesReader, MrtReader,
-};
+pub use reader::{read_snapshot, read_snapshot_bytes, read_snapshot_from_path, MrtBytesReader};
 pub use record::{MrtHeader, MrtRecord, MrtRecordBody, MrtType};
 pub use writer::{write_snapshot, write_snapshot_to_path, MrtWriter};

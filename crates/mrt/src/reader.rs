@@ -1,7 +1,7 @@
-//! Sequential MRT readers and the snapshot-level convenience API.
+//! The zero-copy MRT reader and the snapshot-level convenience API.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::path::Path;
 
 use bytes::Bytes;
@@ -12,88 +12,24 @@ use crate::error::MrtError;
 use crate::record::{MrtHeader, MrtRecord, MrtRecordBody};
 use crate::table_dump::PeerIndexTable;
 
-/// Reads MRT records one by one from any [`Read`] source.
+/// Zero-copy MRT reader over an in-memory buffer.
+///
+/// Record bodies are sliced out of one shared [`Bytes`] buffer — every
+/// body is a cheap reference-counted view, so reading a whole file costs
+/// a single allocation (the buffer itself). This is the one MRT decoder:
+/// [`read_snapshot`], [`read_snapshot_from_path`] and the pipeline's file
+/// loader all decode through it.
 ///
 /// ```no_run
-/// use mrt::MrtReader;
-/// use std::fs::File;
+/// use bytes::Bytes;
+/// use mrt::MrtBytesReader;
 ///
-/// let file = File::open("rib.20100801.0000.mrt").unwrap();
-/// let mut reader = MrtReader::new(file);
+/// let buf = std::fs::read("rib.20100801.0000.mrt").unwrap();
+/// let mut reader = MrtBytesReader::new(Bytes::from(buf));
 /// while let Some(record) = reader.next_record().unwrap() {
 ///     println!("{:?}", record.header);
 /// }
 /// ```
-pub struct MrtReader<R> {
-    inner: R,
-    records_read: u64,
-}
-
-impl<R: Read> MrtReader<R> {
-    /// Wrap a byte source.
-    pub fn new(inner: R) -> Self {
-        MrtReader { inner, records_read: 0 }
-    }
-
-    /// How many records have been decoded so far.
-    pub fn records_read(&self) -> u64 {
-        self.records_read
-    }
-
-    /// Read the next record, or `Ok(None)` at a clean end of stream.
-    ///
-    /// A stream that ends in the middle of a record yields
-    /// [`MrtError::Truncated`].
-    pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
-        let mut header_buf = [0u8; MrtHeader::WIRE_LEN];
-        match read_exact_or_eof(&mut self.inner, &mut header_buf)? {
-            ReadOutcome::Eof => return Ok(None),
-            ReadOutcome::Partial(read) => {
-                return Err(MrtError::truncated("MRT header", MrtHeader::WIRE_LEN, read));
-            }
-            ReadOutcome::Full => {}
-        }
-        let mut header_bytes = Bytes::copy_from_slice(&header_buf);
-        let header = MrtHeader::decode(&mut header_bytes)?;
-        let mut body = vec![0u8; header.length as usize];
-        self.inner.read_exact(&mut body).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                MrtError::truncated("MRT record body", header.length as usize, 0)
-            } else {
-                MrtError::Io(e)
-            }
-        })?;
-        let record = MrtRecord::decode(header, Bytes::from(body))?;
-        self.records_read += 1;
-        Ok(Some(record))
-    }
-
-    /// Iterate the remaining records.
-    pub fn records(self) -> RecordIter<R> {
-        RecordIter { reader: self }
-    }
-}
-
-/// Iterator adapter over [`MrtReader`].
-pub struct RecordIter<R> {
-    reader: MrtReader<R>,
-}
-
-impl<R: Read> Iterator for RecordIter<R> {
-    type Item = Result<MrtRecord, MrtError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.reader.next_record().transpose()
-    }
-}
-
-/// Zero-copy MRT reader over an in-memory buffer.
-///
-/// Unlike [`MrtReader`], which allocates a fresh `Vec` per record body,
-/// this reader slices record bodies out of one shared [`Bytes`] buffer —
-/// every body is a cheap reference-counted view, so reading a whole file
-/// costs a single allocation (the buffer itself). This is the path
-/// [`read_snapshot_from_path`] and the batched pipeline loaders use.
 pub struct MrtBytesReader {
     buf: Bytes,
     records_read: u64,
@@ -164,39 +100,19 @@ impl Iterator for BytesRecordIter {
     }
 }
 
-enum ReadOutcome {
-    Full,
-    Partial(usize),
-    Eof,
-}
-
-fn read_exact_or_eof(reader: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutcome, MrtError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial(filled)
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(MrtError::Io(e)),
-        }
-    }
-    Ok(ReadOutcome::Full)
-}
-
 /// Decode a whole MRT stream (a TABLE_DUMP_V2 file, optionally followed by
 /// or mixed with BGP4MP updates) into a [`RibSnapshot`].
 ///
 /// * RIB records are resolved against the most recent PEER_INDEX_TABLE.
 /// * BGP4MP announcements are added with [`RouteSource::MrtUpdates`].
 /// * Unsupported records are skipped.
-pub fn read_snapshot(source: impl Read) -> Result<RibSnapshot, MrtError> {
-    collect_snapshot(MrtReader::new(BufReader::new(source)).records())
+///
+/// The source is read to its end into one buffer, then decoded by
+/// [`read_snapshot_bytes`].
+pub fn read_snapshot(mut source: impl Read) -> Result<RibSnapshot, MrtError> {
+    let mut buf = Vec::new();
+    source.read_to_end(&mut buf)?;
+    read_snapshot_bytes(Bytes::from(buf))
 }
 
 /// [`read_snapshot`] over an in-memory buffer, using the zero-copy
@@ -313,6 +229,7 @@ mod tests {
         let mut buf = Vec::new();
         write_snapshot(&mut buf, &snap).unwrap();
         let decoded = read_snapshot(&buf[..]).unwrap();
+        assert_eq!(decoded, read_snapshot_bytes(Bytes::from(buf)).unwrap());
 
         assert_eq!(decoded.len(), 3);
         assert_eq!(decoded.collector, Some(CollectorId::new("sim-collector")));
@@ -334,7 +251,7 @@ mod tests {
         let mut buf = Vec::new();
         write_snapshot(&mut buf, &snap).unwrap();
 
-        let mut reader = MrtReader::new(&buf[..]);
+        let mut reader = MrtBytesReader::new(Bytes::from(buf));
         let mut count = 0;
         while reader.next_record().unwrap().is_some() {
             count += 1;
@@ -342,6 +259,7 @@ mod tests {
         // 1 peer index table + 2 prefixes.
         assert_eq!(count, 3);
         assert_eq!(reader.records_read(), 3);
+        assert_eq!(reader.remaining(), 0);
     }
 
     #[test]
@@ -350,7 +268,7 @@ mod tests {
         snap.push(entry(peer(1, "192.0.2.1"), "10.0.0.0/8", "1 2"));
         let mut buf = Vec::new();
         write_snapshot(&mut buf, &snap).unwrap();
-        let records: Result<Vec<_>, _> = MrtReader::new(&buf[..]).records().collect();
+        let records: Result<Vec<_>, _> = MrtBytesReader::new(Bytes::from(buf)).records().collect();
         assert_eq!(records.unwrap().len(), 2);
     }
 
@@ -372,36 +290,11 @@ mod tests {
         let mut buf = Vec::new();
         write_snapshot(&mut buf, &snap).unwrap();
 
-        let mut reader = MrtReader::new(&buf[..]);
+        let mut reader = MrtBytesReader::new(Bytes::from(buf.clone()));
         let first = reader.next_record().unwrap().unwrap();
         let first_len = MrtHeader::WIRE_LEN + first.header.length as usize;
         let rest = &buf[first_len..];
         assert!(matches!(read_snapshot(rest), Err(MrtError::MissingPeerIndexTable)));
-    }
-
-    #[test]
-    fn bytes_reader_matches_read_based_reader() {
-        let mut snap = RibSnapshot::new(CollectorId::new("zero-copy"), 1_280_000_000);
-        snap.push(entry(peer(6939, "2001:db8::1"), "2001:db8:100::/40", "6939 2914 3333"));
-        snap.push(entry(peer(174, "2001:db8::2"), "2001:db8:100::/40", "174 3333"));
-        snap.push(entry(peer(3356, "192.0.2.1"), "198.51.100.0/24", "3356 112"));
-        let mut buf = Vec::new();
-        write_snapshot(&mut buf, &snap).unwrap();
-
-        let via_read: Vec<_> =
-            MrtReader::new(&buf[..]).records().collect::<Result<_, _>>().unwrap();
-        let mut bytes_reader = MrtBytesReader::new(Bytes::from(buf.clone()));
-        let mut via_bytes = Vec::new();
-        while let Some(r) = bytes_reader.next_record().unwrap() {
-            via_bytes.push(r);
-        }
-        assert_eq!(via_read, via_bytes);
-        assert_eq!(bytes_reader.records_read(), via_bytes.len() as u64);
-        assert_eq!(bytes_reader.remaining(), 0);
-
-        let from_bytes = read_snapshot_bytes(Bytes::from(buf.clone())).unwrap();
-        let from_read = read_snapshot(&buf[..]).unwrap();
-        assert_eq!(from_bytes, from_read);
     }
 
     #[test]

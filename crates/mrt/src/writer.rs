@@ -135,9 +135,17 @@ pub fn write_snapshot_to_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::{read_snapshot, MrtReader};
+    use crate::reader::{read_snapshot, MrtBytesReader};
     use bgp_types::{Asn, CollectorId, IpVersion, PathAttributes, RibEntry};
+    use bytes::Bytes;
     use std::net::IpAddr;
+
+    fn decode_records(buf: &[u8]) -> Vec<MrtRecord> {
+        MrtBytesReader::new(Bytes::copy_from_slice(buf))
+            .records()
+            .collect::<Result<_, _>>()
+            .unwrap()
+    }
 
     fn snapshot_with(n_prefixes: usize) -> RibSnapshot {
         let mut snap = RibSnapshot::new(CollectorId::new("writer-test"), 1_280_000_123);
@@ -158,7 +166,7 @@ mod tests {
         let snap = snapshot_with(5);
         let mut buf = Vec::new();
         write_snapshot(&mut buf, &snap).unwrap();
-        let records: Vec<_> = MrtReader::new(&buf[..]).records().collect::<Result<_, _>>().unwrap();
+        let records = decode_records(&buf);
         assert_eq!(records.len(), 6); // index table + 5 prefixes
                                       // The peer index table must come first.
         assert!(matches!(records[0].body, MrtRecordBody::PeerIndexTable(_)));
@@ -197,7 +205,7 @@ mod tests {
         ));
         let mut buf = Vec::new();
         write_snapshot(&mut buf, &snap).unwrap();
-        let records: Vec<_> = MrtReader::new(&buf[..]).records().collect::<Result<_, _>>().unwrap();
+        let records = decode_records(&buf);
         let subtypes: Vec<u16> = records.iter().skip(1).map(|r| r.header.subtype).collect();
         assert!(subtypes.contains(&td2_subtype::RIB_IPV4_UNICAST));
         assert!(subtypes.contains(&td2_subtype::RIB_IPV6_UNICAST));
@@ -220,7 +228,7 @@ mod tests {
         }
         let mut buf = Vec::new();
         write_snapshot(&mut buf, &snap).unwrap();
-        let records: Vec<_> = MrtReader::new(&buf[..]).records().collect::<Result<_, _>>().unwrap();
+        let records = decode_records(&buf);
         assert_eq!(records.len(), 2);
         if let MrtRecordBody::RibEntries(rib) = &records[1].body {
             assert_eq!(rib.entries.len(), 3);

@@ -60,6 +60,6 @@ pub use propagate::{
 };
 pub use scenario::{Scenario, ScenarioPool};
 pub use shard::{
-    effective_concurrency, shard_frontier, shard_map, shard_map_dynamic, shard_map_owned,
+    effective_concurrency, join, shard_frontier, shard_map, shard_map_dynamic, shard_map_owned,
 };
 pub use updates::UpdateStreamConfig;

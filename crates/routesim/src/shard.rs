@@ -12,7 +12,8 @@
 //! sits at the head of the list. Where a single item can outweigh a
 //! whole stripe — one tier-1 origin of a 100k-AS propagation does —
 //! [`shard_map_dynamic`] lets the workers claim items one at a time
-//! instead, under the same in-order contract.
+//! instead, under the same in-order contract. Two independent stages
+//! fork and join through [`join`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -64,6 +65,31 @@ where
     (0..items.len())
         .map(|i| drains[i % workers].next().expect("stripes cover every index exactly once"))
         .collect()
+}
+
+/// Run two independent closures and return both results, `a`'s first.
+///
+/// With two or more workers, `a` runs on one scoped thread while `b` runs
+/// on the caller; with one worker (`0` is taken as one) `a` then `b` run
+/// inline and no thread is spawned. A panic in either closure is re-raised
+/// on the caller. Nest it to fan out further:
+/// `join(workers, a, || join(workers - 1, b, c))` keeps the three stages
+/// within a budget of `workers` threads.
+pub fn join<A, B, RA, RB>(workers: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB,
+    RA: Send,
+{
+    if workers <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let a = scope.spawn(a);
+        let rb = b();
+        (a.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), rb)
+    })
 }
 
 /// [`shard_map`] over owned items: `f` consumes each item instead of
@@ -318,6 +344,45 @@ mod tests {
             assert_eq!(got, expected, "workers={workers}");
         }
         assert!(shard_frontier(&Vec::<u32>::new(), 4, scan).is_empty());
+    }
+
+    #[test]
+    fn join_returns_both_results_in_order() {
+        for workers in [0usize, 1, 2, 8] {
+            let (a, b) = join(workers, || vec![1u8, 2], || "b");
+            assert_eq!((a, b), (vec![1, 2], "b"), "workers={workers}");
+            let (a, (b, c)) =
+                join(workers, || 1u32, || join(workers.saturating_sub(1), || 2u64, || 3i8));
+            assert_eq!((a, b, c), (1, 2, 3), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn join_spawns_only_with_two_or_more_workers() {
+        let caller = std::thread::current().id();
+        for workers in [0usize, 1] {
+            let (a, b) =
+                join(workers, || std::thread::current().id(), || std::thread::current().id());
+            assert_eq!((a, b), (caller, caller), "workers={workers} must not spawn");
+        }
+        for workers in [2usize, 8] {
+            let (a, b) =
+                join(workers, || std::thread::current().id(), || std::thread::current().id());
+            assert_ne!(a, caller, "workers={workers}: `a` runs on its own thread");
+            assert_eq!(b, caller, "workers={workers}: `b` runs on the caller");
+        }
+    }
+
+    #[test]
+    fn join_propagates_a_panic_in_either_closure() {
+        for workers in [1usize, 2] {
+            let in_a = std::panic::catch_unwind(|| join(workers, || panic!("in a"), || 1));
+            let payload = in_a.expect_err("a panic in `a` propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"in a"), "workers={workers}");
+            let in_b = std::panic::catch_unwind(|| join(workers, || 1, || panic!("in b")));
+            let payload = in_b.expect_err("a panic in `b` propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"in b"), "workers={workers}");
+        }
     }
 
     #[test]

@@ -30,7 +30,8 @@ fn main() {
 
     // Inspect one file record by record.
     let first = &mrt_paths[0];
-    let reader = hybrid_as_rel::mrt::MrtReader::new(std::fs::File::open(first).unwrap());
+    let bytes = std::fs::read(first).expect("read MRT file");
+    let reader = hybrid_as_rel::mrt::MrtBytesReader::new(bytes.into());
     let mut rib_records = 0usize;
     let mut peer_tables = 0usize;
     for record in reader.records() {

@@ -150,19 +150,6 @@ impl DistanceMap {
         DistanceMap { root, plane, best, out }
     }
 
-    /// Assemble a map from pre-computed label arrays (the
-    /// [`crate::arena::LabelArena`] stride copy-out). The caller vouches
-    /// that `best`/`out` came from [`crate::valley::layered_search`] on
-    /// `(root, plane)` against the graph it will repair from.
-    pub(crate) fn from_parts(
-        root: Asn,
-        plane: IpVersion,
-        best: Vec<[u32; PHASES]>,
-        out: Vec<Option<u32>>,
-    ) -> Self {
-        DistanceMap { root, plane, best, out }
-    }
-
     /// The root this map was computed from.
     pub fn root(&self) -> Asn {
         self.root

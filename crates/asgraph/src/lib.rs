@@ -21,9 +21,6 @@
 //!   tier-2 / stub) used to characterise where hybrid links sit.
 //! * [`metrics`] — degree statistics, connected components, and plain
 //!   (non-policy) shortest-path metrics.
-//! * [`arena`] — contiguous slice/label arenas for resident snapshots:
-//!   flat per-origin path storage and precomputed BFS label strides that
-//!   materialise a [`delta::DistanceMap`] without re-running the search.
 //!
 //! ```
 //! use asgraph::{AsGraph, Relationship, IpVersion};
@@ -46,7 +43,6 @@
 #![deny(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-pub mod arena;
 pub mod customer_tree;
 pub mod delta;
 pub mod graph;
@@ -54,7 +50,6 @@ pub mod metrics;
 pub mod tiers;
 pub mod valley;
 
-pub use arena::{LabelArena, SliceArena};
 pub use bgp_types::{Asn, IpVersion, Relationship};
 pub use customer_tree::{customer_cone_sizes, customer_tree, tree_union_metrics, TreeMetrics};
 pub use delta::{DeltaOutcome, DistanceMap, EdgeCorrection, RemovalPolicy};

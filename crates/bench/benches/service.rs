@@ -14,25 +14,19 @@ use std::time::Duration;
 
 use bench::record_gauge;
 use hybrid_tor::service::ResidentState;
-use hybridd::{answer, loadgen, LoadgenConfig, Request, Server, ServerConfig};
+use hybridd::{answer, loadgen, LoadgenConfig, Request, Server};
 
 fn service(c: &mut Criterion) {
     let scale = bench::bench_scale();
     let scenario = bench::build_scenario(&scale);
     let state = ResidentState::build(&scenario, &bench::ExecKnobs::from_env().pipeline());
 
-    // Per-component snapshot footprint: the CSR-backed graph against the
-    // two arenas the resident mode adds. Gauges, not timings.
+    // Per-component snapshot footprint (both graph copies).
     let memory = state.memory();
     println!(
-        "memory/service: graph map {} + graph csr {} + rib arena {} + label arena {} bytes",
-        memory.graph_map_bytes,
-        memory.graph_csr_bytes,
-        memory.rib_arena_bytes,
-        memory.label_arena_bytes,
+        "memory/service: graph map {} + graph csr {} bytes",
+        memory.graph_map_bytes, memory.graph_csr_bytes,
     );
-    record_gauge("memory/rib_arena_bytes/scale=bench", u128::from(memory.rib_arena_bytes));
-    record_gauge("memory/label_arena_bytes/scale=bench", u128::from(memory.label_arena_bytes));
 
     // Deterministic request batches drawn from the snapshot itself.
     let mix = hybridd::query_mix(state.universe(), state.hybrid_pairs(), 42, 512);
@@ -79,17 +73,8 @@ fn service(c: &mut Criterion) {
     let knobs = bench::ExecKnobs::from_env();
     let rebuild: hybridd::Rebuild =
         Arc::new(move || ResidentState::build(&scenario, &bench::ExecKnobs::from_env().pipeline()));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        state,
-        rebuild,
-        ServerConfig {
-            workers: knobs.threads(),
-            batch: knobs.batch,
-            epoch_check_ms: knobs.epoch_check_ms,
-        },
-    )
-    .expect("bind an ephemeral loopback port");
+    let server = Server::bind("127.0.0.1:0", state, rebuild, knobs.threads())
+        .expect("bind an ephemeral loopback port");
     let addr = server.local_addr().expect("ephemeral port resolved");
     std::thread::spawn(move || server.run());
     let report = loadgen::run(

@@ -501,8 +501,6 @@ mod tests {
     fn gauges_are_recognised_by_id_prefix() {
         assert!(is_gauge("memory/graph_bytes/scale=10k"));
         assert!(is_gauge("memory/graph_map_bytes/scale=50k"));
-        assert!(is_gauge("memory/rib_arena_bytes/scale=bench"));
-        assert!(is_gauge("memory/label_arena_bytes/scale=bench"));
         assert!(is_gauge("service/latency_p50_ns"));
         assert!(is_gauge("service/latency_p99_ns"));
         assert!(is_gauge("service/throughput_qps"));

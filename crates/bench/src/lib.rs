@@ -140,39 +140,14 @@ fn parse_addr_knob(
     })
 }
 
-/// Parse a positive-count knob: unset or empty means `default`; anything
-/// else must be an integer `>= 1` (unlike the worker-count knobs there is
-/// no "0 = all" meaning — a zero-request batch cannot make progress).
-fn parse_positive_knob(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(default),
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(count) if count >= 1 => Ok(count),
-            _ => Err(format!("{name} must be a positive integer (>= 1), got {raw:?}")),
-        },
-    }
-}
-
-/// Parse a milliseconds knob: unset or empty means `default`; anything
-/// else must be a plain non-negative integer (`0` is legal — it means
-/// "re-check every time").
-fn parse_millis_knob(name: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(default),
-        Some(raw) => raw.parse::<u64>().map_err(|_| {
-            format!("{name} must be a non-negative integer (milliseconds), got {raw:?}")
-        }),
-    }
-}
-
 /// Every `HYBRID_*` knob the experiment bins, the resident daemon and the
 /// load generator honour, resolved once by [`ExecKnobs::from_env`] — the
 /// single replacement for the former family of per-knob `configured_*`
 /// getters (whose strict parsers it keeps). Execution knobs (workers,
-/// frontier split, scheduling, CSR backend, sweep removal policy,
-/// service tuning) are byte-invisible in every report; `scenario` and
-/// `deployment` are **output** knobs that change the routes — but still
-/// byte-identically at every worker count.
+/// frontier split, scheduling, CSR backend, sweep removal policy) are
+/// byte-invisible in every report; `scenario` and `deployment` are
+/// **output** knobs that change the routes — but still byte-identically
+/// at every worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecKnobs {
     /// `HYBRID_THREADS` — worker threads for scenario building, the
@@ -213,14 +188,6 @@ pub struct ExecKnobs {
     /// `127.0.0.1:7411`; port `0` asks the OS for a free port). Literal
     /// `ip:port` only — hostnames are rejected.
     pub addr: std::net::SocketAddr,
-    /// `HYBRID_BATCH` — the daemon's per-connection batch cap: how many
-    /// already-buffered requests one accept-loop tick answers through the
-    /// worker pool (default `32`, must be `>= 1`).
-    pub batch: usize,
-    /// `HYBRID_EPOCH_CHECK_MS` — how stale a connection's snapshot handle
-    /// may grow before it re-checks the epoch cell, in milliseconds
-    /// (default `50`; `0` re-checks every batch).
-    pub epoch_check_ms: u64,
 }
 
 impl Default for ExecKnobs {
@@ -235,8 +202,6 @@ impl Default for ExecKnobs {
             deployment: 0.0,
             update_windows: 0,
             addr: "127.0.0.1:7411".parse().expect("literal address"),
-            batch: 32,
-            epoch_check_ms: 50,
         }
     }
 }
@@ -264,10 +229,6 @@ impl ExecKnobs {
                 parse_count_knob("HYBRID_UPDATE_WINDOWS", v, 0)
             }),
             addr: env_knob("HYBRID_ADDR", |v| parse_addr_knob("HYBRID_ADDR", v, "127.0.0.1:7411")),
-            batch: env_knob("HYBRID_BATCH", |v| parse_positive_knob("HYBRID_BATCH", v, 32)),
-            epoch_check_ms: env_knob("HYBRID_EPOCH_CHECK_MS", |v| {
-                parse_millis_knob("HYBRID_EPOCH_CHECK_MS", v, 50)
-            }),
         }
     }
 
@@ -275,14 +236,6 @@ impl ExecKnobs {
     /// resolved against the host (`0` = all cores).
     pub fn threads(&self) -> usize {
         routesim::effective_concurrency(self.concurrency)
-    }
-
-    /// The `(origin workers, frontier workers)` split propagation runs
-    /// with: both worker knobs resolved against the host and composed so
-    /// their product never exceeds the core budget (see
-    /// `SimConfig::propagation_split`).
-    pub fn propagation_split(&self) -> (usize, usize) {
-        self.sim(&SimConfig::default()).propagation_split()
     }
 
     /// The sweep execution options these knobs resolve to: `concurrency`
@@ -319,8 +272,8 @@ impl ExecKnobs {
 }
 
 /// The single place the knob struct becomes pipeline execution options,
-/// sweep settings included; the service knobs ride separately via the
-/// `ServerConfig` the daemon assembles.
+/// sweep settings included; the daemon takes its worker count from
+/// [`ExecKnobs::threads`] and its address from `addr`.
 impl From<&ExecKnobs> for PipelineOptions {
     fn from(knobs: &ExecKnobs) -> PipelineOptions {
         PipelineOptions {
@@ -869,9 +822,6 @@ mod tests {
         let sweep = knobs.sweep();
         assert_eq!(sweep.removal_repair, knobs.removal_repair);
         assert_eq!(sweep.concurrency, knobs.concurrency);
-        let (origins, frontier) = knobs.propagation_split();
-        assert!(origins >= 1 && frontier >= 1);
-        assert!(origins * frontier <= knobs.threads().max(1), "split never oversubscribes");
         assert!(knobs.csr, "the CSR backend is the default");
     }
 
@@ -884,7 +834,7 @@ mod tests {
         // Each row sets one knob off its default and names the fields it
         // must change; everything else in the simulator configuration and
         // the pipeline options must stay at the all-default resolution.
-        let cases: [(&str, ExecKnobs, Expect); 11] = [
+        let cases: [(&str, ExecKnobs, Expect); 9] = [
             ("concurrency", ExecKnobs { concurrency: 3, ..base.clone() }, |sim, options| {
                 sim.concurrency = 3;
                 options.concurrency = 3;
@@ -920,8 +870,6 @@ mod tests {
                 ExecKnobs { addr: "127.0.0.1:0".parse().expect("literal address"), ..base.clone() },
                 |_, _| {},
             ),
-            ("batch", ExecKnobs { batch: 8, ..base.clone() }, |_, _| {}),
-            ("epoch_check_ms", ExecKnobs { epoch_check_ms: 0, ..base.clone() }, |_, _| {}),
         ];
         for (knob, knobs, expect) in cases {
             assert_ne!(knobs, base, "{knob}: the row must move its knob off the default");
@@ -1156,38 +1104,6 @@ mod tests {
             assert!(err.contains("HYBRID_ADDR"), "message names the variable: {err}");
             assert!(err.contains(bad), "message quotes the value: {err}");
             assert!(err.contains("ip:port"), "message says what is legal: {err}");
-        }
-    }
-
-    #[test]
-    fn batch_knob_requires_a_positive_count() {
-        assert_eq!(parse_positive_knob("HYBRID_BATCH", None, 32), Ok(32));
-        assert_eq!(parse_positive_knob("HYBRID_BATCH", Some(""), 32), Ok(32));
-        assert_eq!(parse_positive_knob("HYBRID_BATCH", Some(" 8 "), 32), Ok(8));
-        assert_eq!(parse_positive_knob("HYBRID_BATCH", Some("1"), 32), Ok(1));
-        // Unlike the worker knobs, zero is illegal: a zero-request batch
-        // cannot make progress, so it must not parse.
-        for bad in ["0", "-1", "2x", "eight", "1.5"] {
-            let err = parse_positive_knob("HYBRID_BATCH", Some(bad), 32)
-                .expect_err(&format!("{bad:?} must be rejected"));
-            assert!(err.contains("HYBRID_BATCH"), "message names the variable: {err}");
-            assert!(err.contains(bad), "message quotes the value: {err}");
-            assert!(err.contains(">= 1"), "message says what is legal: {err}");
-        }
-    }
-
-    #[test]
-    fn epoch_check_knob_accepts_any_millisecond_count_including_zero() {
-        assert_eq!(parse_millis_knob("HYBRID_EPOCH_CHECK_MS", None, 50), Ok(50));
-        assert_eq!(parse_millis_knob("HYBRID_EPOCH_CHECK_MS", Some(""), 50), Ok(50));
-        assert_eq!(parse_millis_knob("HYBRID_EPOCH_CHECK_MS", Some("0"), 50), Ok(0));
-        assert_eq!(parse_millis_knob("HYBRID_EPOCH_CHECK_MS", Some(" 250 "), 50), Ok(250));
-        for bad in ["-5", "50ms", "0.5", "fast"] {
-            let err = parse_millis_knob("HYBRID_EPOCH_CHECK_MS", Some(bad), 50)
-                .expect_err(&format!("{bad:?} must be rejected"));
-            assert!(err.contains("HYBRID_EPOCH_CHECK_MS"), "message names the variable: {err}");
-            assert!(err.contains(bad), "message quotes the value: {err}");
-            assert!(err.contains("milliseconds"), "message says the unit: {err}");
         }
     }
 

@@ -4,12 +4,11 @@
 //! A [`ResidentState`] is built **once** from a scenario (one
 //! [`Pipeline::run_with_artifacts`] — the same work a one-shot experiment
 //! does) and then answers relationship, customer-tree, visibility and
-//! what-if queries for as long as the process lives. The storage is
-//! arena-backed and flat on purpose: a snapshot is a handful of large
-//! allocations (the frozen CSR graph, one [`SliceArena`] of every distinct
-//! IPv6 path, two [`LabelArena`] strides of hot-root BFS labels), cheap to
-//! share behind an `Arc` and cheap to account — [`ResidentState::memory`]
-//! reports the per-component bytes the bench gauges record.
+//! what-if queries for as long as the process lives. A snapshot keeps
+//! only what a query reads: the annotated graph (frozen to CSR), its
+//! what-if scratch copy, the sorted universe, the hybrid pairs, the
+//! per-AS visibility table and the two rendered JSON bodies — cheap to
+//! share behind an `Arc` and cheap to account ([`ResidentState::memory`]).
 //!
 //! Every query method is a pure function of the query: the only mutable
 //! state is the what-if scratch graph, which is mutated and restored under
@@ -19,37 +18,27 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use asgraph::{
-    customer_tree, AsGraph, DeltaOutcome, DistanceMap, EdgeCorrection, LabelArena, RemovalPolicy,
-    SliceArena,
-};
+use asgraph::{customer_tree, AsGraph, DeltaOutcome, DistanceMap, EdgeCorrection, RemovalPolicy};
 use bgp_types::{Asn, IpVersion, Relationship};
 
 use crate::pipeline::{Pipeline, PipelineInput};
 use crate::report::Report;
 
-/// How many of the highest-degree ASes per plane get precomputed BFS
-/// label strides in the [`LabelArena`]. A what-if query rooted at a hot
-/// AS copies its stride instead of running a fresh layered search.
-pub const HOT_ROOTS: usize = 32;
-
-/// Per-component byte estimate of one resident snapshot.
+/// Per-component byte estimate of one resident snapshot's graphs. A
+/// snapshot holds two copies of the annotated graph — the one queries
+/// read and the what-if scratch copy — and both fields count both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceMemory {
-    /// Adjacency-map backend of the annotated graph.
+    /// Adjacency-map backends of both graph copies.
     pub graph_map_bytes: u64,
-    /// Frozen CSR mirror of the annotated graph (0 while unfrozen).
+    /// Frozen CSR mirrors of both graph copies (0 while unfrozen).
     pub graph_csr_bytes: u64,
-    /// Flattened per-origin RIB path arena.
-    pub rib_arena_bytes: u64,
-    /// Precomputed hot-root BFS label arenas (both planes).
-    pub label_arena_bytes: u64,
 }
 
 impl ServiceMemory {
     /// Total bytes across all components.
     pub fn total(&self) -> u64 {
-        self.graph_map_bytes + self.graph_csr_bytes + self.rib_arena_bytes + self.label_arena_bytes
+        self.graph_map_bytes + self.graph_csr_bytes
     }
 }
 
@@ -90,8 +79,6 @@ pub struct ResidentState {
     hybrid_pairs: Vec<(Asn, Asn)>,
     visibility: Vec<(Asn, VisibilityStats)>,
     total_v6_paths: u32,
-    paths: SliceArena<Asn>,
-    labels: [LabelArena; 2],
     scratch: Mutex<AsGraph>,
     memory: ServiceMemory,
 }
@@ -113,16 +100,13 @@ impl ResidentState {
         let (report, artifacts) = pipeline.run_with_artifacts(input);
         let annotated = artifacts.annotated;
 
-        // Flatten every distinct IPv6 path into one arena (extraction
-        // already sorted them, so ids are deterministic) and fold the
-        // per-AS visibility counters while walking it.
-        let mut paths = SliceArena::new();
+        // Fold the per-AS visibility counters over every distinct IPv6
+        // path.
         let mut vis: HashMap<Asn, VisibilityStats> = HashMap::new();
         let total_v6_paths = u32::try_from(artifacts.data.paths_v6.len())
             .expect("IPv6 path count exceeds u32 range");
         let mut members = Vec::new();
         for observed in &artifacts.data.paths_v6 {
-            paths.push(&observed.path);
             members.clear();
             members.extend_from_slice(&observed.path);
             members.sort_unstable();
@@ -147,35 +131,21 @@ impl ResidentState {
             })
             .collect();
         visibility.sort_unstable_by_key(|(asn, _)| *asn);
-        paths.shrink_to_fit();
-
-        // Hot roots: the highest-degree ASes per plane (degree descending,
-        // ASN ascending as the tie-break — fully deterministic).
-        let labels = [IpVersion::V4, IpVersion::V6].map(|plane| {
-            let mut by_degree: Vec<(usize, Asn)> =
-                annotated.asns().map(|asn| (annotated.degree(asn, plane), asn)).collect();
-            by_degree.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let hot: Vec<Asn> = by_degree.into_iter().take(HOT_ROOTS).map(|(_, a)| a).collect();
-            LabelArena::build(&annotated, plane, &hot)
-        });
 
         let mut universe: Vec<Asn> = annotated.asns().collect();
         universe.sort_unstable();
         let hybrid_pairs: Vec<(Asn, Asn)> =
             report.hybrids.findings.iter().map(|f| (f.a, f.b)).collect();
 
-        let breakdown = annotated.memory_breakdown();
-        let memory = ServiceMemory {
-            graph_map_bytes: breakdown.map_bytes as u64,
-            graph_csr_bytes: breakdown.csr_bytes as u64,
-            rib_arena_bytes: paths.heap_bytes() as u64,
-            label_arena_bytes: labels.iter().map(|l| l.heap_bytes() as u64).sum(),
-        };
-
         let report_json = report.to_json();
         let summary_json =
             serde_json::to_string_pretty(&report.dataset).expect("summary serializes");
-        let scratch = Mutex::new(annotated.clone());
+        let scratch = annotated.clone();
+        let (served, copy) = (annotated.memory_breakdown(), scratch.memory_breakdown());
+        let memory = ServiceMemory {
+            graph_map_bytes: (served.map_bytes + copy.map_bytes) as u64,
+            graph_csr_bytes: (served.csr_bytes + copy.csr_bytes) as u64,
+        };
         ResidentState {
             report,
             report_json,
@@ -185,9 +155,7 @@ impl ResidentState {
             hybrid_pairs,
             visibility,
             total_v6_paths,
-            paths,
-            labels,
-            scratch,
+            scratch: Mutex::new(scratch),
             memory,
         }
     }
@@ -217,11 +185,6 @@ impl ResidentState {
     /// descending).
     pub fn hybrid_pairs(&self) -> &[(Asn, Asn)] {
         &self.hybrid_pairs
-    }
-
-    /// The flattened distinct-IPv6-path arena.
-    pub fn paths(&self) -> &SliceArena<Asn> {
-        &self.paths
     }
 
     /// Per-component byte estimate of this snapshot.
@@ -258,12 +221,11 @@ impl ResidentState {
     /// valley-free distances from `root` change?
     ///
     /// Rides the delta engine as a point-query accelerator: the pre-change
-    /// distance map comes from the hot-root [`LabelArena`] when the root
-    /// is precomputed (a stride copy, no BFS), and the correction is
-    /// applied with [`RemovalPolicy::Repair`], so a full rebuild only
-    /// happens when [`DeltaOutcome`] genuinely demands one. The scratch
-    /// graph is mutated and restored under a lock; the snapshot itself is
-    /// never changed.
+    /// distance map is one fresh [`DistanceMap::compute`], and the
+    /// correction is applied with [`RemovalPolicy::Repair`], so a full
+    /// rebuild only happens when [`DeltaOutcome`] genuinely demands one.
+    /// The scratch graph is mutated and restored under a lock; the
+    /// snapshot itself is never changed.
     pub fn what_if(
         &self,
         a: Asn,
@@ -279,19 +241,12 @@ impl ResidentState {
         if !g.has_link(a, b, plane) {
             return Err(format!("no {plane} link between AS{a} and AS{b}"));
         }
-        let plane_idx = match plane {
-            IpVersion::V4 => 0,
-            IpVersion::V6 => 1,
-        };
-        let before = self.labels[plane_idx]
-            .distance_map(root)
-            .unwrap_or_else(|| DistanceMap::compute(&g, root, plane));
-        let before_dists: Vec<Option<u32>> = before.distances().to_vec();
+        let mut map = DistanceMap::compute(&g, root, plane);
+        let before_dists: Vec<Option<u32>> = map.distances().to_vec();
 
         let old = g.relationship(a, b, plane);
         let correction = EdgeCorrection::observe(&g, a, b, plane, new);
         g.annotate(a, b, plane, new);
-        let mut map = before;
         let outcome = map.apply_correction_with(&g, &correction, RemovalPolicy::Repair);
 
         // Restore the scratch graph exactly (annotation-only mutations, so
@@ -337,10 +292,10 @@ mod tests {
         assert_eq!(state.report_json(), fresh.to_json(), "one build, same bytes");
         assert!(state.summary_json().contains("ipv6_paths"));
         assert!(!state.universe().is_empty());
-        assert!(state.memory().total() > 0);
-        assert!(state.memory().rib_arena_bytes > 0);
-        assert!(state.memory().label_arena_bytes > 0);
-        assert_eq!(state.paths().len() as u32, state.visibility(state.universe()[0]).total_paths);
+        // Both graph copies count: the served graph and the what-if scratch.
+        let scratch = state.scratch.lock().unwrap().memory_footprint();
+        assert!(scratch > 0);
+        assert_eq!(state.memory().total() as usize, state.annotated.memory_footprint() + scratch);
     }
 
     #[test]
@@ -372,27 +327,80 @@ mod tests {
         }
     }
 
+    /// Up to `count` roots per plane: the highest-degree ASes (degree
+    /// descending, ASN ascending), then every k-th AS of the universe.
+    fn oracle_roots(state: &ResidentState, plane: IpVersion, count: usize) -> Vec<Asn> {
+        let universe = state.universe();
+        let mut by_degree: Vec<(usize, Asn)> =
+            universe.iter().map(|&asn| (state.annotated.degree(asn, plane), asn)).collect();
+        by_degree.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
+        let mut roots: Vec<Asn> = by_degree.iter().take(count / 2).map(|&(_, asn)| asn).collect();
+        let stride = (universe.len() / (count - roots.len())).max(1);
+        roots.extend(universe.iter().step_by(stride).take(count - roots.len()));
+        roots.sort_unstable();
+        roots.dedup();
+        roots
+    }
+
     #[test]
     fn what_if_is_exact_and_leaves_no_trace() {
         let (_, state) = resident();
-        let &(a, b) = state.hybrid_pairs().first().expect("tiny scenario has hybrids");
-        let root = state.universe()[0];
-        let before = state.relationship(a, b, IpVersion::V6);
-        for new in Relationship::ALL {
-            let reply = state.what_if(a, b, IpVersion::V6, new, root).expect("link exists");
-            // Cross-check against a from-scratch recomputation.
-            let mut g = state.scratch.lock().unwrap().clone();
-            g.annotate(a, b, IpVersion::V6, new);
-            let fresh = DistanceMap::compute(&g, root, IpVersion::V6);
-            let reachable =
-                u32::try_from(fresh.distances().iter().filter(|d| d.is_some()).count()).unwrap();
-            assert_eq!(reply.reachable_after, reachable, "{new:?}");
+        assert!(!state.hybrid_pairs().is_empty(), "tiny scenario has hybrids");
+        let reachable =
+            |d: &[Option<u32>]| u32::try_from(d.iter().filter(|d| d.is_some()).count()).unwrap();
+        for plane in [IpVersion::V4, IpVersion::V6] {
+            let roots = oracle_roots(&state, plane, 24);
+            assert!(roots.len() >= 20, "{plane}: {} roots", roots.len());
+            // Every hybrid pair, plus every k-th link of the plane: the
+            // hybrids alone only ever flip reachability at tiny scale, the
+            // sampled links also move distances of still-reachable nodes.
+            let plane_links: Vec<(Asn, Asn)> =
+                state.annotated.plane_edges(plane).map(|e| (e.a, e.b)).collect();
+            let stride = (plane_links.len() / 12).max(1);
+            let links = state.hybrid_pairs().iter().chain(plane_links.iter().step_by(stride));
+            // Oracle: one fresh layered search on the unchanged graph and
+            // one on a corrected copy, compared node by node.
+            let before: Vec<DistanceMap> = roots
+                .iter()
+                .map(|&root| DistanceMap::compute(&state.annotated, root, plane))
+                .collect();
+            for &(a, b) in links {
+                for new in Relationship::ALL {
+                    let mut corrected = state.annotated.clone();
+                    corrected.annotate(a, b, plane, new);
+                    for (&root, before) in roots.iter().zip(&before) {
+                        let reply = state.what_if(a, b, plane, new, root).expect("link exists");
+                        let after = DistanceMap::compute(&corrected, root, plane);
+                        let changed = before
+                            .distances()
+                            .iter()
+                            .zip(after.distances())
+                            .filter(|(x, y)| x != y)
+                            .count();
+                        let case = format!("{plane} AS{a}-AS{b} {new:?} root AS{root}");
+                        assert_eq!(reply.changed as usize, changed, "{case}");
+                        assert_eq!(reply.reachable_before, reachable(before.distances()), "{case}");
+                        assert_eq!(reply.reachable_after, reachable(after.distances()), "{case}");
+                        if reply.outcome == DeltaOutcome::Unchanged {
+                            assert_eq!(reply.changed, 0, "{case}");
+                        }
+                    }
+                }
+            }
         }
         // The scratch graph is restored after every query.
-        assert_eq!(state.relationship(a, b, IpVersion::V6), before);
-        let scratch_rel = state.scratch.lock().unwrap().relationship(a, b, IpVersion::V6);
-        assert_eq!(scratch_rel, before);
+        let scratch = state.scratch.lock().unwrap();
+        for edge in state.annotated.edges() {
+            for plane in [IpVersion::V4, IpVersion::V6] {
+                let (a, b) = (edge.a, edge.b);
+                let served = state.relationship(a, b, plane);
+                assert_eq!(scratch.relationship(a, b, plane), served, "{plane} AS{a}-AS{b}");
+            }
+        }
+        drop(scratch);
         // Errors for unknown roots and absent links.
+        let (a, b) = state.hybrid_pairs()[0];
+        let root = state.universe()[0];
         assert!(state
             .what_if(a, b, IpVersion::V6, Relationship::PeerToPeer, Asn(4_000_000_000))
             .is_err());

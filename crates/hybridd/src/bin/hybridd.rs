@@ -5,10 +5,9 @@
 //! hybridd [--tiny | --small | --scale 10k|50k|100k]
 //! ```
 //!
-//! The listen address and execution knobs come from the environment
-//! (`HYBRID_ADDR`, `HYBRID_BATCH`, `HYBRID_EPOCH_CHECK_MS`,
-//! `HYBRID_THREADS`); see the repository README's "Resident service"
-//! section.
+//! The listen address and worker count come from the environment
+//! (`HYBRID_ADDR`, `HYBRID_THREADS`); see the repository README's
+//! "Resident service" section.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -16,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use hybrid_tor::ingest::{ApplyStats, LiveRib};
 use hybrid_tor::pipeline::PipelineInput;
 use hybrid_tor::service::ResidentState;
-use hybridd::{Server, ServerConfig};
+use hybridd::Server;
 use routesim::UpdateStreamConfig;
 
 fn main() {
@@ -78,12 +77,7 @@ fn main() {
     };
     let memory = state.memory();
 
-    let config = ServerConfig {
-        workers: knobs.threads(),
-        batch: knobs.batch,
-        epoch_check_ms: knobs.epoch_check_ms,
-    };
-    let server = Server::bind(knobs.addr, state, rebuild, config)
+    let server = Server::bind(knobs.addr, state, rebuild, knobs.threads())
         .unwrap_or_else(|e| panic!("hybridd: cannot bind {}: {e}", knobs.addr));
     let addr = server.local_addr().expect("bound listener has a local address");
 
@@ -91,12 +85,10 @@ fn main() {
     // CI smoke test greps this line to know the daemon is up.
     println!("hybridd: listening on {addr}");
     println!(
-        "hybridd: resident memory {} bytes (graph map {} + graph csr {} + rib arena {} + label arena {})",
+        "hybridd: resident memory {} bytes (graph map {} + graph csr {}, served and what-if copies)",
         memory.total(),
         memory.graph_map_bytes,
         memory.graph_csr_bytes,
-        memory.rib_arena_bytes,
-        memory.label_arena_bytes,
     );
     std::io::stdout().flush().ok();
 

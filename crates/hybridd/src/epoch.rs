@@ -1,6 +1,6 @@
 //! Copy-on-write epoch cell for sharing immutable scenario state.
 //!
-//! A resident service builds a scenario snapshot once and answers queries
+//! The daemon builds a scenario snapshot once and answers queries
 //! from it for a long time; occasionally an operator reloads, producing a
 //! new snapshot. The [`EpochCell`] makes that swap wait-free for readers
 //! in the way that matters: a reload assembles the *entire* replacement

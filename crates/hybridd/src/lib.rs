@@ -11,7 +11,8 @@
 //!   errors).
 //! * [`server`] — the accept loop: per-connection batching, deterministic
 //!   [`routesim::shard_map`] fan-out, and copy-on-write epoch snapshots
-//!   ([`routesim::EpochCell`]) so reloads never block queries.
+//!   ([`epoch::EpochCell`]) so reloads never block queries.
+//! * [`epoch`] — the snapshot cell a reload publishes into.
 //! * [`loadgen`] — closed-loop clients replaying a deterministic ChaCha8
 //!   query mix, recording throughput and p50/p99 latency, optionally
 //!   byte-checking every response against a locally rebuilt snapshot.
@@ -24,10 +25,11 @@
 #![deny(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
+pub mod epoch;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
 
 pub use loadgen::{query_mix, Connection, LoadgenConfig, LoadgenReport};
 pub use protocol::{read_frame, write_frame, Request, Response, WireError, MAX_FRAME};
-pub use server::{answer, Rebuild, Server, ServerConfig};
+pub use server::{answer, Rebuild, Server};

@@ -405,8 +405,6 @@ impl Response {
                 out.extend_from_slice(&[0, 6]);
                 put_u64(&mut out, memory.graph_map_bytes);
                 put_u64(&mut out, memory.graph_csr_bytes);
-                put_u64(&mut out, memory.rib_arena_bytes);
-                put_u64(&mut out, memory.label_arena_bytes);
             }
             Response::Universe { asns, hybrid_pairs } => {
                 out.extend_from_slice(&[0, 7]);
@@ -471,8 +469,6 @@ impl Response {
             6 => Response::MemStats(ServiceMemory {
                 graph_map_bytes: c.u64()?,
                 graph_csr_bytes: c.u64()?,
-                rib_arena_bytes: c.u64()?,
-                label_arena_bytes: c.u64()?,
             }),
             7 => {
                 let asns = take_asns(&mut c)?;

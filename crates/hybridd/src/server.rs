@@ -3,76 +3,63 @@
 //!
 //! Architecture (the performance story of the crate):
 //!
-//! * **Immutable snapshots.** The scenario state lives in a
-//!   [`routesim::EpochCell`] as an `Arc<Versioned<ResidentState>>`. Every
-//!   connection holds its own handle; a reload builds the replacement
-//!   outside any lock and publishes it with one pointer swap, so queries
-//!   never block on a rebuild.
+//! * **Immutable snapshots.** The scenario state lives in an
+//!   [`EpochCell`] as an `Arc<Versioned<ResidentState>>`. A connection
+//!   takes a fresh handle at the start of every batch; a reload builds
+//!   the replacement outside any lock and publishes it with one pointer
+//!   swap, so queries never block on a rebuild.
 //! * **Batching.** A connection reads one request (blocking), then drains
-//!   whatever complete frames the read buffer already holds — up to the
-//!   configured batch size — and answers the whole batch against the
-//!   snapshot captured at its start.
+//!   whatever complete frames the read buffer already holds — up to a
+//!   fixed cap of 32 — and answers the whole batch against the snapshot
+//!   loaded at its start.
 //! * **Fan-out.** A batch is answered through [`routesim::shard_map`],
 //!   the same deterministic in-order worker pool the pipeline uses, so
 //!   responses come back in request order at any worker count.
 //!
 //! Responses are a pure function of (snapshot, request) — the what-if
 //! scratch graph is restored after every query — so the byte stream a
-//! client sees is independent of worker count, batch size, and connection
+//! client sees is independent of worker count, batching, and connection
 //! interleaving. The service determinism suite pins exactly that.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use hybrid_tor::service::ResidentState;
-use routesim::{shard_map, EpochCell, Versioned};
+use routesim::shard_map;
 
+use crate::epoch::EpochCell;
 use crate::protocol::{read_frame, write_frame, Request, Response};
 
 /// How a reloaded snapshot is produced: a closure rebuilding the resident
 /// state from the daemon's original inputs.
 pub type Rebuild = Arc<dyn Fn() -> ResidentState + Send + Sync>;
 
-/// Execution knobs of one server.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Worker threads for per-batch query fan-out (resolved; `>= 1`).
-    pub workers: usize,
-    /// Maximum requests answered per batch tick (`>= 1`).
-    pub batch: usize,
-    /// How stale a connection's snapshot handle may grow before it
-    /// re-checks the epoch cell, in milliseconds (`0` = every batch).
-    pub epoch_check_ms: u64,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig { workers: 1, batch: 32, epoch_check_ms: 50 }
-    }
-}
+/// Maximum requests one connection answers per batch: pipelined clients
+/// amortise the fan-out, single-shot clients never wait for batch-mates.
+const MAX_BATCH: usize = 32;
 
 /// A bound daemon, ready to serve.
 pub struct Server {
     listener: TcpListener,
     cell: Arc<EpochCell<ResidentState>>,
     rebuild: Rebuild,
-    config: ServerConfig,
+    workers: usize,
 }
 
 impl Server {
-    /// Bind to `addr` with an initial snapshot and a rebuild recipe for
-    /// [`Request::Reload`].
+    /// Bind to `addr` with an initial snapshot, a rebuild recipe for
+    /// [`Request::Reload`] and `workers` threads (resolved; `>= 1`) for
+    /// per-batch query fan-out.
     pub fn bind(
         addr: impl ToSocketAddrs,
         state: ResidentState,
         rebuild: Rebuild,
-        config: ServerConfig,
+        workers: usize,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        Ok(Server { listener, cell: Arc::new(EpochCell::new(state)), rebuild, config })
+        Ok(Server { listener, cell: Arc::new(EpochCell::new(state)), rebuild, workers })
     }
 
     /// The address the server actually bound (port 0 resolves here).
@@ -94,10 +81,10 @@ impl Server {
             };
             let cell = Arc::clone(&self.cell);
             let rebuild = Arc::clone(&self.rebuild);
-            let config = self.config.clone();
+            let workers = self.workers;
             std::thread::spawn(move || {
                 // A failed connection only ends that connection.
-                let _ = handle_connection(stream, cell, rebuild, &config);
+                let _ = handle_connection(stream, cell, rebuild, workers);
             });
         }
         Ok(())
@@ -116,13 +103,11 @@ fn handle_connection(
     stream: TcpStream,
     cell: Arc<EpochCell<ResidentState>>,
     rebuild: Rebuild,
-    config: &ServerConfig,
+    workers: usize,
 ) -> Result<(), crate::protocol::WireError> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut snapshot: Arc<Versioned<ResidentState>> = cell.load();
-    let mut checked = Instant::now();
     loop {
         // Block for the first request of the tick; stop serving on EOF or
         // a transport-level framing violation (a peer that sends garbage
@@ -135,24 +120,20 @@ fn handle_connection(
         // Greedily drain already-buffered complete frames into the batch:
         // pipelined clients get amortised fan-out, single-shot clients
         // keep single-request latency.
-        while frames.len() < config.batch && !reader.buffer().is_empty() {
+        while frames.len() < MAX_BATCH && !reader.buffer().is_empty() {
             frames.push(match read_frame(&mut reader) {
                 Ok(frame) => frame,
                 Err(_) => return Ok(()),
             });
         }
 
-        // Refresh the snapshot handle at batch granularity, rate-limited
-        // by the epoch-check knob (load() is cheap but not free).
-        if checked.elapsed() >= Duration::from_millis(config.epoch_check_ms) {
-            snapshot = cell.load();
-            checked = Instant::now();
-        }
-
+        // One snapshot per batch: an uncontended read lock and an `Arc`
+        // clone, so a reload is picked up by the very next batch.
+        let snapshot = cell.load();
         let requests: Vec<Result<Request, crate::protocol::WireError>> =
             frames.iter().map(|frame| Request::decode(frame)).collect();
         let state = snapshot.value();
-        let planned: Vec<Planned> = shard_map(&requests, config.workers, |request| {
+        let planned: Vec<Planned> = shard_map(&requests, workers, |request| {
             match request {
                 Ok(Request::Reload) => Planned::Reload,
                 Ok(request) => Planned::Pure(answer(state, request)),
@@ -167,12 +148,7 @@ fn handle_connection(
                 // A panicking rebuild publishes nothing: the current
                 // epoch keeps serving and the client gets an error frame.
                 Planned::Reload => match catch_unwind(AssertUnwindSafe(|| (rebuild)())) {
-                    Ok(state) => {
-                        let epoch = cell.publish(state);
-                        snapshot = cell.load();
-                        checked = Instant::now();
-                        Response::Reloaded { epoch }
-                    }
+                    Ok(state) => Response::Reloaded { epoch: cell.publish(state) },
                     Err(panic) => {
                         Response::Error(format!("reload failed: {}", panic_message(&*panic)))
                     }

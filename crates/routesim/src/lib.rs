@@ -40,7 +40,6 @@
 
 pub mod collector;
 pub mod config;
-pub mod epoch;
 pub mod policy;
 pub mod propagate;
 pub mod scenario;
@@ -49,7 +48,6 @@ pub mod updates;
 
 pub use collector::{CollectorSetup, FeederKind};
 pub use config::SimConfig;
-pub use epoch::{EpochCell, Versioned};
 pub use policy::{
     AsPolicy, AspaLitePolicy, ClassicPolicy, Policy, PolicyDeployment, PolicyEngine, PolicyModel,
     PolicyScenario, PolicyTable, RovPolicy,

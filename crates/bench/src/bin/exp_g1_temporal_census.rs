@@ -8,15 +8,14 @@
 //! with the streaming ingest path (delta-repaired caches; the per-window
 //! reports are byte-identical to a full recompute, which
 //! `exp_g2_correction_churn` asserts), and prints one row per window: table
-//! churn and the headline census numbers at that instant.
-//!
-//! `HYBRID_UPDATE_WINDOWS` overrides the window count (default 4).
+//! churn and the headline census numbers at that instant. The stream is
+//! the default 4 windows of 24 events.
 
 fn main() {
     let scale = bench::scale_from_args();
     eprintln!("building scenario ({} ASes)...", scale.topology.total_as_count());
     let scenario = bench::build_scenario(&scale);
-    let outcomes = bench::run_temporal(&scenario, true, 4);
+    let outcomes = bench::run_temporal(&scenario, true);
 
     let rows: Vec<Vec<String>> = outcomes
         .iter()

@@ -9,17 +9,16 @@
 //! relationship-relevant edge corrections each window produced and how the
 //! delta engine resolved them (label-neutral / frontier-repaired / rebuilt
 //! / cache reset). This is the replay-equals-recompute contract of the
-//! streaming ingest path, executed as an experiment.
-//!
-//! `HYBRID_UPDATE_WINDOWS` overrides the window count (default 4).
+//! streaming ingest path, executed as an experiment. The stream is the
+//! default 4 windows of 24 events.
 
 fn main() {
     let scale = bench::scale_from_args();
     eprintln!("building scenario ({} ASes)...", scale.topology.total_as_count());
     let scenario = bench::build_scenario(&scale);
 
-    let full = bench::run_temporal(&scenario, false, 4);
-    let incremental = bench::run_temporal(&scenario, true, 4);
+    let full = bench::run_temporal(&scenario, false);
+    let incremental = bench::run_temporal(&scenario, true);
     assert_eq!(full.len(), incremental.len());
     for (w, (f, i)) in full.iter().zip(&incremental).enumerate() {
         assert_eq!(

@@ -7,8 +7,8 @@
 //! is the undistorted reference. Reported per scenario: the Gao
 //! baseline's accuracy against ground truth on both planes, the hybrid
 //! census and its precision, and the IPv6 valley fraction. The scenario
-//! knobs are pinned per row, so `HYBRID_SCENARIO`/`HYBRID_DEPLOYMENT`
-//! never change this bin's output.
+//! and its (zero) deployment are pinned per row, so `HYBRID_SCENARIO`
+//! never changes this bin's output.
 
 fn main() {
     let scale = bench::scale_from_args();

@@ -6,8 +6,8 @@
 //! fraction sweeps 0 → 100%; each point re-runs the inference pipeline
 //! plus the Figure 2 correction sweep, showing how much of the
 //! distortion the defence removes and what the corrections still buy.
-//! The scenario knobs are pinned per row, so
-//! `HYBRID_SCENARIO`/`HYBRID_DEPLOYMENT` never change this bin's output.
+//! The scenario and deployment fraction are pinned per row, so
+//! `HYBRID_SCENARIO` never changes this bin's output.
 
 fn main() {
     let scale = bench::scale_from_args();

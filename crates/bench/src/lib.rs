@@ -99,20 +99,6 @@ fn parse_scenario_knob(
     }
 }
 
-/// Parse a fraction knob: unset or empty means `default`; anything else
-/// must be a float in `[0, 1]`. Malformed or out-of-range values are a
-/// hard error naming the variable — a typo'd `HYBRID_DEPLOYMENT=0.5x`
-/// must not silently run an undefended scenario labelled as half-ROV.
-fn parse_fraction_knob(name: &str, value: Option<&str>, default: f64) -> Result<f64, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(default),
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(fraction) if (0.0..=1.0).contains(&fraction) => Ok(fraction),
-            _ => Err(format!("{name} must be a fraction in [0, 1], got {raw:?}")),
-        },
-    }
-}
-
 /// Read `name` from the environment and hand it to `parse`, turning a
 /// parse error into a panic with the parser's message — a malformed knob
 /// should stop an experiment run loudly, not silently mislabel it.
@@ -145,9 +131,9 @@ fn parse_addr_knob(
 /// single replacement for the former family of per-knob `configured_*`
 /// getters (whose strict parsers it keeps). Execution knobs (workers,
 /// frontier split, scheduling, CSR backend, sweep removal policy) are
-/// byte-invisible in every report; `scenario` and `deployment` are
-/// **output** knobs that change the routes — but still byte-identically
-/// at every worker count.
+/// byte-invisible in every report; `scenario` is an **output** knob that
+/// changes the routes — but still byte-identically at every worker
+/// count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecKnobs {
     /// `HYBRID_THREADS` — worker threads for scenario building, the
@@ -177,13 +163,6 @@ pub struct ExecKnobs {
     /// under: `classic` (the default), `leak`, `prefix-hijack` or
     /// `subprefix-hijack`. An **output** knob.
     pub scenario: routesim::PolicyScenario,
-    /// `HYBRID_DEPLOYMENT` — fraction of ASes deploying the scenario's
-    /// defensive policy, in `[0, 1]` (default `0`). An **output** knob.
-    pub deployment: f64,
-    /// `HYBRID_UPDATE_WINDOWS` — how many synthetic update windows the
-    /// resident daemon replays on `Reload` requests: `0` (the default)
-    /// keeps the classic full-rebuild reload.
-    pub update_windows: usize,
     /// `HYBRID_ADDR` — the address the resident daemon binds (default
     /// `127.0.0.1:7411`; port `0` asks the OS for a free port). Literal
     /// `ip:port` only — hostnames are rejected.
@@ -199,8 +178,6 @@ impl Default for ExecKnobs {
             scheduling: routesim::OriginScheduling::Dynamic,
             csr: true,
             scenario: routesim::PolicyScenario::Classic,
-            deployment: 0.0,
-            update_windows: 0,
             addr: "127.0.0.1:7411".parse().expect("literal address"),
         }
     }
@@ -222,12 +199,6 @@ impl ExecKnobs {
             }),
             csr: env_knob("HYBRID_CSR", |v| parse_bool_knob("HYBRID_CSR", v, true)),
             scenario: env_knob("HYBRID_SCENARIO", |v| parse_scenario_knob("HYBRID_SCENARIO", v)),
-            deployment: env_knob("HYBRID_DEPLOYMENT", |v| {
-                parse_fraction_knob("HYBRID_DEPLOYMENT", v, 0.0)
-            }),
-            update_windows: env_knob("HYBRID_UPDATE_WINDOWS", |v| {
-                parse_count_knob("HYBRID_UPDATE_WINDOWS", v, 0)
-            }),
             addr: env_knob("HYBRID_ADDR", |v| parse_addr_knob("HYBRID_ADDR", v, "127.0.0.1:7411")),
         }
     }
@@ -253,9 +224,9 @@ impl ExecKnobs {
         Pipeline { options: PipelineOptions::from(self), ..Default::default() }
     }
 
-    /// `sim` with the worker, frontier, scheduling, scenario and
-    /// deployment knobs written into their `SimConfig` fields; every
-    /// other field (seeds, probabilities, origin sampling) is kept. Every
+    /// `sim` with the worker, frontier, scheduling and scenario knobs
+    /// written into their `SimConfig` fields; every other field (seeds,
+    /// probabilities, defensive deployment, origin sampling) is kept. Every
     /// scenario the harness builds — including the per-rate/per-collector
     /// rebuilds inside [`coverage_sweep`] and [`collector_sensitivity`] —
     /// goes through this.
@@ -265,7 +236,6 @@ impl ExecKnobs {
             frontier_concurrency: self.frontier,
             scheduling: self.scheduling,
             policy_scenario: self.scenario,
-            policy_deployment: self.deployment,
             ..sim.clone()
         }
     }
@@ -447,23 +417,15 @@ pub fn run_measurement(scenario: &Scenario) -> Report {
 /// G1/G2: synthesise a deterministic update stream over the scenario and
 /// replay it window by window with a [`TemporalSweep`].
 ///
-/// The window count comes from `HYBRID_UPDATE_WINDOWS` when set (non-zero),
-/// else `default_windows`; `incremental` selects delta-repaired replay or
-/// the full per-window recompute. Both modes — and every worker count —
-/// produce byte-identical per-window reports; the determinism matrix and
-/// the golden snapshots pin that, which is why the G-series bins can be
+/// The stream is [`UpdateStreamConfig::default`] (4 windows of 24 events);
+/// `incremental` selects delta-repaired replay or the full per-window
+/// recompute. Both modes — and every worker count — produce
+/// byte-identical per-window reports; the determinism matrix and the
+/// golden snapshots pin that, which is why the G-series bins can be
 /// goldens like any other.
-pub fn run_temporal(
-    scenario: &Scenario,
-    incremental: bool,
-    default_windows: usize,
-) -> Vec<WindowOutcome> {
-    let knobs = ExecKnobs::from_env();
-    let windows = if knobs.update_windows > 0 { knobs.update_windows } else { default_windows };
-    let stream = UpdateStream::from_windows(
-        scenario.update_stream(&UpdateStreamConfig { windows, ..Default::default() }),
-    );
-    let pipeline = knobs.pipeline();
+pub fn run_temporal(scenario: &Scenario, incremental: bool) -> Vec<WindowOutcome> {
+    let stream = UpdateStream::from_windows(scenario.update_stream(&UpdateStreamConfig::default()));
+    let pipeline = ExecKnobs::from_env().pipeline();
     let base = scenario.pooled_snapshot(pipeline.options.workers());
     let dictionary = scenario.registry.build_dictionary();
     TemporalSweep::new(pipeline, incremental).run(
@@ -610,7 +572,7 @@ impl ScenarioDistortion {
 /// deployment 0) and measure how far the inferred relationships drift
 /// from the ground truth. The rows pin `policy_scenario` and
 /// `policy_deployment` explicitly, so the output is identical whatever
-/// `HYBRID_SCENARIO`/`HYBRID_DEPLOYMENT` say — the bin *is* the sweep.
+/// `HYBRID_SCENARIO` says — the bin *is* the sweep.
 pub fn leak_distortion(scale: &ExperimentScale) -> Vec<ScenarioDistortion> {
     let mut pool = scenario_pool(scale);
     ADVERSARIAL_SCENARIOS
@@ -826,6 +788,35 @@ mod tests {
     }
 
     #[test]
+    fn readme_knob_table_lists_exactly_the_knobs_from_env_reads() {
+        // The library half of this file only: this test names knobs too.
+        let source = include_str!("lib.rs");
+        let library = &source[..source.find("#[cfg(test)]").expect("a test module")];
+        let mut read: Vec<String> = library
+            .split("env_knob(\"HYBRID_")
+            .skip(1)
+            .map(|rest| format!("HYBRID_{}", rest.split('"').next().expect("a closing quote")))
+            .collect();
+        read.sort();
+
+        let readme = include_str!("../../../README.md");
+        let mut rows = readme.lines().skip_while(|line| !line.starts_with("| knob | env |"));
+        assert!(rows.next().is_some(), "README has a knob table");
+        let mut documented: Vec<String> = rows
+            .take_while(|line| line.starts_with('|'))
+            .filter(|line| !line.starts_with("|---"))
+            .map(|line| {
+                let env = line.split('|').nth(2).expect("an env column");
+                env.trim().trim_matches('`').to_string()
+            })
+            .collect();
+        documented.sort();
+
+        assert!(!read.is_empty(), "the scan found no env_knob call");
+        assert_eq!(documented, read, "README knob table vs ExecKnobs::from_env");
+    }
+
+    #[test]
     fn each_exec_knob_lands_in_its_one_consumer_field() {
         use routesim::{OriginScheduling, PolicyScenario};
         type Expect = fn(&mut SimConfig, &mut PipelineOptions);
@@ -834,7 +825,7 @@ mod tests {
         // Each row sets one knob off its default and names the fields it
         // must change; everything else in the simulator configuration and
         // the pipeline options must stay at the all-default resolution.
-        let cases: [(&str, ExecKnobs, Expect); 9] = [
+        let cases: [(&str, ExecKnobs, Expect); 7] = [
             ("concurrency", ExecKnobs { concurrency: 3, ..base.clone() }, |sim, options| {
                 sim.concurrency = 3;
                 options.concurrency = 3;
@@ -860,11 +851,7 @@ mod tests {
                     options.policy_scenario = PolicyScenario::RouteLeak;
                 },
             ),
-            ("deployment", ExecKnobs { deployment: 0.5, ..base.clone() }, |sim, _| {
-                sim.policy_deployment = 0.5;
-            }),
-            // The service and replay knobs never reach either struct.
-            ("update_windows", ExecKnobs { update_windows: 4, ..base.clone() }, |_, _| {}),
+            // The service knob never reaches either struct.
             (
                 "addr",
                 ExecKnobs { addr: "127.0.0.1:0".parse().expect("literal address"), ..base.clone() },
@@ -1066,21 +1053,6 @@ mod tests {
         let err = parse_scenario_knob("HYBRID_SCENARIO", Some("hijack")).unwrap_err();
         assert!(err.contains("HYBRID_SCENARIO") && err.contains("hijack"), "{err}");
         assert!(err.contains("subprefix-hijack"), "message lists the legal values: {err}");
-    }
-
-    #[test]
-    fn fraction_knob_accepts_the_unit_interval_and_rejects_everything_else() {
-        assert_eq!(parse_fraction_knob("HYBRID_DEPLOYMENT", None, 0.0), Ok(0.0));
-        assert_eq!(parse_fraction_knob("HYBRID_DEPLOYMENT", Some(""), 0.0), Ok(0.0));
-        assert_eq!(parse_fraction_knob("HYBRID_DEPLOYMENT", Some("0"), 0.5), Ok(0.0));
-        assert_eq!(parse_fraction_knob("HYBRID_DEPLOYMENT", Some(" 0.5 "), 0.0), Ok(0.5));
-        assert_eq!(parse_fraction_knob("HYBRID_DEPLOYMENT", Some("1"), 0.0), Ok(1.0));
-        for bad in ["0.5x", "-0.1", "1.5", "half", "NaN"] {
-            let err = parse_fraction_knob("HYBRID_DEPLOYMENT", Some(bad), 0.0)
-                .expect_err(&format!("{bad:?} must be rejected"));
-            assert!(err.contains("HYBRID_DEPLOYMENT"), "message names the variable: {err}");
-            assert!(err.contains(bad), "message quotes the value: {err}");
-        }
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! the diff only when the output change is intended.
 //!
 //! The child environment is pinned (`HYBRID_THREADS`, `HYBRID_FRONTIER`,
-//! `HYBRID_REMOVAL_REPAIR`, `HYBRID_DEPLOYMENT`),
-//! so the comparison is reproducible whatever the caller's shell exports
+//! `HYBRID_REMOVAL_REPAIR`), so the comparison is reproducible whatever the caller's shell exports
 //! — and the second run flips every knob to prove the bytes do not
 //! depend on them. Two knobs are deliberately *inherited* rather than
 //! pinned: the reference run takes `HYBRID_SCHEDULING` from the job
@@ -75,14 +74,8 @@ fn run_tiny(
         .arg("--tiny")
         .env("HYBRID_THREADS", threads)
         .env("HYBRID_FRONTIER", frontier)
-        .env("HYBRID_REMOVAL_REPAIR", "0")
-        // Pinned so the temporal bins always replay their default window
-        // count, whatever the caller's shell exports.
-        .env("HYBRID_UPDATE_WINDOWS", "")
-        // Pinned to "no defence": the scenario legs exercise the attack
-        // itself; the deployment sweep has its own bin and goldens.
-        // HYBRID_SCENARIO is deliberately inherited (see the module doc).
-        .env("HYBRID_DEPLOYMENT", "");
+        .env("HYBRID_REMOVAL_REPAIR", "0");
+    // HYBRID_SCENARIO is deliberately inherited (see the module doc).
     if let Some(scheduling) = scheduling {
         command.env("HYBRID_SCHEDULING", scheduling);
     }

@@ -39,8 +39,8 @@
 //! use topogen::TopologyConfig;
 //!
 //! let scenario = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-//! let input = PipelineInput::builder().scenario(&scenario).build().unwrap();
-//! let report = Pipeline::default().run(input);
+//! let pipeline = Pipeline::default();
+//! let report = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));
 //! assert!(report.dataset.ipv6_paths > 0);
 //! ```
 
@@ -70,9 +70,7 @@ pub use ingest::{
     UpdateStream, ValleyCache, WindowOutcome,
 };
 pub use locpref::LocPrfRosetta;
-pub use pipeline::{
-    Pipeline, PipelineArtifacts, PipelineInput, PipelineInputBuilder, PipelineOptions,
-};
+pub use pipeline::{Pipeline, PipelineArtifacts, PipelineInput, PipelineOptions};
 pub use report::Report;
 pub use service::{ResidentState, ServiceMemory, VisibilityStats, WhatIfReply};
 pub use valley::{ValleyAttribution, ValleyReport};

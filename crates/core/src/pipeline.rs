@@ -1,6 +1,7 @@
 //! End-to-end orchestration of the measurement.
 
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 use bgp_types::{IpVersion, RibSnapshot};
 use irr::{CommunityDictionary, IrrRegistry};
@@ -11,7 +12,7 @@ use crate::communities::{CommunityInference, InferenceSource};
 use crate::extract::extract;
 use crate::hybrid::detect_hybrids;
 use crate::impact::{correction_sweep_in, ImpactOptions, SweepCache, SweepOptions};
-use crate::ingest::{run_valley_stage, ApplyStats, IngestCaches, LiveRib, UpdateStream};
+use crate::ingest::{run_valley_stage, IngestCaches};
 use crate::locpref::LocPrfRosetta;
 use crate::report::{DatasetSummary, Report};
 
@@ -29,155 +30,63 @@ pub struct PipelineInput {
 }
 
 impl PipelineInput {
-    /// Start describing an input: pick one base source (a simulated
-    /// scenario, MRT files on disk, or a raw snapshot), optionally replay
-    /// an [`UpdateStream`] on top of it, and set the execution options
-    /// once.
+    /// Build the input from a simulated scenario under explicit execution
+    /// options: pools its collectors, parses its registry, and carries the
+    /// ground truth along. Per-collector snapshot pooling runs sharded,
+    /// concurrently with the IRR dictionary build, when more than one
+    /// worker is allowed. The pooled entry order is worker-count
+    /// independent.
+    ///
+    /// The other two sources need no constructor of their own: MRT files
+    /// on disk go through [`from_files`](Self::from_files), and an
+    /// already-pooled snapshot is the struct literal
+    /// `PipelineInput { snapshot, dictionary, truth }`.
     ///
     /// ```
-    /// use hybrid_tor::pipeline::PipelineInput;
+    /// use hybrid_tor::pipeline::{PipelineInput, PipelineOptions};
     /// use routesim::{Scenario, SimConfig};
     /// use topogen::TopologyConfig;
     ///
     /// let scenario = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-    /// let input = PipelineInput::builder().scenario(&scenario).build().unwrap();
+    /// let input = PipelineInput::from_scenario_with(&scenario, &PipelineOptions::default());
     /// assert!(input.snapshot.len() > 0);
     /// ```
-    pub fn builder() -> PipelineInputBuilder<'static> {
-        PipelineInputBuilder::default()
-    }
-
-    /// Build the input from a simulated scenario under explicit execution
-    /// options — shorthand for the builder's scenario source: pools its
-    /// collectors, parses its registry, and carries the ground truth along.
-    /// Per-collector snapshot pooling runs sharded, concurrently with the
-    /// IRR dictionary build, when more than one worker is allowed. The
-    /// pooled entry order is worker-count independent.
     pub fn from_scenario_with(scenario: &routesim::Scenario, options: &PipelineOptions) -> Self {
-        Self::builder()
-            .scenario(scenario)
-            .options(*options)
-            .build()
-            .expect("scenario inputs cannot fail")
-    }
-}
-
-/// One base source for a [`PipelineInputBuilder`].
-#[derive(Debug, Default)]
-enum InputSource<'a> {
-    /// No source chosen yet; [`PipelineInputBuilder::build`] rejects it.
-    #[default]
-    Empty,
-    /// A simulated scenario (snapshot pooling + registry parsing).
-    Scenario(&'a routesim::Scenario),
-    /// MRT TABLE_DUMP_V2 files plus an IRR registry dump on disk.
-    Files { mrt: Vec<PathBuf>, registry: PathBuf },
-    /// An already-pooled snapshot with its dictionary (and optional
-    /// truth). Boxed: the assembled input dwarfs the other variants.
-    Snapshot(Box<PipelineInput>),
-}
-
-/// Builder for [`PipelineInput`]: one base source, an optional update
-/// stream replayed on top of it, and the execution options — declared
-/// once, in one place (see [`PipelineInput::builder`]).
-#[derive(Debug, Default)]
-pub struct PipelineInputBuilder<'a> {
-    options: PipelineOptions,
-    source: InputSource<'a>,
-    updates: Option<&'a UpdateStream>,
-}
-
-impl<'a> PipelineInputBuilder<'a> {
-    /// Use a simulated scenario as the base source (replaces any source
-    /// chosen earlier).
-    pub fn scenario(self, scenario: &'a routesim::Scenario) -> Self {
-        PipelineInputBuilder { source: InputSource::Scenario(scenario), ..self }
+        // The caller builds the dictionary, so pooling gets one worker
+        // less to keep the total at the budget.
+        let workers = options.workers();
+        let (snapshot, dictionary) = routesim::join(
+            workers,
+            || scenario.pooled_snapshot((workers - 1).max(1)),
+            || scenario.registry.build_dictionary(),
+        );
+        PipelineInput { snapshot, dictionary, truth: Some(scenario.truth.clone()) }
     }
 
-    /// Use MRT files plus an IRR registry dump as the base source
-    /// (replaces any source chosen earlier).
-    pub fn files(self, mrt_paths: &[impl AsRef<Path>], registry_path: impl AsRef<Path>) -> Self {
-        let source = InputSource::Files {
-            mrt: mrt_paths.iter().map(|p| p.as_ref().to_path_buf()).collect(),
-            registry: registry_path.as_ref().to_path_buf(),
+    /// Build the input from MRT TABLE_DUMP_V2 files plus an IRR registry
+    /// dump on disk. The files are read sharded over the option's
+    /// workers and pooled in input order, so the snapshot is the same at
+    /// every worker count. Each error names the file it came from; when
+    /// several MRT files fail, the first failing one in input order is
+    /// the error. No ground truth comes from disk.
+    pub fn from_files<P: AsRef<Path> + Sync>(
+        mrt_paths: &[P],
+        registry_path: impl AsRef<Path>,
+        options: &PipelineOptions,
+    ) -> io::Result<Self> {
+        let read = |path: &P| {
+            let path = path.as_ref();
+            mrt::read_snapshot_from_path(path)
+                .map_err(|e| io::Error::other(format!("{}: {e}", path.display())))
         };
-        PipelineInputBuilder { source, ..self }
-    }
-
-    /// Use an already-pooled snapshot as the base source (replaces any
-    /// source chosen earlier). `truth` enables accuracy evaluation.
-    pub fn snapshot(
-        self,
-        snapshot: RibSnapshot,
-        dictionary: CommunityDictionary,
-        truth: Option<GroundTruth>,
-    ) -> Self {
-        PipelineInputBuilder {
-            source: InputSource::Snapshot(Box::new(PipelineInput { snapshot, dictionary, truth })),
-            ..self
+        let mut snapshot = RibSnapshot::default();
+        for parsed in routesim::shard_map(mrt_paths, options.workers(), read) {
+            snapshot.merge(parsed?);
         }
-    }
-
-    /// Replay an update stream on top of the base source: the built input
-    /// holds the [`LiveRib`] state after the stream's last window — the
-    /// one-shot "table at time T" shape. For per-window measurement use
-    /// [`crate::ingest::TemporalSweep`] instead.
-    pub fn updates(self, stream: &'a UpdateStream) -> Self {
-        PipelineInputBuilder { updates: Some(stream), ..self }
-    }
-
-    /// Execution options for source assembly (pooling / file-parse
-    /// parallelism). Execution only — the built input is byte-identical
-    /// at every worker count.
-    pub fn options(self, options: PipelineOptions) -> Self {
-        PipelineInputBuilder { options, ..self }
-    }
-
-    /// Assemble the input. Fails when no source was chosen or a file
-    /// source fails to read.
-    pub fn build(self) -> Result<PipelineInput, std::io::Error> {
-        let options = self.options;
-        let mut input = match self.source {
-            InputSource::Empty => {
-                return Err(std::io::Error::other(
-                    "PipelineInput::builder(): no source chosen (scenario / files / snapshot)",
-                ))
-            }
-            InputSource::Scenario(scenario) => {
-                // The caller builds the dictionary, so pooling gets one
-                // worker less to keep the total at the budget.
-                let workers = options.workers();
-                let (snapshot, dictionary) = routesim::join(
-                    workers,
-                    || scenario.pooled_snapshot((workers - 1).max(1)),
-                    || scenario.registry.build_dictionary(),
-                );
-                PipelineInput { snapshot, dictionary, truth: Some(scenario.truth.clone()) }
-            }
-            InputSource::Files { mrt, registry } => {
-                let read = |path: &PathBuf| {
-                    mrt::read_snapshot_from_path(path)
-                        .map_err(|e| std::io::Error::other(e.to_string()))
-                };
-                // The first failing file in input order is the error.
-                let mut snapshot = RibSnapshot::default();
-                for parsed in routesim::shard_map(&mrt, options.workers(), read) {
-                    snapshot.merge(parsed?);
-                }
-                let registry = IrrRegistry::load(registry)?;
-                PipelineInput { snapshot, dictionary: registry.build_dictionary(), truth: None }
-            }
-            InputSource::Snapshot(input) => *input,
-        };
-        if let Some(stream) = self.updates {
-            let mut live = LiveRib::from_snapshot(&input.snapshot);
-            let mut stats = ApplyStats::default();
-            for record in stream.windows().iter().flatten() {
-                live.apply_record(record, &mut stats);
-            }
-            input.snapshot = live.snapshot();
-        }
-        Ok(input)
+        let registry_path = registry_path.as_ref();
+        let registry = IrrRegistry::load(registry_path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", registry_path.display())))?;
+        Ok(PipelineInput { snapshot, dictionary: registry.build_dictionary(), truth: None })
     }
 }
 
@@ -517,7 +426,7 @@ mod tests {
     }
 
     fn scenario_input(scenario: &routesim::Scenario) -> PipelineInput {
-        PipelineInput::builder().scenario(scenario).build().expect("scenario inputs cannot fail")
+        PipelineInput::from_scenario_with(scenario, &PipelineOptions::default())
     }
 
     #[test]
@@ -608,7 +517,9 @@ mod tests {
         let registry_path = dir.join("irr.txt");
         scenario.registry.save(&registry_path).unwrap();
 
-        let input = PipelineInput::builder().files(&mrt_paths, &registry_path).build().unwrap();
+        let input =
+            PipelineInput::from_files(&mrt_paths, &registry_path, &PipelineOptions::default())
+                .unwrap();
         let from_disk = Pipeline::default().run(input);
         let in_memory = Pipeline::default().run(scenario_input(&scenario));
         // LocPrf and communities survive the MRT round trip, so the headline
@@ -625,13 +536,29 @@ mod tests {
 
     #[test]
     fn missing_files_surface_an_error() {
+        let scenario = scenario();
+        let dir = std::env::temp_dir().join(format!("hybrid-tor-missing-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mrt_paths = scenario.write_mrt_files(&dir).unwrap();
+        let registry = dir.join("absent-irr.txt");
         for options in [PipelineOptions::sequential(), PipelineOptions::with_concurrency(2)] {
-            let result = PipelineInput::builder()
-                .files(&["/nonexistent/a.mrt", "/nonexistent/b.mrt"], "/nonexistent/irr.txt")
-                .options(options)
-                .build();
-            assert!(result.is_err(), "workers={}", options.workers());
+            let workers = options.workers();
+            // Two missing collector files: the first in input order wins.
+            let missing = ["/nonexistent/a.mrt", "/nonexistent/b.mrt"];
+            let err = PipelineInput::from_files(&missing, "/nonexistent/irr.txt", &options)
+                .expect_err("missing MRT files must fail");
+            let message = err.to_string();
+            assert!(message.contains("/nonexistent/a.mrt"), "workers={workers}: {message}");
+            assert!(!message.contains("/nonexistent/b.mrt"), "workers={workers}: {message}");
+            // Valid collector files and a missing registry: the registry
+            // path is named.
+            let err = PipelineInput::from_files(&mrt_paths, &registry, &options)
+                .expect_err("a missing registry must fail");
+            let message = err.to_string();
+            assert!(message.contains(&*registry.to_string_lossy()), "workers={workers}: {message}");
+            assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "workers={workers}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

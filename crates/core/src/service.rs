@@ -89,14 +89,6 @@ impl ResidentState {
     /// everything else answers from the state it builds.
     pub fn build(scenario: &routesim::Scenario, pipeline: &Pipeline) -> Self {
         let input = PipelineInput::from_scenario_with(scenario, &pipeline.options);
-        Self::from_input(input, pipeline)
-    }
-
-    /// [`build`](Self::build) from an already-assembled input — the shape
-    /// a streaming daemon uses: it keeps a [`crate::ingest::LiveRib`]
-    /// resident, applies an update window, and rebuilds the snapshot from
-    /// the live table instead of re-propagating a scenario.
-    pub fn from_input(input: PipelineInput, pipeline: &Pipeline) -> Self {
         let (report, artifacts) = pipeline.run_with_artifacts(input);
         let annotated = artifacts.annotated;
 
@@ -287,8 +279,8 @@ mod tests {
     #[test]
     fn resident_state_matches_a_fresh_pipeline_run() {
         let (scenario, state) = resident();
-        let input = PipelineInput::builder().scenario(&scenario).build().unwrap();
-        let fresh = Pipeline::default().run(input);
+        let pipeline = Pipeline::default();
+        let fresh = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));
         assert_eq!(state.report_json(), fresh.to_json(), "one build, same bytes");
         assert!(state.summary_json().contains("ipv6_paths"));
         assert!(!state.universe().is_empty());
@@ -319,7 +311,7 @@ mod tests {
     #[test]
     fn visibility_counts_are_consistent() {
         let (scenario, state) = resident();
-        let input = PipelineInput::builder().scenario(&scenario).build().unwrap();
+        let input = PipelineInput::from_scenario_with(&scenario, &Pipeline::default().options);
         let data = crate::extract::extract(&input.snapshot);
         for &asn in state.universe().iter().take(50) {
             let expected = data.paths_v6.iter().filter(|p| p.path.contains(&asn)).count();

@@ -10,13 +10,10 @@
 //! "Resident service" section.
 
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use hybrid_tor::ingest::{ApplyStats, LiveRib};
-use hybrid_tor::pipeline::PipelineInput;
 use hybrid_tor::service::ResidentState;
 use hybridd::Server;
-use routesim::UpdateStreamConfig;
 
 fn main() {
     let scale = bench::scale_from_args();
@@ -24,57 +21,10 @@ fn main() {
     let pipeline = knobs.pipeline();
     let scenario = bench::build_scenario(&scale);
 
-    // With HYBRID_UPDATE_WINDOWS > 0 the daemon runs in streaming mode: it
-    // keeps a resident LiveRib and every epoch-reload request (`X`)
-    // advances one synthetic update window (cycling) before rebuilding,
-    // instead of re-propagating the scenario from scratch.
-    let (state, rebuild): (ResidentState, hybridd::Rebuild) = if knobs.update_windows > 0 {
-        let dictionary = scenario.registry.build_dictionary();
-        let truth = scenario.truth.clone();
-        let stream = scenario.update_stream(&UpdateStreamConfig {
-            windows: knobs.update_windows,
-            ..Default::default()
-        });
-        let live = LiveRib::from_snapshot(&scenario.pooled_snapshot(knobs.threads()));
-        let build_from = {
-            let pipeline = pipeline.clone();
-            move |live: &LiveRib| {
-                let input = PipelineInput::builder()
-                    .snapshot(live.snapshot(), dictionary.clone(), Some(truth.clone()))
-                    .build()
-                    .expect("snapshot sources cannot fail");
-                ResidentState::from_input(input, &pipeline)
-            }
-        };
-        let state = build_from(&live);
-        let session = Mutex::new((live, 0usize));
-        let rebuild: hybridd::Rebuild = Arc::new(move || {
-            let mut session = session.lock().expect("ingest session lock");
-            let (live, next) = &mut *session;
-            if !stream.is_empty() {
-                let window = *next % stream.len();
-                let mut stats = ApplyStats::default();
-                for record in &stream[window] {
-                    live.apply_record(record, &mut stats);
-                }
-                *next += 1;
-                println!(
-                    "hybridd: applied update window {window} ({} changed, {} redundant, {} routes resident)",
-                    stats.changed,
-                    stats.redundant,
-                    live.len(),
-                );
-            }
-            build_from(live)
-        });
-        (state, rebuild)
-    } else {
-        let state = ResidentState::build(&scenario, &pipeline);
-        let pipeline = pipeline.clone();
-        let rebuild: hybridd::Rebuild =
-            Arc::new(move || ResidentState::build(&scenario, &pipeline));
-        (state, rebuild)
-    };
+    // A `Reload` request re-propagates the scenario and rebuilds the
+    // snapshot from scratch, exactly as at startup.
+    let state = ResidentState::build(&scenario, &pipeline);
+    let rebuild: hybridd::Rebuild = Arc::new(move || ResidentState::build(&scenario, &pipeline));
     let memory = state.memory();
 
     let server = Server::bind(knobs.addr, state, rebuild, knobs.threads())

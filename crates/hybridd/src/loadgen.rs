@@ -183,6 +183,13 @@ pub fn run(
         }
     }
     let (universe, hybrid_pairs) = match Response::decode(&universe_raw)? {
+        // `query_mix` cannot draw from nothing; refuse here rather than
+        // panic on every client thread.
+        Response::Universe { asns, .. } if asns.is_empty() => {
+            return Err(WireError::Io(std::io::Error::other(
+                "the server's AS universe is empty: no queries to draw",
+            )))
+        }
         Response::Universe { asns, hybrid_pairs } => (asns, hybrid_pairs),
         other => {
             return Err(WireError::Io(std::io::Error::other(format!(
@@ -246,4 +253,39 @@ pub fn run(
         p99_ns: percentile(&latencies, 99),
         mismatches,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    #[test]
+    fn an_empty_universe_is_an_error_not_a_panic() {
+        // A one-connection fake server that answers the universe probe
+        // with an empty snapshot.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a free port");
+        let addr = listener.local_addr().expect("bound address");
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept the probe");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+            let mut writer = BufWriter::new(stream);
+            let request = Request::decode(&read_frame(&mut reader).expect("read the probe"));
+            assert_eq!(request.expect("decode the probe"), Request::Universe);
+            let empty = Response::Universe { asns: Vec::new(), hybrid_pairs: Vec::new() };
+            write_frame(&mut writer, &empty.encode()).expect("answer the probe");
+            writer.flush().expect("flush the answer");
+        });
+        let config = LoadgenConfig {
+            addr: addr.to_string(),
+            requests: 16,
+            clients: 2,
+            seed: 1,
+            wait: Duration::from_secs(5),
+        };
+        let err = run(&config, None).expect_err("an empty universe must fail the run");
+        assert!(err.to_string().contains("empty"), "{err}");
+        server.join().expect("fake server");
+    }
 }

@@ -48,10 +48,7 @@ pub mod updates;
 
 pub use collector::{CollectorSetup, FeederKind};
 pub use config::SimConfig;
-pub use policy::{
-    AsPolicy, AspaLitePolicy, ClassicPolicy, Policy, PolicyDeployment, PolicyEngine, PolicyModel,
-    PolicyScenario, PolicyTable, RovPolicy,
-};
+pub use policy::{AsPolicy, Policy, PolicyDeployment, PolicyEngine, PolicyScenario, PolicyTable};
 pub use propagate::{
     propagate_origin, propagate_origin_with, propagate_origins, OriginScheduling,
     PropagationOptions, RouteClass, RouteInfo, RouteTaint, RoutingOutcome,

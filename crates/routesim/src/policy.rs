@@ -298,72 +298,35 @@ impl PolicyDeployment {
     }
 }
 
-/// The per-AS route-acceptance decision: given a candidate route, may
-/// this AS install it? The propagation core consults this at every
-/// adoption point, so a policy can veto routes whatever phase delivers
-/// them. Implementations must be pure — acceptance may depend only on
-/// the candidate — to keep propagation deterministic and cacheable.
-pub trait PolicyModel {
-    /// True when the AS accepts (installs) `candidate`.
-    fn accepts(&self, candidate: &RouteInfo) -> bool;
-}
-
-/// The classic Gao–Rexford acceptor: installs everything the export
-/// rules deliver (the pre-refactor behaviour).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClassicPolicy;
-
-impl PolicyModel for ClassicPolicy {
-    fn accepts(&self, _candidate: &RouteInfo) -> bool {
-        true
-    }
-}
-
-/// Route-origin validation: rejects candidates whose origin is a hijack
-/// (the [`crate::propagate::RouteTaint::hijacked`] bit), modelling an AS that drops
-/// RPKI-invalid announcements.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RovPolicy;
-
-impl PolicyModel for RovPolicy {
-    fn accepts(&self, candidate: &RouteInfo) -> bool {
-        !candidate.taint.hijacked
-    }
-}
-
-/// ASPA-lite path validation: rejects candidates that traversed a route
-/// leak (the [`crate::propagate::RouteTaint::leaked`] bit), modelling provider-set
-/// verification of the upstream path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AspaLitePolicy;
-
-impl PolicyModel for AspaLitePolicy {
-    fn accepts(&self, candidate: &RouteInfo) -> bool {
-        !candidate.taint.leaked
-    }
-}
-
-/// One AS's route-decision policy, enum-dispatched so the frozen-CSR hot
-/// path stays free of virtual calls: each variant forwards to its
-/// [`PolicyModel`] implementation.
+/// One AS's route-acceptance decision: given a candidate route, may this
+/// AS install it? The propagation core consults it at every adoption
+/// point, so a policy can veto routes whatever phase delivers them.
+/// Acceptance depends only on the candidate's taint, which keeps
+/// propagation deterministic and cacheable; a plain enum match keeps the
+/// frozen-CSR hot path free of virtual calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Policy {
-    /// The classic valley-free acceptor ([`ClassicPolicy`]).
+    /// The classic Gao–Rexford acceptor: installs everything the export
+    /// rules deliver.
     #[default]
     Classic,
-    /// Route-origin validation ([`RovPolicy`]).
+    /// Route-origin validation: rejects candidates whose origin is a
+    /// hijack (the [`crate::propagate::RouteTaint::hijacked`] bit),
+    /// modelling an AS that drops RPKI-invalid announcements.
     Rov,
-    /// ASPA-lite path validation ([`AspaLitePolicy`]).
+    /// ASPA-lite path validation: rejects candidates that traversed a
+    /// route leak (the [`crate::propagate::RouteTaint::leaked`] bit),
+    /// modelling provider-set verification of the upstream path.
     AspaLite,
 }
 
 impl Policy {
-    /// Dispatch [`PolicyModel::accepts`] for this policy.
+    /// True when an AS running this policy accepts (installs) `candidate`.
     pub fn accepts(self, candidate: &RouteInfo) -> bool {
         match self {
-            Policy::Classic => ClassicPolicy.accepts(candidate),
-            Policy::Rov => RovPolicy.accepts(candidate),
-            Policy::AspaLite => AspaLitePolicy.accepts(candidate),
+            Policy::Classic => true,
+            Policy::Rov => !candidate.taint.hijacked,
+            Policy::AspaLite => !candidate.taint.leaked,
         }
     }
 }
@@ -619,14 +582,28 @@ mod tests {
     }
 
     #[test]
-    fn policy_dispatch_matches_the_model_implementations() {
-        for (hijacked, leaked) in [(false, false), (true, false), (false, true), (true, true)] {
-            let candidate = tainted(hijacked, leaked);
-            assert!(Policy::Classic.accepts(&candidate));
-            assert_eq!(Policy::Rov.accepts(&candidate), RovPolicy.accepts(&candidate));
-            assert_eq!(Policy::Rov.accepts(&candidate), !hijacked);
-            assert_eq!(Policy::AspaLite.accepts(&candidate), AspaLitePolicy.accepts(&candidate));
-            assert_eq!(Policy::AspaLite.accepts(&candidate), !leaked);
+    fn policy_acceptance_follows_the_taint_table() {
+        // (policy, hijacked, leaked, accepted)
+        let table = [
+            (Policy::Classic, false, false, true),
+            (Policy::Classic, true, false, true),
+            (Policy::Classic, false, true, true),
+            (Policy::Classic, true, true, true),
+            (Policy::Rov, false, false, true),
+            (Policy::Rov, true, false, false),
+            (Policy::Rov, false, true, true),
+            (Policy::Rov, true, true, false),
+            (Policy::AspaLite, false, false, true),
+            (Policy::AspaLite, true, false, true),
+            (Policy::AspaLite, false, true, false),
+            (Policy::AspaLite, true, true, false),
+        ];
+        for (policy, hijacked, leaked, accepted) in table {
+            assert_eq!(
+                policy.accepts(&tainted(hijacked, leaked)),
+                accepted,
+                "{policy:?} hijacked={hijacked} leaked={leaked}"
+            );
         }
     }
 

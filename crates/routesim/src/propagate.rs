@@ -98,8 +98,8 @@ impl RouteClass {
 /// What a route has been through on its way here. Candidates inherit the
 /// taint of the route their sender selected, so the bits are transitive:
 /// any AS downstream of a hijacked origin or a leaked hop sees them, and
-/// the defensive policies ([`crate::policy::RovPolicy`],
-/// [`crate::policy::AspaLitePolicy`]) key their vetoes off them.
+/// the defensive policies ([`crate::policy::Policy::Rov`],
+/// [`crate::policy::Policy::AspaLite`]) key their vetoes off them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RouteTaint {
     /// The route's origin is a hijacker, not the legitimate holder.

@@ -28,8 +28,7 @@ fn main() {
     let topology = TopologyConfig::small();
     eprintln!("building scenario with {} ASes ...", topology.total_as_count());
     let scenario = Scenario::build(&topology, &SimConfig::default());
-    let input =
-        PipelineInput::builder().scenario(&scenario).build().expect("scenario inputs cannot fail");
+    let input = PipelineInput::from_scenario_with(&scenario, &PipelineOptions::default());
     let report = Pipeline::with_impact(20, Some(200)).run(input);
     let curve = report.impact.expect("impact sweep requested");
 

@@ -27,8 +27,7 @@ fn main() {
 
     eprintln!("building scenario with {} ASes ...", topology.total_as_count());
     let scenario = Scenario::build(&topology, &SimConfig::default());
-    let input =
-        PipelineInput::builder().scenario(&scenario).build().expect("scenario inputs cannot fail");
+    let input = PipelineInput::from_scenario_with(&scenario, &PipelineOptions::default());
     let report = Pipeline::default().run(input);
     let hybrids = &report.hybrids;
 

@@ -49,8 +49,8 @@ fn main() {
     );
 
     // Run the pipeline purely from the on-disk artifacts.
-    let input =
-        PipelineInput::builder().files(&mrt_paths, &registry_path).build().expect("load from disk");
+    let input = PipelineInput::from_files(&mrt_paths, &registry_path, &PipelineOptions::default())
+        .expect("load from disk");
     let report = Pipeline::default().run(input);
     println!("\npipeline over the decoded MRT files:");
     println!(
@@ -62,9 +62,8 @@ fn main() {
     );
 
     // And confirm it agrees with the in-memory run.
-    let in_memory = Pipeline::default().run(
-        PipelineInput::builder().scenario(&scenario).build().expect("scenario inputs cannot fail"),
-    );
+    let in_memory = Pipeline::default()
+        .run(PipelineInput::from_scenario_with(&scenario, &PipelineOptions::default()));
     assert_eq!(report.dataset.ipv6_links, in_memory.dataset.ipv6_links);
     assert_eq!(report.hybrids.findings.len(), in_memory.hybrids.findings.len());
     println!("  matches the in-memory pipeline exactly");

@@ -24,9 +24,8 @@ fn run(relaxation: bool, leak_probability: f64) -> Report {
         ..TopologyConfig::small()
     };
     let scenario = Scenario::build(&topology, &sim);
-    Pipeline::default().run(
-        PipelineInput::builder().scenario(&scenario).build().expect("scenario inputs cannot fail"),
-    )
+    Pipeline::default()
+        .run(PipelineInput::from_scenario_with(&scenario, &PipelineOptions::default()))
 }
 
 fn main() {

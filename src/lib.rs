@@ -26,8 +26,8 @@
 //! let scenario = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
 //!
 //! // 2. Run the paper's measurement pipeline.
-//! let input = PipelineInput::builder().scenario(&scenario).build().unwrap();
-//! let report = Pipeline::default().run(input);
+//! let pipeline = Pipeline::default();
+//! let report = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));
 //!
 //! // 3. Inspect the headline numbers.
 //! assert!(report.dataset.ipv6_coverage() > 0.0);
@@ -90,8 +90,8 @@ mod tests {
     #[test]
     fn facade_reexports_compose() {
         let scenario = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-        let input = PipelineInput::builder().scenario(&scenario).build().unwrap();
-        let report = Pipeline::default().run(input);
+        let pipeline = Pipeline::default();
+        let report = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));
         assert!(report.dataset.ipv6_paths > 0);
         let _asn: crate::types::Asn = Asn(3356);
         let _v: IpVersion = IpVersion::V6;

@@ -225,7 +225,7 @@ fn impact_sweep_matrix_produces_byte_identical_reports() {
 #[test]
 fn ingest_replay_matrix_produces_byte_identical_reports() {
     use hybrid_as_rel::sim::UpdateStreamConfig;
-    use hybrid_as_rel::tor::ingest::{TemporalSweep, UpdateStream};
+    use hybrid_as_rel::tor::ingest::{ApplyStats, LiveRib, TemporalSweep, UpdateStream};
     // The streaming ingest path adds an execution dimension on top of
     // the worker count: delta-repaired replay vs full per-window
     // recompute (`TemporalSweep::new`'s flag). Per window, every
@@ -264,13 +264,17 @@ fn ingest_replay_matrix_produces_byte_identical_reports() {
         }
     }
     // And replaying the stream to its end is byte-identical to a one-shot
-    // pipeline run over the final table state — the builder's
-    // update-stream source is exactly that shape.
-    let input = PipelineInput::builder()
-        .snapshot(base.clone(), dictionary.clone(), Some(scenario.truth.clone()))
-        .updates(&stream)
-        .build()
-        .expect("snapshot sources cannot fail");
+    // pipeline run over the final table state.
+    let mut live = LiveRib::from_snapshot(&base);
+    let mut stats = ApplyStats::default();
+    for record in stream.windows().iter().flatten() {
+        live.apply_record(record, &mut stats);
+    }
+    let input = PipelineInput {
+        snapshot: live.snapshot(),
+        dictionary,
+        truth: Some(scenario.truth.clone()),
+    };
     let oneshot = Pipeline::with_concurrency(1).run(input);
     assert!(
         serde_json::to_string_pretty(&oneshot).expect("report serializes")

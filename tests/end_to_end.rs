@@ -9,7 +9,7 @@ use hybrid_as_rel::tor::extract::extract;
 
 /// The pipeline input for a simulated scenario.
 fn input(scenario: &Scenario) -> PipelineInput {
-    PipelineInput::builder().scenario(scenario).build().expect("scenario inputs cannot fail")
+    PipelineInput::from_scenario_with(scenario, &PipelineOptions::default())
 }
 
 fn scenario(seed: u64) -> Scenario {
@@ -131,8 +131,9 @@ fn mrt_files_and_registry_reproduce_the_in_memory_measurement() {
     let registry_path = dir.join("registry.txt");
     scenario.registry.save(&registry_path).unwrap();
 
-    let from_disk = Pipeline::default()
-        .run(PipelineInput::builder().files(&mrt_paths, &registry_path).build().unwrap());
+    let from_disk = Pipeline::default().run(
+        PipelineInput::from_files(&mrt_paths, &registry_path, &PipelineOptions::default()).unwrap(),
+    );
     let in_memory = Pipeline::default().run(input(&scenario));
 
     assert_eq!(from_disk.dataset.ipv6_paths, in_memory.dataset.ipv6_paths);

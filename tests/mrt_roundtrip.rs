@@ -1,20 +1,10 @@
 //! MRT round-trip integration test: a merged collector snapshot written
 //! with `mrt::writer` and re-read with `mrt::read_snapshot_from_path` must
-//! be equivalent, and the builder's file source
-//! (`PipelineInput::builder().files(..)`) must reproduce the in-memory
-//! measurement.
+//! be equivalent, and the file source (`PipelineInput::from_files`) must
+//! reproduce the in-memory measurement.
 
 use hybrid_as_rel::mrt;
 use hybrid_as_rel::prelude::*;
-
-/// Load MRT files plus an IRR dump through the builder's file source.
-fn load_files(
-    mrt_paths: &[std::path::PathBuf],
-    registry_path: impl AsRef<std::path::Path>,
-    options: PipelineOptions,
-) -> std::io::Result<PipelineInput> {
-    PipelineInput::builder().files(mrt_paths, registry_path).options(options).build()
-}
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("hybrid-as-rel-{tag}-{}", std::process::id()));
@@ -74,17 +64,22 @@ fn pipeline_from_files_matches_the_in_memory_measurement() {
     scenario.registry.save(&registry_path).expect("write IRR registry dump");
 
     let from_disk = Pipeline::default().run(
-        load_files(&mrt_paths, &registry_path, PipelineOptions::default()).expect("load files"),
+        PipelineInput::from_files(&mrt_paths, &registry_path, &PipelineOptions::default())
+            .expect("load files"),
     );
-    let in_memory = Pipeline::default().run(
-        PipelineInput::builder().scenario(&scenario).build().expect("scenario inputs cannot fail"),
-    );
+    let in_memory = Pipeline::default()
+        .run(PipelineInput::from_scenario_with(&scenario, &PipelineOptions::default()));
 
     // Sequential and parallel file loading pool the same snapshot.
-    let sequential = load_files(&mrt_paths, &registry_path, PipelineOptions::sequential())
-        .expect("load files sequentially");
-    let parallel = load_files(&mrt_paths, &registry_path, PipelineOptions::with_concurrency(4))
-        .expect("load files in parallel");
+    let sequential =
+        PipelineInput::from_files(&mrt_paths, &registry_path, &PipelineOptions::sequential())
+            .expect("load files sequentially");
+    let parallel = PipelineInput::from_files(
+        &mrt_paths,
+        &registry_path,
+        &PipelineOptions::with_concurrency(4),
+    )
+    .expect("load files in parallel");
     assert_eq!(sequential.snapshot, parallel.snapshot, "pooling order depends on worker count");
 
     assert_eq!(from_disk.dataset.ipv6_paths, in_memory.dataset.ipv6_paths);
@@ -115,9 +110,9 @@ fn pipeline_from_files_surfaces_missing_and_malformed_inputs() {
     with_missing.push(dir.join("missing.rib.mrt"));
     let workers = [PipelineOptions::sequential(), PipelineOptions::with_concurrency(4)];
     for options in workers {
-        let err = load_files(&with_missing, &registry_path, options)
+        let err = PipelineInput::from_files(&with_missing, &registry_path, &options)
             .expect_err("missing MRT file must fail");
-        assert!(!err.to_string().is_empty());
+        assert!(err.to_string().contains("missing.rib.mrt"), "names the file: {err}");
     }
 
     // A stream that ends mid-record is a truncation error, not a short
@@ -131,20 +126,23 @@ fn pipeline_from_files_surfaces_missing_and_malformed_inputs() {
         for paths in
             [vec![truncated_path.clone()], vec![mrt_paths[0].clone(), truncated_path.clone()]]
         {
-            let err = load_files(&paths, &registry_path, options)
+            let err = PipelineInput::from_files(&paths, &registry_path, &options)
                 .expect_err("truncated MRT record must fail");
             assert!(
                 err.to_string().to_lowercase().contains("truncated"),
                 "unexpected truncation error: {err}"
             );
+            assert!(err.to_string().contains("truncated.rib.mrt"), "names the file: {err}");
         }
     }
 
     // Registry problems surface too: a missing dump and a directory where
     // a file is expected.
     for options in workers {
-        assert!(load_files(&mrt_paths, dir.join("missing-irr.txt"), options).is_err());
-        assert!(load_files(&mrt_paths, &dir, options).is_err());
+        assert!(
+            PipelineInput::from_files(&mrt_paths, dir.join("missing-irr.txt"), &options).is_err()
+        );
+        assert!(PipelineInput::from_files(&mrt_paths, &dir, &options).is_err());
     }
 
     std::fs::remove_dir_all(&dir).expect("cleanup");

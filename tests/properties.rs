@@ -799,10 +799,8 @@ proptest! {
         let reread = read_snapshot_bytes(dump.into()).expect("decode table dump");
         prop_assert_eq!(&reread, &live.snapshot(), "table dump round trip");
 
-        let input = PipelineInput::builder()
-            .snapshot(reread, dictionary, Some(scenario.truth.clone()))
-            .build()
-            .expect("snapshot inputs cannot fail");
+        let input =
+            PipelineInput { snapshot: reread, dictionary, truth: Some(scenario.truth.clone()) };
         prop_assert_eq!(pipeline.run(input).to_json(), replayed);
     }
 }
@@ -858,10 +856,11 @@ fn mutate(valid: &[u8], flips: &[(usize, u8)], cut: Option<usize>) -> Vec<u8> {
 }
 
 fn run_pipeline(scenario: &Scenario, snapshot: RibSnapshot) {
-    let input = PipelineInput::builder()
-        .snapshot(snapshot, scenario.registry.build_dictionary(), Some(scenario.truth.clone()))
-        .build()
-        .expect("snapshot inputs cannot fail");
+    let input = PipelineInput {
+        snapshot,
+        dictionary: scenario.registry.build_dictionary(),
+        truth: Some(scenario.truth.clone()),
+    };
     let _ = Pipeline::with_concurrency(1).run(input).to_json();
 }
 

@@ -5,8 +5,9 @@
 //! Both rows produce byte-identical per-window reports (the determinism
 //! suite and exp_g2 pin that), so the pair is a pure execution-cost
 //! comparison: the delta row folds each route change into the extraction
-//! counters and repairs the cached valley distance maps in place, where
-//! the full row rescans the resident table and re-runs every BFS each
+//! counters, Gao's votes, the community tallies and the LocPrf table, and
+//! repairs the cached valley distance maps in place, where the full row
+//! rescans the resident table in every stage and re-runs every BFS each
 //! window.
 
 use criterion::{criterion_group, criterion_main, Criterion};

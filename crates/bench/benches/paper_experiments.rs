@@ -43,7 +43,7 @@ fn prepare() -> Prepared {
     let snapshot = scenario.merged_snapshot();
     let data = extract(&snapshot);
     let mut inference = CommunityInference::from_snapshot(&snapshot, &dictionary);
-    let mut rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &inference);
+    let rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &inference);
     rosetta.apply(&snapshot, &dictionary, &mut inference);
     let mut annotated = data.graph.clone();
     inference.annotate_graph(&mut annotated);
@@ -58,7 +58,7 @@ fn paper_experiments(c: &mut Criterion) {
         b.iter(|| {
             let data = extract(black_box(&snapshot));
             let mut inference = CommunityInference::from_snapshot(&snapshot, &prepared.dictionary);
-            let mut rosetta = LocPrfRosetta::learn(&snapshot, &prepared.dictionary, &inference);
+            let rosetta = LocPrfRosetta::learn(&snapshot, &prepared.dictionary, &inference);
             rosetta.apply(&snapshot, &prepared.dictionary, &mut inference);
             black_box((
                 data.link_count(IpVersion::V6),

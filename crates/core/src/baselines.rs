@@ -17,8 +17,12 @@
 //! Both operate on one plane's observed paths, or (as the existing tools
 //! do) on the union of both planes' paths — which is precisely what
 //! produces the misinference artifacts on hybrid links.
+//!
+//! [`GaoVotes`] keeps Gao's per-link votes over a changing set of
+//! distinct paths, so a streaming session re-votes only the paths whose
+//! top provider may have moved instead of re-running [`gao_inference`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
@@ -182,27 +186,13 @@ pub fn gao_inference(data: &ExtractedData, input: BaselineInput) -> BaselineInfe
         if hops.len() < 2 {
             continue;
         }
-        // The path's "top provider" is the first AS of maximal degree.
-        // Taking the *first* maximum matters: when two comparable hubs sit
-        // next to each other, paths observed from either side nominate
-        // their own nearer hub, the transit votes on the hub-hub link
-        // balance out, and the link is recognised as peering below.
-        let mut top_idx = 0;
-        for i in 1..hops.len() {
-            if degree[hops[i] as usize] > degree[hops[top_idx] as usize] {
-                top_idx = i;
-            }
-        }
+        let top_idx = top_provider(hops.iter().map(|&id| degree[id as usize]));
         for i in 0..hops.len() - 1 {
             let link = hop_links[i] as usize;
             // The link's canonical `a` endpoint is the lower ASN.
             let flipped = interned.links[link].0 != hops[i];
             let entry = &mut votes[link];
-            // Before the top provider the route climbs (hop i is the
-            // customer of hop i + 1); after it the route descends.
-            let first_is_provider = i >= top_idx;
-            let lo_is_provider = first_is_provider != flipped;
-            if lo_is_provider {
+            if lo_is_provider(i, top_idx, flipped) {
                 entry.0 += 1;
             } else {
                 entry.1 += 1;
@@ -210,27 +200,209 @@ pub fn gao_inference(data: &ExtractedData, input: BaselineInput) -> BaselineInfe
         }
     }
 
-    // Phase 2: resolve votes into relationships; near-balanced votes between
-    // ASes of comparable degree become peering.
+    // Phase 2: resolve votes into relationships.
     let mut inference = BaselineInference::default();
     for (&(a, b), &(a_provider, b_provider)) in interned.links.iter().zip(&votes) {
-        let ratio = interned.degree_at_least_one(a) as f64 / interned.degree_at_least_one(b) as f64;
-        let total = a_provider + b_provider;
-        let balanced = {
-            let hi = a_provider.max(b_provider) as f64;
-            total > 0 && hi / total as f64 <= 0.6
-        };
-        let comparable_degree = (0.2..=5.0).contains(&ratio);
-        let rel = if balanced && comparable_degree {
-            Relationship::PeerToPeer
-        } else if a_provider >= b_provider {
-            Relationship::ProviderToCustomer
-        } else {
-            Relationship::CustomerToProvider
-        };
+        let rel = gao_relationship(
+            interned.degree_at_least_one(a),
+            interned.degree_at_least_one(b),
+            a_provider,
+            b_provider,
+        );
         inference.links.insert((interned.asns[a as usize], interned.asns[b as usize]), rel);
     }
     inference
+}
+
+/// The index of a path's "top provider": the first hop of maximal degree.
+/// Taking the *first* maximum matters: when two comparable hubs sit next
+/// to each other, paths observed from either side nominate their own
+/// nearer hub, the transit votes on the hub-hub link balance out, and the
+/// link is recognised as peering.
+fn top_provider(degrees: impl Iterator<Item = usize>) -> usize {
+    let mut top = (0, 0);
+    for (i, degree) in degrees.enumerate() {
+        if i == 0 || degree > top.1 {
+            top = (i, degree);
+        }
+    }
+    top.0
+}
+
+/// Whether hop `i`'s link votes for its lower-ASN endpoint as the
+/// provider. Before the top provider the route climbs (hop `i` is the
+/// customer of hop `i + 1`); after it the route descends. `flipped` says
+/// hop `i` is the link's higher-ASN endpoint.
+fn lo_is_provider(i: usize, top: usize, flipped: bool) -> bool {
+    (i >= top) != flipped
+}
+
+/// Gao's phase 2 for one link `a`–`b` (degrees at least 1, votes for
+/// each endpoint as the provider): near-balanced votes between ASes of
+/// comparable degree become peering, otherwise the majority direction
+/// wins.
+fn gao_relationship(
+    degree_a: usize,
+    degree_b: usize,
+    a_provider: usize,
+    b_provider: usize,
+) -> Relationship {
+    let ratio = degree_a as f64 / degree_b as f64;
+    let total = a_provider + b_provider;
+    let balanced = {
+        let hi = a_provider.max(b_provider) as f64;
+        total > 0 && hi / total as f64 <= 0.6
+    };
+    let comparable_degree = (0.2..=5.0).contains(&ratio);
+    if balanced && comparable_degree {
+        Relationship::PeerToPeer
+    } else if a_provider >= b_provider {
+        Relationship::ProviderToCustomer
+    } else {
+        Relationship::CustomerToProvider
+    }
+}
+
+/// One canonical link's state in [`GaoVotes`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct GaoLink {
+    /// Path hops that traverse the link.
+    hops: usize,
+    /// Votes for the lower ASN as the provider.
+    lo_provider: usize,
+    /// Votes for the higher ASN as the provider.
+    hi_provider: usize,
+}
+
+/// Gao's phase-1 votes kept current while distinct paths come and go:
+/// [`gao_inference`] over `BaselineInput::BothPlanes`, maintained path by
+/// path.
+///
+/// Links and degrees follow [`gao_inference`]'s definition: a link is a
+/// canonical pair of consecutive hops of a distinct de-prepended path on
+/// either plane, and an AS's degree is its number of such links. Each
+/// path votes with the top provider it was last voted with; the caller
+/// keeps that index beside the path and hands it back on removal. When a
+/// link appears or vanishes it moves its endpoints' degrees, which can
+/// move the top provider of every path through them, so
+/// [`GaoVotes::settle`] re-votes those paths before
+/// [`GaoVotes::resolve`] reads the votes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GaoVotes {
+    links: HashMap<(Asn, Asn), GaoLink>,
+    degree: HashMap<Asn, usize>,
+    /// ASes whose degree changed since the last [`GaoVotes::settle`].
+    moved: BTreeSet<Asn>,
+}
+
+impl GaoVotes {
+    /// Count a distinct path in and vote with it; returns the index of
+    /// the top provider it voted with.
+    pub fn add_path(&mut self, path: &[Asn]) -> usize {
+        for pair in path.windows(2) {
+            let (lo, hi, _) = canonical(pair[0], pair[1]);
+            let link = self.links.entry((lo, hi)).or_default();
+            link.hops += 1;
+            if link.hops == 1 {
+                self.shift_degrees(lo, hi, true);
+            }
+        }
+        let top = self.top(path);
+        self.vote(path, top, true);
+        top
+    }
+
+    /// Withdraw a path's votes (cast with top provider `top`) and count it
+    /// out.
+    pub fn remove_path(&mut self, path: &[Asn], top: usize) {
+        self.vote(path, top, false);
+        for pair in path.windows(2) {
+            let (lo, hi, _) = canonical(pair[0], pair[1]);
+            let link = self.links.get_mut(&(lo, hi)).expect("counted on add");
+            link.hops -= 1;
+            if link.hops == 0 {
+                self.links.remove(&(lo, hi));
+                self.shift_degrees(lo, hi, false);
+            }
+        }
+    }
+
+    /// Re-vote every path through an AS whose degree moved since the last
+    /// call. `paths` yields every counted path with the top provider it
+    /// last voted with, which is updated in place.
+    pub fn settle<'a>(&mut self, paths: impl Iterator<Item = (&'a [Asn], &'a mut usize)>) {
+        if self.moved.is_empty() {
+            return;
+        }
+        let moved: Vec<Asn> = std::mem::take(&mut self.moved).into_iter().collect();
+        for (path, top) in paths {
+            if !path.iter().any(|asn| moved.binary_search(asn).is_ok()) {
+                continue;
+            }
+            let new_top = self.top(path);
+            if new_top != *top {
+                self.vote(path, *top, false);
+                self.vote(path, new_top, true);
+                *top = new_top;
+            }
+        }
+    }
+
+    /// The relationships the votes resolve to. Exact only once
+    /// [`GaoVotes::settle`] has run over the current paths.
+    pub fn resolve(&self) -> BaselineInference {
+        let degree = |asn| self.degree.get(&asn).copied().unwrap_or(0).max(1);
+        let links = self
+            .links
+            .iter()
+            .map(|(&(a, b), link)| {
+                let rel =
+                    gao_relationship(degree(a), degree(b), link.lo_provider, link.hi_provider);
+                ((a, b), rel)
+            })
+            .collect();
+        BaselineInference { links }
+    }
+
+    fn top(&self, path: &[Asn]) -> usize {
+        top_provider(path.iter().map(|asn| self.degree.get(asn).copied().unwrap_or(0)))
+    }
+
+    /// Add (`add`) or withdraw one path's votes under top provider `top`.
+    fn vote(&mut self, path: &[Asn], top: usize, add: bool) {
+        for (i, pair) in path.windows(2).enumerate() {
+            let (lo, hi, flipped) = canonical(pair[0], pair[1]);
+            let link = self.links.get_mut(&(lo, hi)).expect("counted before voting");
+            let tally = if lo_is_provider(i, top, flipped) {
+                &mut link.lo_provider
+            } else {
+                &mut link.hi_provider
+            };
+            if add {
+                *tally += 1;
+            } else {
+                *tally -= 1;
+            }
+        }
+    }
+
+    /// A link `lo`–`hi` appeared (`up`) or vanished: move both endpoints'
+    /// degrees (once for a self-link).
+    fn shift_degrees(&mut self, lo: Asn, hi: Asn, up: bool) {
+        let ends: &[Asn] = if lo == hi { &[lo] } else { &[lo, hi] };
+        for &asn in ends {
+            self.moved.insert(asn);
+            let degree = self.degree.entry(asn).or_insert(0);
+            if up {
+                *degree += 1;
+            } else {
+                *degree -= 1;
+                if *degree == 0 {
+                    self.degree.remove(&asn);
+                }
+            }
+        }
+    }
 }
 
 /// A plain degree-ratio heuristic: the much larger AS is assumed to be the

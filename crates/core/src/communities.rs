@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use asgraph::AsGraph;
-use bgp_types::{Asn, IpVersion, Relationship, RibSnapshot};
+use bgp_types::{Asn, IpVersion, PathAttributes, Relationship, RibSnapshot};
 use irr::CommunityDictionary;
 
 /// Where an inferred relationship came from.
@@ -43,6 +43,12 @@ impl VoteTally {
         self.by_relationship[rel as usize] += weight;
     }
 
+    /// Take one vote back; true when the tally is left without a vote.
+    fn remove(&mut self, rel: Relationship) -> bool {
+        self.by_relationship[rel as usize] -= 1;
+        self.by_relationship.iter().all(|&votes| votes == 0)
+    }
+
     /// Resolve the tally: the relationship with the most votes wins;
     /// exact ties are unresolvable (the paper keeps only links whose
     /// communities agree), and so is a tally without a single vote.
@@ -60,16 +66,106 @@ impl VoteTally {
     }
 }
 
+/// Call `vote(tagger, neighbor, rel)` for every relationship assertion one
+/// route makes: each documented relationship community asserts the
+/// relationship between its defining AS and the AS that AS learned the
+/// route from — the next AS towards the origin on the de-prepended path.
+/// Routes with a bogus path assert nothing. `path` is scratch space,
+/// refilled only for routes that assert something.
+fn route_assertions(
+    attrs: &PathAttributes,
+    dictionary: &CommunityDictionary,
+    path: &mut Vec<Asn>,
+    mut vote: impl FnMut(Asn, Asn, Relationship),
+) {
+    let mut assertions = dictionary.relationship_assertions(&attrs.communities).peekable();
+    if assertions.peek().is_none() || attrs.as_path.is_bogus() {
+        return;
+    }
+    path.clear();
+    path.extend(attrs.as_path.deprepended_asns());
+    for (tagger, tag) in assertions {
+        // The tagger must be on the path and must have a neighbor
+        // towards the origin.
+        let Some(pos) = path.iter().position(|a| *a == tagger) else { continue };
+        if pos + 1 >= path.len() {
+            continue;
+        }
+        vote(tagger, path[pos + 1], tag.implied_relationship());
+    }
+}
+
+/// The community vote tallies of a changing table, kept current route by
+/// route: [`CommunityInference::from_snapshot`]'s first pass, with votes
+/// that can be taken back. A tally left without a vote is dropped, so the
+/// tallies always equal those of a fresh pass over the current routes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CommunityVotes {
+    tallies: HashMap<(Asn, Asn, IpVersion), VoteTally>,
+}
+
+impl CommunityVotes {
+    /// Count in one route's votes; `path` is scratch space.
+    pub fn add_route(
+        &mut self,
+        plane: IpVersion,
+        attrs: &PathAttributes,
+        dictionary: &CommunityDictionary,
+        path: &mut Vec<Asn>,
+    ) {
+        route_assertions(attrs, dictionary, path, |from, to, rel| {
+            let (key, rel) = tally_key(from, to, plane, rel);
+            self.tallies.entry(key).or_default().add(rel, 1);
+        });
+    }
+
+    /// Take back one route's votes (the route must have been counted in
+    /// under the same dictionary); `path` is scratch space.
+    pub fn remove_route(
+        &mut self,
+        plane: IpVersion,
+        attrs: &PathAttributes,
+        dictionary: &CommunityDictionary,
+        path: &mut Vec<Asn>,
+    ) {
+        route_assertions(attrs, dictionary, path, |from, to, rel| {
+            let (key, rel) = tally_key(from, to, plane, rel);
+            let tally = self.tallies.get_mut(&key).expect("voted on add");
+            if tally.remove(rel) {
+                self.tallies.remove(&key);
+            }
+        });
+    }
+
+    /// Resolve the tallies into the inference
+    /// [`CommunityInference::from_snapshot`] would return for the same
+    /// routes.
+    pub fn resolve(&self) -> CommunityInference {
+        let mut inference =
+            CommunityInference { tallies: self.tallies.clone(), ..Default::default() };
+        inference.resolve_all();
+        inference
+    }
+}
+
+/// The canonical tally key of a vote for `from → to` on `plane`, and the
+/// relationship oriented to it.
+fn tally_key(
+    from: Asn,
+    to: Asn,
+    plane: IpVersion,
+    rel: Relationship,
+) -> ((Asn, Asn, IpVersion), Relationship) {
+    let (a, b, flipped) = canonical(from, to);
+    ((a, b, plane), if flipped { rel.reverse() } else { rel })
+}
+
 /// The result of community (and optionally LocPrf) based inference: a
 /// per-plane map from canonical link to inferred relationship.
 #[derive(Debug, Clone, Default)]
 pub struct CommunityInference {
     links: HashMap<(Asn, Asn, IpVersion), InferredRelationship>,
     tallies: HashMap<(Asn, Asn, IpVersion), VoteTally>,
-    /// Number of relationship-community assertions processed per plane.
-    pub assertions_v4: usize,
-    /// Number of relationship-community assertions processed on IPv6.
-    pub assertions_v6: usize,
     /// Links dropped because their votes tied.
     pub conflicted_links: usize,
 }
@@ -95,29 +191,10 @@ impl CommunityInference {
         // One scratch path, refilled only for entries that assert something.
         let mut path: Vec<Asn> = Vec::new();
         for entry in &snapshot.entries {
-            let mut assertions =
-                dictionary.relationship_assertions(&entry.attrs.communities).peekable();
-            if assertions.peek().is_none() || entry.has_bogus_path() {
-                continue;
-            }
             let plane = entry.plane();
-            path.clear();
-            path.extend(entry.attrs.as_path.deprepended_asns());
-            for (tagger, tag) in assertions {
-                // The tagger must be on the path and must have a neighbor
-                // towards the origin.
-                let Some(pos) = path.iter().position(|a| *a == tagger) else { continue };
-                if pos + 1 >= path.len() {
-                    continue;
-                }
-                let neighbor = path[pos + 1];
-                let rel = tag.implied_relationship();
-                inference.add_vote(tagger, neighbor, plane, rel, 1);
-                match plane {
-                    IpVersion::V4 => inference.assertions_v4 += 1,
-                    IpVersion::V6 => inference.assertions_v6 += 1,
-                }
-            }
+            route_assertions(&entry.attrs, dictionary, &mut path, |from, to, rel| {
+                inference.add_vote(from, to, plane, rel, 1)
+            });
         }
         inference.resolve_all();
         inference
@@ -133,9 +210,8 @@ impl CommunityInference {
         rel: Relationship,
         weight: usize,
     ) {
-        let (a, b, flipped) = canonical(from, to);
-        let stored = if flipped { rel.reverse() } else { rel };
-        self.tallies.entry((a, b, plane)).or_default().add(stored, weight);
+        let (key, rel) = tally_key(from, to, plane, rel);
+        self.tallies.entry(key).or_default().add(rel, weight);
     }
 
     /// Re-resolve every tally into the final link map. Called after adding
@@ -179,9 +255,7 @@ impl CommunityInference {
         plane: IpVersion,
         rel: Relationship,
     ) -> bool {
-        let (a, b, flipped) = canonical(from, to);
-        let stored = if flipped { rel.reverse() } else { rel };
-        let key = (a, b, plane);
+        let (key, stored) = tally_key(from, to, plane, rel);
         if self.links.contains_key(&key) || self.tallies.contains_key(&key) {
             return false;
         }
@@ -291,7 +365,6 @@ mod tests {
         let snap =
             snapshot(vec![entry("2001:db8:100::/48", "10 20 30", &[Community::new(20, 100)])]);
         let inf = CommunityInference::from_snapshot(&snap, &dictionary());
-        assert_eq!(inf.assertions_v6, 1);
         assert_eq!(
             inf.relationship(Asn(20), Asn(30), IpVersion::V6),
             Some(Relationship::ProviderToCustomer)
@@ -357,7 +430,6 @@ mod tests {
         ]);
         let inf = CommunityInference::from_snapshot(&snap, &dictionary());
         assert_eq!(inf.inferred_link_count(IpVersion::V6), 0);
-        assert_eq!(inf.assertions_v6, 0);
     }
 
     #[test]
@@ -377,8 +449,6 @@ mod tests {
             inf.relationship(Asn(20), Asn(30), IpVersion::V4),
             Some(Relationship::ProviderToCustomer)
         );
-        assert_eq!(inf.assertions_v4, 1);
-        assert_eq!(inf.assertions_v6, 1);
     }
 
     #[test]

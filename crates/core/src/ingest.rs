@@ -19,9 +19,18 @@
 //! * [`ExtractCache`] — an incrementally maintained mirror of
 //!   [`crate::extract::extract`]'s output: per-plane entry counters,
 //!   distinct de-prepended paths with occurrence counts, link reference
-//!   counts and the per-link distinct-IPv6-path visibility. Applying a
-//!   [`RibDelta`] costs work proportional to the changed route, not the
-//!   table.
+//!   counts and the per-link distinct-IPv6-path visibility — plus Gao's
+//!   per-link votes over those paths ([`crate::baselines::GaoVotes`]).
+//!   Applying a [`RibDelta`] costs work proportional to the changed
+//!   route, not the table, and the cache is the one intake for route
+//!   changes: it queues each delta for the dictionary-dependent state.
+//! * [`InferenceCache`] — the community vote tallies
+//!   ([`crate::communities::CommunityVotes`]) and the LocPrf learn table
+//!   ([`crate::locpref::LocPrfRoutes`]), maintained the same way under
+//!   the dictionary they were built with. [`Pipeline::run_with_caches`]
+//!   builds it from its first input, feeds it the deltas
+//!   [`ExtractCache`] queued since, and rebuilds it when the dictionary
+//!   changes.
 //! * [`ValleyCache`] — per-head valley-free [`DistanceMap`]s reused
 //!   across windows. When the annotated graph changes between windows by
 //!   pure relationship *additions*, every cached map is repaired in place
@@ -31,9 +40,10 @@
 //!   are recomputed lazily. Repairs are exact, so the valley report is
 //!   byte-identical to a fresh analysis.
 //! * [`TemporalSweep`] — the window driver: apply one window of updates,
-//!   run the measurement pipeline over the resident table (routing the
-//!   extraction and valley stages through the caches when incremental
-//!   mode is on), and report per-window churn statistics.
+//!   run the measurement pipeline over the resident table (serving
+//!   extraction, communities, LocPrf, the Gao baseline and the valley
+//!   stage from the caches when incremental mode is on, so no stage
+//!   rescans the table), and report per-window churn statistics.
 //!
 //! **Determinism contract.** Replaying a stream to window *w* produces a
 //! report byte-identical to a full recompute over [`LiveRib::snapshot`]
@@ -52,7 +62,10 @@ use irr::CommunityDictionary;
 use mrt::{MrtBytesReader, MrtError, MrtRecord, MrtRecordBody};
 use topogen::GroundTruth;
 
+use crate::baselines::{BaselineInference, GaoVotes};
+use crate::communities::{CommunityInference, CommunityVotes};
 use crate::extract::{ExtractedData, ObservedPath};
+use crate::locpref::LocPrfRoutes;
 use crate::pipeline::{Pipeline, PipelineInput};
 use crate::report::Report;
 use crate::valley::{analyze_valleys_impl, ValleyReport};
@@ -268,23 +281,43 @@ fn canonical(a: Asn, b: Asn) -> (Asn, Asn) {
     }
 }
 
-/// An incrementally maintained mirror of the extraction stage.
+/// One distinct de-prepended path in [`ExtractCache`]: how many routes
+/// carry it, and the top provider it last cast its Gao votes with.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct PathState {
+    occurrences: usize,
+    top: usize,
+}
+
+/// An incrementally maintained mirror of the extraction stage and of the
+/// Gao baseline that reads it.
 ///
 /// [`ExtractCache::materialize`] produces an [`ExtractedData`] equal — in
 /// every report-visible respect — to running
 /// [`crate::extract::extract`] over the corresponding
-/// [`LiveRib::snapshot`], but applying one [`RibDelta`] costs work
-/// proportional to the changed route's path length, not to the table.
-#[derive(Debug, Clone, Default)]
+/// [`LiveRib::snapshot`], and [`ExtractCache::baseline`] the
+/// [`BaselineInference`] of [`crate::baselines::gao_inference`] over it,
+/// but applying one [`RibDelta`] costs work proportional to the changed
+/// route's path length, not to the table.
+///
+/// The cache is the one intake for route changes: once
+/// [`Pipeline::run_with_caches`] has read it, every applied delta is also
+/// queued for the state that needs the dictionary to read a route
+/// ([`InferenceCache`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtractCache {
     entries_v4: usize,
     entries_v6: usize,
     discarded: usize,
-    paths_v4: BTreeMap<Vec<Asn>, usize>,
-    paths_v6: BTreeMap<Vec<Asn>, usize>,
+    paths_v4: BTreeMap<Vec<Asn>, PathState>,
+    paths_v6: BTreeMap<Vec<Asn>, PathState>,
     links_v4: BTreeMap<(Asn, Asn), usize>,
     links_v6: BTreeMap<(Asn, Asn), usize>,
     v6_path_links: BTreeMap<(Asn, Asn), usize>,
+    gao: GaoVotes,
+    /// Deltas applied since the last `take_pending`; `None` until the
+    /// first call, so nothing queues without a reader.
+    pending: Option<Vec<RibDelta>>,
 }
 
 impl ExtractCache {
@@ -295,6 +328,7 @@ impl ExtractCache {
         for (prefix, _, attrs) in rib.routes() {
             cache.add(prefix.version(), attrs, &mut path);
         }
+        cache.settle();
         cache
     }
 
@@ -308,6 +342,21 @@ impl ExtractCache {
         if let Some(new) = &delta.new {
             self.add(plane, new, &mut path);
         }
+        if let Some(pending) = &mut self.pending {
+            pending.push(delta.clone());
+        }
+    }
+
+    /// The deltas applied since the previous call, in order; the first
+    /// call returns none and starts the queue.
+    fn take_pending(&mut self) -> Vec<RibDelta> {
+        self.pending.replace(Vec::new()).unwrap_or_default()
+    }
+
+    /// Number of routes counted in, bogus ones included: the length of the
+    /// table the cache mirrors.
+    fn route_count(&self) -> usize {
+        self.entries_v4 + self.entries_v6 + self.discarded
     }
 
     /// Count one route in. `path` is scratch space for its de-prepended
@@ -327,10 +376,11 @@ impl ExtractCache {
             IpVersion::V4 => &mut self.paths_v4,
             IpVersion::V6 => &mut self.paths_v6,
         };
-        if let Some(occurrences) = paths.get_mut(path.as_slice()) {
-            *occurrences += 1;
+        if let Some(state) = paths.get_mut(path.as_slice()) {
+            state.occurrences += 1;
         } else {
-            paths.insert(path.clone(), 1);
+            let top = self.gao.add_path(path);
+            paths.insert(path.clone(), PathState { occurrences: 1, top });
             if plane == IpVersion::V6 {
                 // A new distinct IPv6 path raises the visibility of every
                 // link it traverses — over flattened hops, exactly as
@@ -365,10 +415,12 @@ impl ExtractCache {
             IpVersion::V4 => &mut self.paths_v4,
             IpVersion::V6 => &mut self.paths_v6,
         };
-        let occurrences = paths.get_mut(path.as_slice()).expect("removed path was added");
-        *occurrences -= 1;
-        if *occurrences == 0 {
+        let state = paths.get_mut(path.as_slice()).expect("removed path was added");
+        state.occurrences -= 1;
+        if state.occurrences == 0 {
+            let top = state.top;
             paths.remove(path.as_slice());
+            self.gao.remove_path(path, top);
             if plane == IpVersion::V6 {
                 for pair in path.windows(2) {
                     let key = canonical(pair[0], pair[1]);
@@ -394,6 +446,12 @@ impl ExtractCache {
         }
     }
 
+    /// Re-vote the paths whose top provider a degree change may have moved.
+    fn settle(&mut self) {
+        let paths = self.paths_v4.iter_mut().chain(self.paths_v6.iter_mut());
+        self.gao.settle(paths.map(|(path, state)| (path.as_slice(), &mut state.top)));
+    }
+
     /// Materialise the counters as [`ExtractedData`]. The graph inserts
     /// links in sorted order (not first-seen order, as a fresh extraction
     /// would), which permutes internal node ids but no report byte — every
@@ -411,14 +469,79 @@ impl ExtractCache {
         for &(a, b) in self.links_v6.keys() {
             data.graph.observe_link(a, b, IpVersion::V6);
         }
-        for (path, &occurrences) in &self.paths_v4 {
-            data.paths_v4.push(ObservedPath { path: path.clone(), occurrences });
+        for (path, state) in &self.paths_v4 {
+            data.paths_v4.push(ObservedPath { path: path.clone(), occurrences: state.occurrences });
         }
-        for (path, &occurrences) in &self.paths_v6 {
-            data.paths_v6.push(ObservedPath { path: path.clone(), occurrences });
+        for (path, state) in &self.paths_v6 {
+            data.paths_v6.push(ObservedPath { path: path.clone(), occurrences: state.occurrences });
         }
         data.v6_link_path_count = self.v6_path_links.iter().map(|(&k, &v)| (k, v)).collect();
         data
+    }
+
+    /// The Gao baseline over both planes' paths, as
+    /// [`crate::baselines::gao_inference`] with
+    /// [`BaselineInput::BothPlanes`](crate::baselines::BaselineInput::BothPlanes)
+    /// computes it from [`ExtractCache::materialize`]. Re-votes the paths a
+    /// degree change touched first, so the call needs `&mut self`.
+    pub fn baseline(&mut self) -> BaselineInference {
+        self.settle();
+        self.gao.resolve()
+    }
+}
+
+/// The dictionary-dependent half of a streaming session's inference: the
+/// community vote tallies and the LocPrf learn table, maintained route by
+/// route under the dictionary they were built with.
+///
+/// [`InferenceCache::infer`] returns what [`CommunityInference::from_snapshot`]
+/// followed by the LocPrf Rosetta Stone computes over the table the cache
+/// mirrors, without reading the table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InferenceCache {
+    dictionary: CommunityDictionary,
+    votes: CommunityVotes,
+    locpref: LocPrfRoutes,
+}
+
+impl InferenceCache {
+    /// Build the cache from a snapshot in [`LiveRib::snapshot`] order.
+    pub fn from_snapshot(snapshot: &RibSnapshot, dictionary: &CommunityDictionary) -> Self {
+        let mut cache = InferenceCache {
+            dictionary: dictionary.clone(),
+            votes: CommunityVotes::default(),
+            locpref: LocPrfRoutes::default(),
+        };
+        let mut path = Vec::new();
+        for entry in &snapshot.entries {
+            cache.votes.add_route(entry.plane(), &entry.attrs, dictionary, &mut path);
+            cache.locpref.insert(entry.prefix, entry.peer, &entry.attrs, dictionary);
+        }
+        cache
+    }
+
+    /// Fold one route-level change into the tallies and the LocPrf table.
+    pub fn apply(&mut self, delta: &RibDelta) {
+        let plane = delta.prefix.version();
+        let mut path = Vec::new();
+        if let Some(old) = &delta.old {
+            self.votes.remove_route(plane, old, &self.dictionary, &mut path);
+            self.locpref.remove(delta.prefix, delta.peer);
+        }
+        if let Some(new) = &delta.new {
+            self.votes.add_route(plane, new, &self.dictionary, &mut path);
+            self.locpref.insert(delta.prefix, delta.peer, new, &self.dictionary);
+        }
+    }
+
+    /// The community inference, extended by the LocPrf Rosetta Stone when
+    /// `use_locpref` is set.
+    pub fn infer(&self, use_locpref: bool) -> CommunityInference {
+        let mut inference = self.votes.resolve();
+        if use_locpref {
+            self.locpref.infer(&mut inference);
+        }
+        inference
     }
 }
 
@@ -567,18 +690,62 @@ impl ValleyCache {
 
 /// The cache bundle an incremental [`TemporalSweep`] threads through
 /// [`Pipeline::run_with_caches`].
+///
+/// Route changes enter through `extract`'s [`ExtractCache::apply`] alone.
+/// The extraction counters and the Gao votes take them at once; the
+/// community tallies and the LocPrf table need the dictionary, which only
+/// the pipeline input carries, so [`Pipeline::run_with_caches`] builds
+/// them from its first input and then replays the deltas `extract` queued
+/// since the previous run.
 #[derive(Debug)]
 pub struct IngestCaches {
-    /// Incremental extraction counters.
+    /// Incremental extraction counters and Gao votes.
     pub extract: ExtractCache,
     /// Delta-repaired valley reachability maps.
     pub valley: ValleyCache,
+    inference: Option<InferenceCache>,
 }
 
 impl IngestCaches {
     /// Seed the bundle from a resident table.
     pub fn from_rib(rib: &LiveRib, policy: RemovalPolicy) -> Self {
-        IngestCaches { extract: ExtractCache::from_rib(rib), valley: ValleyCache::new(policy) }
+        IngestCaches {
+            extract: ExtractCache::from_rib(rib),
+            valley: ValleyCache::new(policy),
+            inference: None,
+        }
+    }
+
+    /// Bring the bundle up to the table `snapshot` was taken from, read
+    /// with `dictionary`, and split it for the pipeline's stages.
+    ///
+    /// # Panics
+    ///
+    /// If `snapshot` does not hold as many routes as the caches mirror:
+    /// it was then taken from another table.
+    pub(crate) fn sync(
+        &mut self,
+        snapshot: &RibSnapshot,
+        dictionary: &CommunityDictionary,
+    ) -> (&mut ExtractCache, &InferenceCache, &mut ValleyCache) {
+        let cached = self.extract.route_count();
+        assert!(
+            snapshot.len() == cached,
+            "run_with_caches: the input snapshot holds {} routes but the caches mirror {cached}; \
+             the snapshot must come from the table whose deltas fed the caches",
+            snapshot.len()
+        );
+        let pending = self.extract.take_pending();
+        match &mut self.inference {
+            Some(cache) if cache.dictionary == *dictionary => {
+                for delta in &pending {
+                    cache.apply(delta);
+                }
+            }
+            slot => *slot = Some(InferenceCache::from_snapshot(snapshot, dictionary)),
+        }
+        let inference = self.inference.as_ref().expect("synced above");
+        (&mut self.extract, inference, &mut self.valley)
     }
 }
 
@@ -620,8 +787,9 @@ pub struct WindowOutcome {
 pub struct TemporalSweep {
     /// The measurement pipeline run after each window.
     pub pipeline: Pipeline,
-    /// Repair the extraction/valley state across windows (`true`) or
-    /// recompute everything from the snapshot each window (`false`).
+    /// Maintain every stage's state across windows through
+    /// [`IngestCaches`] (`true`) or recompute everything from the
+    /// snapshot each window (`false`).
     /// Execution-only: both modes render byte-identical reports.
     pub incremental: bool,
 }
@@ -685,7 +853,11 @@ pub fn totals(outcomes: &[WindowOutcome]) -> (ApplyStats, RepairStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::{gao_inference, BaselineInput};
     use crate::extract::extract;
+    use crate::locpref::LocPrfRosetta;
+    use bgp_types::Community;
+    use proptest::prelude::*;
     use routesim::{Scenario, SimConfig, UpdateStreamConfig};
     use topogen::TopologyConfig;
 
@@ -885,5 +1057,323 @@ mod tests {
         g3.annotate(Asn(1), Asn(3), IpVersion::V6, Relationship::PeerToPeer);
         cache.prepare(&g3);
         assert_eq!(cache.stats.resets, 2);
+    }
+
+    /// A sorted view of an inference, for comparing two of them.
+    fn sorted_links(
+        inference: &CommunityInference,
+    ) -> Vec<(Asn, Asn, IpVersion, crate::communities::InferredRelationship)> {
+        let mut links: Vec<_> = inference.iter().map(|(a, b, p, link)| (a, b, p, *link)).collect();
+        links.sort_by_key(|&(a, b, p, _)| (a, b, p));
+        links
+    }
+
+    /// A sorted view of a baseline, for comparing two of them.
+    fn sorted_baseline(baseline: &BaselineInference) -> Vec<(Asn, Asn, Relationship)> {
+        let mut links: Vec<_> = baseline.iter().collect();
+        links.sort();
+        links
+    }
+
+    /// The caches' oracle after a window: every cache equals a fresh build
+    /// from the live table, each resolves to what the batch stage computes
+    /// over the table's snapshot, and the cached run's report is the batch
+    /// run's.
+    fn assert_caches_match_a_fresh_build(
+        pipeline: &Pipeline,
+        caches: &mut IngestCaches,
+        live: &LiveRib,
+        dictionary: &CommunityDictionary,
+        truth: Option<&GroundTruth>,
+    ) {
+        let input = || PipelineInput {
+            snapshot: live.snapshot(),
+            dictionary: dictionary.clone(),
+            truth: truth.cloned(),
+        };
+        let cached = pipeline.run_with_caches(input(), caches).0.to_json();
+        assert_eq!(cached, pipeline.run(input()).to_json(), "report diverged");
+
+        let snapshot = live.snapshot();
+        // The queue of pending deltas is transport, not state.
+        let fresh = ExtractCache {
+            pending: caches.extract.pending.clone(),
+            ..ExtractCache::from_rib(live)
+        };
+        assert!(caches.extract == fresh, "extraction cache diverged");
+        let inference = caches.inference.as_ref().expect("built by the run");
+        assert!(
+            *inference == InferenceCache::from_snapshot(&snapshot, dictionary),
+            "inference cache diverged"
+        );
+
+        let mut batch = CommunityInference::from_snapshot(&snapshot, dictionary);
+        assert_eq!(sorted_links(&inference.infer(false)), sorted_links(&batch));
+        let rosetta = LocPrfRosetta::learn(&snapshot, dictionary, &batch);
+        rosetta.apply(&snapshot, dictionary, &mut batch);
+        let cached = inference.infer(true);
+        assert_eq!(sorted_links(&cached), sorted_links(&batch), "LocPrf diverged");
+        assert_eq!(cached.conflicted_links, batch.conflicted_links);
+
+        let gao = gao_inference(&extract(&snapshot), BaselineInput::BothPlanes);
+        assert_eq!(sorted_baseline(&caches.extract.baseline()), sorted_baseline(&gao));
+    }
+
+    // A hand-built probe beside the tiny scenario's table, on ASNs the
+    // scenario does not use. Feeders F and H each document a customer
+    // and a peer tag; F also documents a LocPrf-lowering action. Teaching
+    // routes map F's LocPrf 300 to p2c and 100 to p2p, H's 200 to p2c and
+    // 80 to p2p. Two links then depend on which route comes first in
+    // `(prefix, peer)` order, and in both that route's summary sorts
+    // after the other's:
+    // * F–G, carried by F at LocPrf 300 (P1) and at 100 (P2);
+    // * F–H, exported by H at LocPrf 200 (P3) and by F at 100 (P4).
+    const F: u32 = 40_001;
+    const H: u32 = 40_002;
+
+    fn probe_peer(feeder: u32) -> PeerId {
+        PeerId::new(Asn(feeder), format!("2001:db8:ffff::{}", feeder - 40_000).parse().unwrap())
+    }
+
+    fn probe_attrs(path: &str, local_pref: u32, tags: &[(u32, u16)]) -> PathAttributes {
+        let mut attrs = PathAttributes::with_path(path.parse().unwrap());
+        attrs.local_pref = Some(local_pref);
+        for &(asn, value) in tags {
+            attrs.communities.insert(Community::new(asn as u16, value));
+        }
+        attrs
+    }
+
+    /// The probe's routes: `(prefix, feeder, attributes)`.
+    fn probe_routes() -> Vec<(Prefix, u32, PathAttributes)> {
+        let route = |prefix: &str, feeder, path, local_pref, tags: &[(u32, u16)]| {
+            (prefix.parse().unwrap(), feeder, probe_attrs(path, local_pref, tags))
+        };
+        vec![
+            // Teaching routes.
+            route("2a0f:10::/32", F, "40001 40011 40041", 300, &[(F, 1)]),
+            route("2a0f:11::/32", F, "40001 40012 40041", 100, &[(F, 2)]),
+            route("2a0f:12::/32", H, "40002 40021 40041", 80, &[(H, 2)]),
+            route("2a0f:13::/32", H, "40002 40022 40041", 200, &[(H, 1)]),
+            // P1, P2: one feeder/first-hop pair at two LocPrf values.
+            route("2a0f:20::/32", F, "40001 40031 40041", 300, &[]),
+            route("2a0f:21::/32", F, "40001 40031 40042", 100, &[]),
+            // P3, P4: both ends of F–H export it.
+            route("2a0f:30::/32", H, "40002 40001 40041", 200, &[]),
+            route("2a0f:31::/32", F, "40001 40002 40042", 100, &[]),
+        ]
+    }
+
+    fn probe_dictionary(mut dictionary: CommunityDictionary) -> CommunityDictionary {
+        use irr::{CommunityMeaning, RelationshipTag, TrafficAction};
+        for feeder in [F, H] {
+            let feeder = feeder as u16;
+            let from_customer = CommunityMeaning::Relationship(RelationshipTag::FromCustomer);
+            dictionary.insert(Community::new(feeder, 1), from_customer);
+            let from_peer = CommunityMeaning::Relationship(RelationshipTag::FromPeer);
+            dictionary.insert(Community::new(feeder, 2), from_peer);
+        }
+        let lower = CommunityMeaning::TrafficEngineering(TrafficAction::LowerPreference);
+        dictionary.insert(Community::new(F as u16, 99), lower);
+        dictionary
+    }
+
+    fn record(timestamp: u32, feeder: u32, update: mrt::bgp::BgpUpdate) -> MrtRecord {
+        let peer = probe_peer(feeder);
+        MrtRecord::new(
+            mrt::MrtHeader {
+                timestamp,
+                mrt_type: mrt::MrtType::Bgp4mp.code(),
+                subtype: mrt::record::bgp4mp_subtype::MESSAGE_AS4,
+                length: 0,
+            },
+            MrtRecordBody::Bgp4mp(mrt::Bgp4mpMessage {
+                peer_asn: peer.asn,
+                local_asn: Asn(6447),
+                interface_index: 0,
+                peer_addr: peer.addr,
+                local_addr: "2001:db8:ffff::ffff".parse().unwrap(),
+                update: Some(update),
+            }),
+        )
+    }
+
+    fn announce(timestamp: u32, feeder: u32, prefix: &str, attrs: PathAttributes) -> MrtRecord {
+        let update = mrt::bgp::BgpUpdate {
+            withdrawn: vec![],
+            attrs,
+            announced: vec![prefix.parse().unwrap()],
+        };
+        record(timestamp, feeder, update)
+    }
+
+    fn withdraw(timestamp: u32, feeder: u32, prefix: &str) -> MrtRecord {
+        let update = mrt::bgp::BgpUpdate {
+            withdrawn: vec![prefix.parse().unwrap()],
+            attrs: PathAttributes::default(),
+            announced: vec![],
+        };
+        record(timestamp, feeder, update)
+    }
+
+    /// Hand-built update records, each aimed at one rule of the caches.
+    fn probe_records(op: usize, timestamp: u32) -> Vec<MrtRecord> {
+        let t = timestamp;
+        match op {
+            // Duplicate announcement of a teaching route.
+            0 => vec![announce(
+                t,
+                F,
+                "2a0f:10::/32",
+                probe_attrs("40001 40011 40041", 300, &[(F, 1)]),
+            )],
+            // Withdrawal of a route the table never held.
+            1 => vec![withdraw(t, F, "2a0f:99::/32")],
+            // Withdraw P1 and re-announce it: P2 decides F–G in between.
+            2 => vec![withdraw(t, F, "2a0f:20::/32")],
+            3 => vec![announce(t, F, "2a0f:20::/32", probe_attrs("40001 40031 40041", 300, &[]))],
+            // Withdraw and re-announce P3: P4 decides F–H in between.
+            4 => vec![withdraw(t, H, "2a0f:30::/32")],
+            5 => vec![announce(t, H, "2a0f:30::/32", probe_attrs("40002 40001 40041", 200, &[]))],
+            // A path change that alters communities and LocPrf: P1 now
+            // teaches F–G as p2p at LocPrf 100 itself.
+            6 => vec![announce(
+                t,
+                F,
+                "2a0f:20::/32",
+                probe_attrs("40001 40031 40043", 100, &[(F, 2)]),
+            )],
+            // Taint P2 with the LocPrf-lowering action.
+            7 => vec![announce(
+                t,
+                F,
+                "2a0f:21::/32",
+                probe_attrs("40001 40031 40042", 100, &[(F, 99)]),
+            )],
+            // Withdraw the only vote on F–A1 (and F's LocPrf 300 mapping).
+            8 => vec![withdraw(t, F, "2a0f:10::/32")],
+            9 => vec![announce(
+                t,
+                F,
+                "2a0f:10::/32",
+                probe_attrs("40001 40011 40041", 300, &[(F, 1)]),
+            )],
+            // A bogus (looping) path on P4.
+            10 => vec![announce(t, F, "2a0f:31::/32", probe_attrs("40001 40002 40001", 100, &[]))],
+            // A new path that adds a link and moves degrees: F–G–H.
+            _ => vec![announce(
+                t,
+                F,
+                "2a0f:32::/32",
+                probe_attrs("40001 40031 40002 40041", 100, &[]),
+            )],
+        }
+    }
+
+    /// The tiny scenario, its table with the probe routes beside it, and
+    /// the dictionary with the probe's entries.
+    fn probed_base() -> (Scenario, RibSnapshot, CommunityDictionary) {
+        let scenario = scenario();
+        let mut base = scenario.pooled_snapshot(1);
+        for (prefix, feeder, attrs) in probe_routes() {
+            base.push(RibEntry::new(probe_peer(feeder), prefix, attrs));
+        }
+        let dictionary = probe_dictionary(scenario.registry.build_dictionary());
+        (scenario, base, dictionary)
+    }
+
+    #[test]
+    fn the_probe_pins_locpref_first_wins_in_route_order() {
+        let (_, base, dictionary) = probed_base();
+        let snapshot = LiveRib::from_snapshot(&base).snapshot();
+        let mut inference = CommunityInference::from_snapshot(&snapshot, &dictionary);
+        let rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &inference);
+        rosetta.apply(&snapshot, &dictionary, &mut inference);
+        let (f, g, h) = (Asn(F), Asn(40_031), Asn(H));
+        let rel = |a, b| inference.relationship(a, b, IpVersion::V6);
+        assert_eq!(rel(f, g), Some(Relationship::ProviderToCustomer), "P1 (LocPrf 300) first");
+        assert_eq!(rel(h, f), Some(Relationship::ProviderToCustomer), "P3 (H at 200) first");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// After every window of a random stream with hand-built records
+        /// spliced in, every cache equals a fresh build from the live
+        /// table and the cached report equals the batch report.
+        #[test]
+        fn caches_equal_a_fresh_build_after_every_window(
+            seed in any::<u64>(),
+            windows in 1usize..4,
+            events in 4usize..32,
+            probes in prop::collection::vec((0usize..4, 0usize..12), 0..16),
+        ) {
+            let (scenario, base, dictionary) = probed_base();
+            let mut stream = stream_for(&scenario, windows, events, seed).windows().to_vec();
+            for (i, &(window, op)) in probes.iter().enumerate() {
+                let window = window % stream.len();
+                let timestamp = stream[window].first().map_or(i as u32, |r| r.header.timestamp);
+                stream[window].extend(probe_records(op, timestamp));
+            }
+            let pipeline = Pipeline::with_concurrency(1);
+            let mut live = LiveRib::from_snapshot(&base);
+            let mut caches = IngestCaches::from_rib(&live, RemovalPolicy::Rebuild);
+            let truth = Some(&scenario.truth);
+            assert_caches_match_a_fresh_build(&pipeline, &mut caches, &live, &dictionary, truth);
+            let mut stats = ApplyStats::default();
+            for window in &stream {
+                for record in window {
+                    for delta in live.apply_record(record, &mut stats) {
+                        caches.extract.apply(&delta);
+                    }
+                }
+                assert_caches_match_a_fresh_build(&pipeline, &mut caches, &live, &dictionary, truth);
+            }
+        }
+    }
+
+    #[test]
+    fn a_dictionary_swap_rebuilds_the_inference_cache() {
+        let (scenario, base, dictionary) = probed_base();
+        let plain = scenario.registry.build_dictionary();
+        let stream = stream_for(&scenario, 4, 24, 11);
+        let pipeline = Pipeline::with_concurrency(2);
+        let mut live = LiveRib::from_snapshot(&base);
+        let mut caches = IngestCaches::from_rib(&live, RemovalPolicy::Rebuild);
+        let mut stats = ApplyStats::default();
+        for (window, records) in stream.windows().iter().enumerate() {
+            for record in records {
+                for delta in live.apply_record(record, &mut stats) {
+                    caches.extract.apply(&delta);
+                }
+            }
+            // The probe's entries vanish from the dictionary at window 2.
+            let dictionary = if window < 2 { &dictionary } else { &plain };
+            let input = || PipelineInput {
+                snapshot: live.snapshot(),
+                dictionary: dictionary.clone(),
+                truth: Some(scenario.truth.clone()),
+            };
+            let cached = pipeline.run_with_caches(input(), &mut caches).0;
+            assert_eq!(cached.to_json(), pipeline.run(input()).to_json(), "window {window}");
+            assert_eq!(&caches.inference.as_ref().unwrap().dictionary, dictionary);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the snapshot must come from the table whose deltas fed the caches")]
+    fn caches_refuse_a_snapshot_of_another_table() {
+        let scenario = scenario();
+        let base = scenario.pooled_snapshot(1);
+        let live = LiveRib::from_snapshot(&base);
+        let mut caches = IngestCaches::from_rib(&live, RemovalPolicy::Rebuild);
+        let mut other = live.snapshot();
+        other.entries.pop();
+        let input = PipelineInput {
+            snapshot: other,
+            dictionary: scenario.registry.build_dictionary(),
+            truth: None,
+        };
+        let _ = Pipeline::with_concurrency(1).run_with_caches(input, &mut caches);
     }
 }

@@ -66,8 +66,8 @@ pub use extract::{ExtractedData, ObservedPath};
 pub use hybrid::{HybridFinding, HybridReport};
 pub use impact::{CorrectionStep, ImpactCurve};
 pub use ingest::{
-    ApplyStats, ExtractCache, IngestCaches, LiveRib, RepairStats, RibDelta, TemporalSweep,
-    UpdateStream, ValleyCache, WindowOutcome,
+    ApplyStats, ExtractCache, InferenceCache, IngestCaches, LiveRib, RepairStats, RibDelta,
+    TemporalSweep, UpdateStream, ValleyCache, WindowOutcome,
 };
 pub use locpref::LocPrfRosetta;
 pub use pipeline::{Pipeline, PipelineArtifacts, PipelineInput, PipelineOptions};

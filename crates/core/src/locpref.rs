@@ -9,18 +9,53 @@
 //! traffic-engineering community* — and then applies the learned mapping
 //! to that feeder's remaining routes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use bgp_types::{Asn, IpVersion, Relationship, RibEntry, RibSnapshot};
+use bgp_types::{Asn, IpVersion, PathAttributes, PeerId, Prefix, Relationship, RibSnapshot};
 use irr::CommunityDictionary;
 
 use crate::communities::CommunityInference;
 
-/// The feeder (first ASN) and its first hop (second ASN) of an entry's
-/// de-prepended path, read without collecting the path.
-fn feeder_and_first_hop(entry: &RibEntry) -> Option<(Asn, Asn)> {
-    let mut hops = entry.attrs.as_path.deprepended_asns();
-    Some((hops.next()?, hops.next()?))
+/// What the Rosetta Stone reads of one route: its feeder (first ASN of
+/// the de-prepended path), the first hop after it, its plane and its
+/// LocPrf.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct LocPrfRoute {
+    feeder: Asn,
+    first_hop: Asn,
+    plane: IpVersion,
+    local_pref: u32,
+}
+
+impl LocPrfRoute {
+    /// The route's summary, if it can teach or receive a mapping: its path
+    /// is not bogus and has a first hop, it carries a LocPrf, and none of
+    /// its communities is a LocPrf-affecting traffic-engineering action.
+    fn of(
+        plane: IpVersion,
+        attrs: &PathAttributes,
+        dictionary: &CommunityDictionary,
+    ) -> Option<Self> {
+        let local_pref = attrs.local_pref?;
+        if attrs.as_path.is_bogus() || dictionary.has_locpref_tainting_community(&attrs.communities)
+        {
+            return None;
+        }
+        // Read without collecting the path.
+        let mut hops = attrs.as_path.deprepended_asns();
+        Some(LocPrfRoute { feeder: hops.next()?, first_hop: hops.next()?, plane, local_pref })
+    }
+}
+
+/// The summaries of a snapshot's routes, in snapshot order.
+fn snapshot_routes<'a>(
+    snapshot: &'a RibSnapshot,
+    dictionary: &'a CommunityDictionary,
+) -> impl Iterator<Item = LocPrfRoute> + 'a {
+    snapshot
+        .entries
+        .iter()
+        .filter_map(|entry| LocPrfRoute::of(entry.plane(), &entry.attrs, dictionary))
 }
 
 /// The learned per-feeder LocPrf → relationship mappings.
@@ -28,12 +63,6 @@ fn feeder_and_first_hop(entry: &RibEntry) -> Option<(Asn, Asn)> {
 pub struct LocPrfRosetta {
     /// (feeder, plane, locpref) → relationship, kept only when unambiguous.
     mappings: HashMap<(Asn, IpVersion, u32), Relationship>,
-    /// (feeder, plane, locpref) combinations discarded as ambiguous.
-    pub ambiguous: usize,
-    /// Routes skipped because they carried a LocPrf-affecting TE community.
-    pub te_filtered_routes: usize,
-    /// Number of new link relationships contributed by the mapping.
-    pub links_added: usize,
 }
 
 impl LocPrfRosetta {
@@ -44,33 +73,34 @@ impl LocPrfRosetta {
         dictionary: &CommunityDictionary,
         inference: &CommunityInference,
     ) -> Self {
-        let mut rosetta = LocPrfRosetta::default();
+        Self::learn_from(snapshot_routes(snapshot, dictionary), inference)
+    }
+
+    /// [`learn`](Self::learn) over route summaries. Each (feeder, plane,
+    /// LocPrf) value keeps the set of relationships its routes' first hops
+    /// have, so the summaries may come in any order and repeat.
+    fn learn_from(
+        routes: impl Iterator<Item = LocPrfRoute>,
+        inference: &CommunityInference,
+    ) -> Self {
         // (feeder, plane, locpref) -> relationships seen, one bit per
         // `Relationship as usize`
         let mut observations: HashMap<(Asn, IpVersion, u32), u8> = HashMap::new();
-        for entry in &snapshot.entries {
-            if entry.has_bogus_path() {
-                continue;
-            }
-            let Some(locpref) = entry.attrs.local_pref else { continue };
-            if dictionary.has_locpref_tainting_community(&entry.attrs.communities) {
-                rosetta.te_filtered_routes += 1;
-                continue;
-            }
-            let Some((feeder, first_hop)) = feeder_and_first_hop(entry) else { continue };
-            let plane = entry.plane();
+        for route in routes {
             // Only community-validated first hops teach us anything.
-            let Some(rel) = inference.relationship(feeder, first_hop, plane) else { continue };
-            *observations.entry((feeder, plane, locpref)).or_default() |= 1 << rel as u8;
+            let Some(rel) = inference.relationship(route.feeder, route.first_hop, route.plane)
+            else {
+                continue;
+            };
+            *observations.entry((route.feeder, route.plane, route.local_pref)).or_default() |=
+                1 << rel as u8;
         }
-        for (key, rels) in observations {
-            if rels.count_ones() == 1 {
-                rosetta.mappings.insert(key, Relationship::ALL[rels.trailing_zeros() as usize]);
-            } else {
-                rosetta.ambiguous += 1;
-            }
-        }
-        rosetta
+        let mappings = observations
+            .into_iter()
+            .filter(|(_, rels)| rels.count_ones() == 1)
+            .map(|(key, rels)| (key, Relationship::ALL[rels.trailing_zeros() as usize]))
+            .collect();
+        LocPrfRosetta { mappings }
     }
 
     /// Number of learned (feeder, plane, locpref) mappings.
@@ -86,31 +116,122 @@ impl LocPrfRosetta {
     /// Apply the learned mappings to the snapshot: for every route from a
     /// feeder with a learned LocPrf value whose first-hop link has no
     /// community-derived relationship, add the implied relationship to the
-    /// inference. Returns the number of links added.
+    /// inference. The first such route of a link, in snapshot order,
+    /// decides it. Returns the number of links added.
     pub fn apply(
-        &mut self,
+        &self,
         snapshot: &RibSnapshot,
         dictionary: &CommunityDictionary,
         inference: &mut CommunityInference,
     ) -> usize {
+        self.apply_to(snapshot_routes(snapshot, dictionary), inference)
+    }
+
+    /// [`apply`](Self::apply) over route summaries in snapshot order.
+    fn apply_to(
+        &self,
+        routes: impl Iterator<Item = LocPrfRoute>,
+        inference: &mut CommunityInference,
+    ) -> usize {
         let mut added = 0;
-        for entry in &snapshot.entries {
-            if entry.has_bogus_path() {
+        for route in routes {
+            let Some(rel) = self.lookup(route.feeder, route.plane, route.local_pref) else {
                 continue;
-            }
-            let Some(locpref) = entry.attrs.local_pref else { continue };
-            if dictionary.has_locpref_tainting_community(&entry.attrs.communities) {
-                continue;
-            }
-            let Some((feeder, first_hop)) = feeder_and_first_hop(entry) else { continue };
-            let plane = entry.plane();
-            let Some(rel) = self.lookup(feeder, plane, locpref) else { continue };
-            if inference.add_locpref_inference(feeder, first_hop, plane, rel) {
+            };
+            if inference.add_locpref_inference(route.feeder, route.first_hop, route.plane, rel) {
                 added += 1;
             }
         }
-        self.links_added += added;
         added
+    }
+}
+
+/// The Rosetta Stone's input kept current route by route: the summary of
+/// every route that can teach or receive a mapping, keyed and ordered by
+/// `(prefix, peer)` — the order of [`crate::ingest::LiveRib::snapshot`].
+///
+/// [`LocPrfRoutes::infer`] then runs [`LocPrfRosetta::learn`] and
+/// [`LocPrfRosetta::apply`] without a dictionary lookup or a path walk.
+/// Routes that share a summary make the same claim, so each distinct
+/// summary is stored once under a small id: learning reads each summary
+/// once, and applying walks the routes in snapshot order, because the
+/// first route of a link decides it, but tries each summary only at its
+/// first route.
+#[derive(Debug, Clone, Default)]
+pub struct LocPrfRoutes {
+    /// The summary id of every recorded route.
+    routes: BTreeMap<(Prefix, PeerId), u32>,
+    /// Per id, the summary and how many recorded routes share it; an id
+    /// no route shares is on `free`.
+    summaries: Vec<(LocPrfRoute, usize)>,
+    ids: HashMap<LocPrfRoute, u32>,
+    free: Vec<u32>,
+}
+
+impl LocPrfRoutes {
+    /// Record the route under `(prefix, peer)`, replacing any route there.
+    pub fn insert(
+        &mut self,
+        prefix: Prefix,
+        peer: PeerId,
+        attrs: &PathAttributes,
+        dictionary: &CommunityDictionary,
+    ) {
+        self.remove(prefix, peer);
+        let Some(route) = LocPrfRoute::of(prefix.version(), attrs, dictionary) else { return };
+        let id = *self.ids.entry(route).or_insert_with(|| match self.free.pop() {
+            Some(id) => {
+                self.summaries[id as usize].0 = route;
+                id
+            }
+            None => {
+                self.summaries.push((route, 0));
+                u32::try_from(self.summaries.len() - 1).expect("fewer than 2^32 summaries")
+            }
+        });
+        self.summaries[id as usize].1 += 1;
+        self.routes.insert((prefix, peer), id);
+    }
+
+    /// Forget the route under `(prefix, peer)`, if one is recorded.
+    pub fn remove(&mut self, prefix: Prefix, peer: PeerId) {
+        let Some(id) = self.routes.remove(&(prefix, peer)) else { return };
+        let (route, sharing) = &mut self.summaries[id as usize];
+        *sharing -= 1;
+        if *sharing == 0 {
+            self.ids.remove(route);
+            self.free.push(id);
+        }
+    }
+
+    /// Learn the mappings from `inference` (community-derived links only)
+    /// and apply them to it, exactly as [`LocPrfRosetta::learn`] and
+    /// [`LocPrfRosetta::apply`] would over the recorded routes. Returns
+    /// the number of links added.
+    pub fn infer(&self, inference: &mut CommunityInference) -> usize {
+        let recorded = self.summaries.iter().filter(|(_, sharing)| *sharing > 0);
+        let rosetta = LocPrfRosetta::learn_from(recorded.map(|&(route, _)| route), inference);
+        // A later route with the same summary cannot add a link: the
+        // first one either added it or found it taken.
+        let mut tried = vec![false; self.summaries.len()];
+        let firsts =
+            self.routes.values().filter(|&&id| !std::mem::replace(&mut tried[id as usize], true));
+        rosetta.apply_to(firsts.map(|&id| self.summaries[id as usize].0), inference)
+    }
+}
+
+/// Two tables are equal when they record the same summaries under the
+/// same keys; the ids are an artifact of the order routes came in.
+impl PartialEq for LocPrfRoutes {
+    fn eq(&self, other: &Self) -> bool {
+        let summary = |table: &Self, id: u32| table.summaries[id as usize].0;
+        self.ids.len() == other.ids.len()
+            && self.routes.len() == other.routes.len()
+            && self
+                .routes
+                .iter()
+                .zip(&other.routes)
+                .all(|((a, &i), (b, &j))| a == b && summary(self, i) == summary(other, j))
     }
 }
 
@@ -121,15 +242,20 @@ mod tests {
     use irr::{CommunityMeaning, RelationshipTag, TrafficAction};
     use std::net::IpAddr;
 
-    /// Dictionary: AS10 documents 10:1 = from customer, 10:2 = from peer,
-    /// 10:99 = lower preference (TE).
+    /// Dictionary: AS10 and AS50 document `:1` = from customer, `:2` =
+    /// from peer; AS10 also documents 10:99 = lower preference (TE).
     fn dictionary() -> CommunityDictionary {
         let mut d = CommunityDictionary::new();
-        d.insert(
-            Community::new(10, 1),
-            CommunityMeaning::Relationship(RelationshipTag::FromCustomer),
-        );
-        d.insert(Community::new(10, 2), CommunityMeaning::Relationship(RelationshipTag::FromPeer));
+        for asn in [10, 50] {
+            d.insert(
+                Community::new(asn, 1),
+                CommunityMeaning::Relationship(RelationshipTag::FromCustomer),
+            );
+            d.insert(
+                Community::new(asn, 2),
+                CommunityMeaning::Relationship(RelationshipTag::FromPeer),
+            );
+        }
         d.insert(
             Community::new(10, 99),
             CommunityMeaning::TrafficEngineering(TrafficAction::LowerPreference),
@@ -183,7 +309,7 @@ mod tests {
         );
         assert_eq!(inference.relationship(Asn(10), Asn(30), IpVersion::V6), None);
 
-        let mut rosetta = LocPrfRosetta::learn(&snap, &dict, &inference);
+        let rosetta = LocPrfRosetta::learn(&snap, &dict, &inference);
         assert_eq!(rosetta.mapping_count(), 2);
         assert_eq!(
             rosetta.lookup(Asn(10), IpVersion::V6, 300),
@@ -195,7 +321,6 @@ mod tests {
 
         let added = rosetta.apply(&snap, &dict, &mut inference);
         assert_eq!(added, 2);
-        assert_eq!(rosetta.links_added, 2);
         assert_eq!(
             inference.relationship(Asn(10), Asn(30), IpVersion::V6),
             Some(Relationship::ProviderToCustomer)
@@ -229,8 +354,7 @@ mod tests {
         ]);
         let dict = dictionary();
         let mut inference = CommunityInference::from_snapshot(&snap, &dict);
-        let mut rosetta = LocPrfRosetta::learn(&snap, &dict, &inference);
-        assert_eq!(rosetta.te_filtered_routes, 2);
+        let rosetta = LocPrfRosetta::learn(&snap, &dict, &inference);
         assert_eq!(
             rosetta.lookup(Asn(10), IpVersion::V6, 300),
             Some(Relationship::ProviderToCustomer)
@@ -250,8 +374,7 @@ mod tests {
         ]);
         let dict = dictionary();
         let mut inference = CommunityInference::from_snapshot(&snap, &dict);
-        let mut rosetta = LocPrfRosetta::learn(&snap, &dict, &inference);
-        assert_eq!(rosetta.ambiguous, 1);
+        let rosetta = LocPrfRosetta::learn(&snap, &dict, &inference);
         assert_eq!(rosetta.mapping_count(), 0);
         assert_eq!(rosetta.apply(&snap, &dict, &mut inference), 0);
     }
@@ -264,8 +387,81 @@ mod tests {
         ]);
         let dict = dictionary();
         let mut inference = CommunityInference::from_snapshot(&snap, &dict);
-        let mut rosetta = LocPrfRosetta::learn(&snap, &dict, &inference);
+        let rosetta = LocPrfRosetta::learn(&snap, &dict, &inference);
         assert_eq!(rosetta.mapping_count(), 0);
         assert_eq!(rosetta.apply(&snap, &dict, &mut inference), 0);
+    }
+
+    /// Two routes whose summaries map to different classes on one link:
+    /// the first in snapshot order decides the link. AS10 maps LocPrf 300
+    /// to p2c and 100 to p2p; AS50 maps 200 to p2c and 80 to p2p.
+    /// * AS10 carries 10–30 at LocPrf 300, then at 100;
+    /// * AS50 exports 50–10 at LocPrf 200, then AS10 exports it at 100.
+    fn first_route_decides() -> Vec<RibEntry> {
+        let tag = |asn, value| [Community::new(asn, value)];
+        vec![
+            entry("2001:db8:1::/48", "10 20 40", Some(300), &tag(10, 1)),
+            entry("2001:db8:2::/48", "10 35 40", Some(100), &tag(10, 2)),
+            entry("2001:db8:3::/48", "50 21 40", Some(200), &tag(50, 1)),
+            entry("2001:db8:4::/48", "50 36 40", Some(80), &tag(50, 2)),
+            entry("2001:db8:5::/48", "10 30 41", Some(300), &[]),
+            entry("2001:db8:6::/48", "10 30 42", Some(100), &[]),
+            entry("2001:db8:7::/48", "50 10 43", Some(200), &[]),
+            entry("2001:db8:8::/48", "10 50 44", Some(100), &[]),
+        ]
+    }
+
+    /// The batch Rosetta Stone over `entries` in the given order.
+    fn batch(entries: Vec<RibEntry>) -> CommunityInference {
+        let (snap, dict) = (snapshot(entries), dictionary());
+        let mut inference = CommunityInference::from_snapshot(&snap, &dict);
+        LocPrfRosetta::learn(&snap, &dict, &inference).apply(&snap, &dict, &mut inference);
+        inference
+    }
+
+    #[test]
+    fn the_first_route_of_a_link_in_snapshot_order_decides_it() {
+        let v6 = IpVersion::V6;
+        let inference = batch(first_route_decides());
+        assert_eq!(
+            inference.relationship(Asn(10), Asn(30), v6),
+            Some(Relationship::ProviderToCustomer)
+        );
+        assert_eq!(
+            inference.relationship(Asn(50), Asn(10), v6),
+            Some(Relationship::ProviderToCustomer)
+        );
+        // The rule is the order: reversed, the other routes decide.
+        let reversed = batch(first_route_decides().into_iter().rev().collect());
+        assert_eq!(reversed.relationship(Asn(10), Asn(30), v6), Some(Relationship::PeerToPeer));
+        assert_eq!(reversed.relationship(Asn(50), Asn(10), v6), Some(Relationship::PeerToPeer));
+    }
+
+    #[test]
+    fn the_route_table_reaches_the_batch_result_from_any_delta_order() {
+        use crate::communities::CommunityVotes;
+        let dict = dictionary();
+        let entries = first_route_decides();
+        // Insert backwards, withdrawing and re-inserting each deciding
+        // route after its rival is in.
+        let mut routes = LocPrfRoutes::default();
+        let mut votes = CommunityVotes::default();
+        let mut path = Vec::new();
+        for entry in entries.iter().rev() {
+            routes.insert(entry.prefix, entry.peer, &entry.attrs, &dict);
+            votes.add_route(entry.plane(), &entry.attrs, &dict, &mut path);
+        }
+        for deciding in [&entries[4], &entries[6]] {
+            routes.remove(deciding.prefix, deciding.peer);
+            routes.insert(deciding.prefix, deciding.peer, &deciding.attrs, &dict);
+        }
+        let mut inference = votes.resolve();
+        assert_eq!(routes.infer(&mut inference), 2, "10-30 and 10-50");
+        let mut links: Vec<_> = inference.iter().map(|(a, b, p, l)| (a, b, p, *l)).collect();
+        let expected = batch(entries);
+        let mut want: Vec<_> = expected.iter().map(|(a, b, p, l)| (a, b, p, *l)).collect();
+        links.sort_by_key(|&(a, b, p, _)| (a, b, p));
+        want.sort_by_key(|&(a, b, p, _)| (a, b, p));
+        assert_eq!(links, want);
     }
 }

@@ -257,14 +257,30 @@ impl Pipeline {
     }
 
     /// [`run_with_artifacts`](Self::run_with_artifacts) against a live
-    /// ingest session: the extraction stage materialises the incrementally
-    /// maintained counters in `caches.extract` instead of rescanning the
-    /// snapshot, and the valley stage's reachability oracle serves from
-    /// the delta-repaired distance maps in `caches.valley`. Both caches
-    /// are exact, so the report is byte-identical to
-    /// [`run`](Self::run) over the same input — the streaming driver
-    /// ([`crate::ingest::TemporalSweep`]) pins that per window, and the
-    /// determinism suite pins it across worker counts.
+    /// ingest session, reading the table only through `caches`:
+    ///
+    /// * extraction materialises the counters in `caches.extract`;
+    /// * the community inference resolves the vote tallies, and the LocPrf
+    ///   Rosetta Stone learns and applies from the LocPrf table, both kept
+    ///   in the bundle and fed the deltas `caches.extract` queued since the
+    ///   previous call (built from `input` on the first call, and rebuilt
+    ///   whenever `input.dictionary` differs from the one they were built
+    ///   with);
+    /// * the Gao baseline resolves the votes in `caches.extract`;
+    /// * the valley stage's reachability oracle serves from the
+    ///   delta-repaired distance maps in `caches.valley`.
+    ///
+    /// `input.snapshot` must be the [`crate::ingest::LiveRib::snapshot`]
+    /// of the table whose deltas fed the caches. Every cache is exact, so
+    /// the report is byte-identical to [`run`](Self::run) over the same
+    /// input — the streaming driver ([`crate::ingest::TemporalSweep`])
+    /// pins that per window, and the determinism suite pins it across
+    /// worker counts.
+    ///
+    /// # Panics
+    ///
+    /// If `input.snapshot` holds a different number of routes than the
+    /// caches mirror.
     pub fn run_with_caches(
         &self,
         input: PipelineInput,
@@ -280,25 +296,30 @@ impl Pipeline {
     ) -> (Report, PipelineArtifacts) {
         let PipelineInput { snapshot, dictionary, truth } = input;
         let workers = self.options.workers();
-        // Split the cache bundle: extraction reads one half, the valley
-        // stage mutates the other.
-        let (extract_cache, valley_cache) = match caches {
-            Some(caches) => (Some(&caches.extract), Some(&mut caches.valley)),
-            None => (None, None),
-        };
+        let caches = caches.map(|caches| caches.sync(&snapshot, &dictionary));
 
         // 1+2. Extraction and communities-based inference are independent
-        //      scans of the pooled snapshot. A streaming session skips the
-        //      extraction scan entirely: the counters were maintained
-        //      route-by-route as updates applied.
-        let (mut data, mut inference) = routesim::join(
-            workers,
-            || match extract_cache {
-                Some(cache) => cache.materialize(),
-                None => extract(&snapshot),
-            },
-            || CommunityInference::from_snapshot(&snapshot, &dictionary),
-        );
+        //      scans of the pooled snapshot. A streaming session scans
+        //      nothing: it reads its caches, maintained route by route as
+        //      updates applied, and they apply the LocPrf step (3) too.
+        let (mut data, mut inference, caches) = match caches {
+            Some((extract, inference_cache, valley)) => {
+                let (data, inference) = routesim::join(
+                    workers,
+                    || extract.materialize(),
+                    || inference_cache.infer(self.use_locpref),
+                );
+                (data, inference, Some((extract, valley)))
+            }
+            None => {
+                let (data, inference) = routesim::join(
+                    workers,
+                    || extract(&snapshot),
+                    || CommunityInference::from_snapshot(&snapshot, &dictionary),
+                );
+                (data, inference, None)
+            }
+        };
         if self.options.csr {
             // Freeze once the graph is structurally complete; every later
             // stage only *annotates* (which the frozen mirror absorbs in
@@ -310,10 +331,11 @@ impl Pipeline {
 
         // 3. LocPrf Rosetta Stone (reads and extends the inference, so it
         //    stays on the critical path).
-        if self.use_locpref {
-            let mut rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &inference);
+        if self.use_locpref && caches.is_none() {
+            let rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &inference);
             rosetta.apply(&snapshot, &dictionary, &mut inference);
         }
+        let (extract_cache, valley_cache) = caches.unzip();
 
         // 4+5+7a. Hybrid detection, valley analysis and the Gao baseline
         //         all read (data, inference) without touching each other.
@@ -330,7 +352,10 @@ impl Pipeline {
                         inference.annotate_graph(&mut annotated);
                         (run_valley_stage(&data, &annotated, valley_cache), annotated)
                     },
-                    || gao_inference(&data, BaselineInput::BothPlanes),
+                    || match extract_cache {
+                        Some(cache) => cache.baseline(),
+                        None => gao_inference(&data, BaselineInput::BothPlanes),
+                    },
                 )
             },
         );

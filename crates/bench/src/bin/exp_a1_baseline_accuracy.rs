@@ -5,7 +5,9 @@ fn main() {
     let scale = bench::scale_from_args();
     eprintln!("building scenario ({} ASes)...", scale.topology.total_as_count());
     let scenario = bench::build_scenario(&scale);
-    let (v4, v6) = bench::baseline_accuracy(&scenario);
+    let report = bench::run_measurement(&scenario);
+    let v4 = report.baseline_accuracy_v4.expect("simulated runs carry truth");
+    let v6 = report.baseline_accuracy_v6.expect("simulated runs carry truth");
     let row = |name: &str, acc: &hybrid_tor::baselines::InferenceAccuracy| {
         vec![
             name.to_string(),

@@ -40,43 +40,10 @@ fn parse_count_knob(name: &str, value: Option<&str>, default: usize) -> Result<u
     }
 }
 
-/// Parse a boolean knob: unset or empty means `default`; otherwise only
-/// `1`/`true`/`on`/`yes` and `0`/`false`/`off`/`no` (case-insensitive)
-/// are accepted. Malformed values are a hard error — an "anything but
-/// 0/false is on" rule would silently read `HYBRID_CSR=flase` as
-/// *enabled*.
-fn parse_bool_knob(name: &str, value: Option<&str>, default: bool) -> Result<bool, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(default),
-        Some(raw) => match raw.to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => Ok(true),
-            "0" | "false" | "off" | "no" => Ok(false),
-            _ => Err(format!(
-                "{name} must be a boolean (1/0, true/false, on/off, yes/no), got {raw:?}"
-            )),
-        },
-    }
-}
-
-/// Parse the origin-scheduling knob: unset or empty means the default
-/// self-balancing schedule; otherwise only `dynamic` and `static`
-/// (case-insensitive) are accepted.
-fn parse_scheduling_knob(
-    name: &str,
-    value: Option<&str>,
-) -> Result<routesim::OriginScheduling, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(routesim::OriginScheduling::Dynamic),
-        Some(raw) if raw.eq_ignore_ascii_case("dynamic") => Ok(routesim::OriginScheduling::Dynamic),
-        Some(raw) if raw.eq_ignore_ascii_case("static") => Ok(routesim::OriginScheduling::Static),
-        Some(raw) => Err(format!("{name} must be \"dynamic\" or \"static\", got {raw:?}")),
-    }
-}
-
 /// Parse the adversarial-scenario knob: unset or empty means the classic
 /// (well-behaved) policy; otherwise only `classic`, `leak`,
 /// `prefix-hijack` and `subprefix-hijack` (case-insensitive) are
-/// accepted. Unlike the execution knobs above this one *changes the
+/// accepted. Unlike the worker-count knob above this one *changes the
 /// routes* — and therefore the report — but it must stay invisible to
 /// worker counts.
 fn parse_scenario_knob(
@@ -126,14 +93,30 @@ fn parse_addr_knob(
     })
 }
 
+/// The `HYBRID_*` variables [`ExecKnobs::from_env`] reads; any other
+/// `HYBRID_*` name in the environment is a hard error.
+const KNOBS: [&str; 3] = ["HYBRID_THREADS", "HYBRID_SCENARIO", "HYBRID_ADDR"];
+
+/// Check environment variable names against [`KNOBS`]: a `HYBRID_*` name
+/// that is not a knob — a leftover from an older build (`HYBRID_BATCH=1`)
+/// or a typo (`HYBRID_THREAD=2`) — is an error naming it and the known
+/// knobs, instead of being ignored without a word.
+fn check_knob_names<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<(), String> {
+    match names.into_iter().find(|name| name.starts_with("HYBRID_") && !KNOBS.contains(name)) {
+        None => Ok(()),
+        Some(name) => {
+            Err(format!("{name} is not a knob; the known knobs are {}", KNOBS.join(", ")))
+        }
+    }
+}
+
 /// Every `HYBRID_*` knob the experiment bins, the resident daemon and the
-/// load generator honour, resolved once by [`ExecKnobs::from_env`] — the
-/// single replacement for the former family of per-knob `configured_*`
-/// getters (whose strict parsers it keeps). Execution knobs (workers,
-/// frontier split, scheduling, CSR backend, sweep removal policy) are
-/// byte-invisible in every report; `scenario` is an **output** knob that
-/// changes the routes — but still byte-identically at every worker
-/// count.
+/// load generator honour, resolved once by [`ExecKnobs::from_env`] with
+/// strict parsers. `concurrency` is byte-invisible in every report;
+/// `scenario` is an **output** knob that changes the routes — but still
+/// byte-identically at every worker count. Every other execution choice
+/// (frontier split, origin schedule, graph backend, sweep removal policy)
+/// runs at its library default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecKnobs {
     /// `HYBRID_THREADS` — worker threads for scenario building, the
@@ -141,24 +124,6 @@ pub struct ExecKnobs {
     /// `1` = the sequential path, consistently with
     /// `SimConfig::concurrency` and `PipelineOptions::concurrency`.
     pub concurrency: usize,
-    /// `HYBRID_FRONTIER` — within-origin frontier workers: `0` = the
-    /// whole worker budget, `1` (the default) = sequential level scans
-    /// with all parallelism on per-origin sharding.
-    pub frontier: usize,
-    /// `HYBRID_REMOVAL_REPAIR` — whether the sweep repairs load-bearing
-    /// removals in place instead of falling back to a full BFS (default
-    /// off, the conservative tier). Every pipeline built from
-    /// [`ExecKnobs::pipeline`] carries it, so it reaches the Figure 2
-    /// sweep and the temporal replay alike.
-    pub removal_repair: bool,
-    /// `HYBRID_SCHEDULING` — how propagation assigns origins to workers:
-    /// `dynamic` (the default, self-balancing claims) or `static` (index
-    /// striping).
-    pub scheduling: routesim::OriginScheduling,
-    /// `HYBRID_CSR` — whether the pipeline freezes its extracted graph
-    /// into the flat CSR backend before the heavy traversals run (default
-    /// on). Scenario propagation always runs on the CSR.
-    pub csr: bool,
     /// `HYBRID_SCENARIO` — the adversarial scenario propagation runs
     /// under: `classic` (the default), `leak`, `prefix-hijack` or
     /// `subprefix-hijack`. An **output** knob.
@@ -173,10 +138,6 @@ impl Default for ExecKnobs {
     fn default() -> Self {
         ExecKnobs {
             concurrency: 0,
-            frontier: 1,
-            removal_repair: false,
-            scheduling: routesim::OriginScheduling::Dynamic,
-            csr: true,
             scenario: routesim::PolicyScenario::Classic,
             addr: "127.0.0.1:7411".parse().expect("literal address"),
         }
@@ -184,20 +145,16 @@ impl Default for ExecKnobs {
 }
 
 impl ExecKnobs {
-    /// Resolve every knob from the environment. A malformed value is a
-    /// hard panic naming the variable and the offending value — an
-    /// experiment run must stop loudly, not silently mislabel itself.
+    /// Resolve every knob from the environment. A malformed value or an
+    /// unknown `HYBRID_*` variable is a hard panic naming the variable —
+    /// an experiment run must stop loudly, not silently mislabel itself.
     pub fn from_env() -> Self {
+        let names: Vec<String> =
+            std::env::vars_os().map(|(name, _)| name.to_string_lossy().into_owned()).collect();
+        check_knob_names(names.iter().map(String::as_str))
+            .unwrap_or_else(|message| panic!("{message}"));
         ExecKnobs {
             concurrency: env_knob("HYBRID_THREADS", |v| parse_count_knob("HYBRID_THREADS", v, 0)),
-            frontier: env_knob("HYBRID_FRONTIER", |v| parse_count_knob("HYBRID_FRONTIER", v, 1)),
-            removal_repair: env_knob("HYBRID_REMOVAL_REPAIR", |v| {
-                parse_bool_knob("HYBRID_REMOVAL_REPAIR", v, false)
-            }),
-            scheduling: env_knob("HYBRID_SCHEDULING", |v| {
-                parse_scheduling_knob("HYBRID_SCHEDULING", v)
-            }),
-            csr: env_knob("HYBRID_CSR", |v| parse_bool_knob("HYBRID_CSR", v, true)),
             scenario: env_knob("HYBRID_SCENARIO", |v| parse_scenario_knob("HYBRID_SCENARIO", v)),
             addr: env_knob("HYBRID_ADDR", |v| parse_addr_knob("HYBRID_ADDR", v, "127.0.0.1:7411")),
         }
@@ -210,9 +167,9 @@ impl ExecKnobs {
     }
 
     /// The sweep execution options these knobs resolve to: `concurrency`
-    /// workers and the removal-repair tier steered by `removal_repair`.
+    /// workers on the default (conservative) removal tier.
     pub fn sweep(&self) -> SweepOptions {
-        SweepOptions::with_concurrency(self.concurrency).with_removal_repair(self.removal_repair)
+        SweepOptions::with_concurrency(self.concurrency)
     }
 
     /// The pipeline the resident service builds its snapshot with: the
@@ -224,20 +181,14 @@ impl ExecKnobs {
         Pipeline { options: PipelineOptions::from(self), ..Default::default() }
     }
 
-    /// `sim` with the worker, frontier, scheduling and scenario knobs
-    /// written into their `SimConfig` fields; every other field (seeds,
-    /// probabilities, defensive deployment, origin sampling) is kept. Every
-    /// scenario the harness builds — including the per-rate/per-collector
-    /// rebuilds inside [`coverage_sweep`] and [`collector_sensitivity`] —
-    /// goes through this.
+    /// `sim` with the worker and scenario knobs written into their
+    /// `SimConfig` fields; every other field (seeds, probabilities,
+    /// defensive deployment, origin sampling, frontier split, schedule) is
+    /// kept. Every scenario the harness builds — including the
+    /// per-rate/per-collector rebuilds inside [`coverage_sweep`] and
+    /// [`collector_sensitivity`] — goes through this.
     pub fn sim(&self, sim: &SimConfig) -> SimConfig {
-        SimConfig {
-            concurrency: self.concurrency,
-            frontier_concurrency: self.frontier,
-            scheduling: self.scheduling,
-            policy_scenario: self.scenario,
-            ..sim.clone()
-        }
+        SimConfig { concurrency: self.concurrency, policy_scenario: self.scenario, ..sim.clone() }
     }
 }
 
@@ -248,9 +199,9 @@ impl From<&ExecKnobs> for PipelineOptions {
     fn from(knobs: &ExecKnobs) -> PipelineOptions {
         PipelineOptions {
             concurrency: knobs.concurrency,
-            csr: knobs.csr,
             sweep: knobs.sweep(),
             policy_scenario: knobs.scenario,
+            ..PipelineOptions::default()
         }
     }
 }
@@ -439,9 +390,9 @@ pub fn run_temporal(scenario: &Scenario, incremental: bool) -> Vec<WindowOutcome
 /// F2: run the measurement including the customer-tree correction sweep.
 ///
 /// `source_cap` bounds the all-pairs computation; `None` is exact and is
-/// what the paper-scale binary uses. Honours `HYBRID_THREADS` and
-/// `HYBRID_REMOVAL_REPAIR`, and asks the pipeline for the sweep's
-/// execution statistics so the bins can print cache/delta effectiveness.
+/// what the paper-scale binary uses. Honours `HYBRID_THREADS`, and asks
+/// the pipeline for the sweep's execution statistics so the bins can
+/// print cache/delta effectiveness.
 pub fn run_measurement_with_impact(
     scenario: &Scenario,
     top_k: usize,
@@ -461,17 +412,6 @@ pub fn figure1_customer_trees() -> (Vec<Asn>, Vec<Asn>) {
     let transit = figure1_topology(true);
     let peering = figure1_topology(false);
     (customer_tree(&transit, Asn(1), IpVersion::V6), customer_tree(&peering, Asn(1), IpVersion::V6))
-}
-
-/// A1: evaluate the Gao baseline on a scenario directly (also part of the
-/// default report; exposed separately for the ablation binary).
-pub fn baseline_accuracy(scenario: &Scenario) -> (InferenceAccuracy, InferenceAccuracy) {
-    let data = hybrid_tor::extract::extract(&scenario.merged_snapshot());
-    let baseline = gao_inference(&data, BaselineInput::BothPlanes);
-    (
-        InferenceAccuracy::evaluate(&baseline, &scenario.truth.graph, IpVersion::V4),
-        InferenceAccuracy::evaluate(&baseline, &scenario.truth.graph, IpVersion::V6),
-    )
 }
 
 /// The sweep-point factory the experiment sweeps run on: one topology
@@ -654,13 +594,6 @@ pub fn rov_sweep(scale: &ExperimentScale, fractions: &[f64]) -> Vec<DeploymentIm
     rows
 }
 
-/// The misinferred (plane-blind) graph of a scenario: the IPv4-derived
-/// relationship applied to both planes, which is the starting point of the
-/// Figure 2 correction sweep.
-pub fn misinferred_graph(scenario: &Scenario) -> AsGraph {
-    sweep_inputs(scenario).0
-}
-
 /// Everything the Figure 2 correction sweep consumes, precomputed from a
 /// scenario: the plane-blind misinferred graph and the detected hybrid
 /// findings (sorted by descending IPv6 path visibility). Used by the
@@ -769,22 +702,10 @@ mod tests {
     }
 
     #[test]
-    fn misinferred_graph_is_annotated() {
-        let scenario = build_scenario(&tiny_scale());
-        let graph = misinferred_graph(&scenario);
-        let annotated =
-            graph.plane_edges(IpVersion::V6).filter(|e| e.rel(IpVersion::V6).is_some()).count();
-        assert!(annotated > 0);
-    }
-
-    #[test]
     fn env_helpers_resolve_sensibly() {
         let knobs = ExecKnobs::from_env();
         assert!(knobs.threads() >= 1, "resolved worker count is at least one");
-        let sweep = knobs.sweep();
-        assert_eq!(sweep.removal_repair, knobs.removal_repair);
-        assert_eq!(sweep.concurrency, knobs.concurrency);
-        assert!(knobs.csr, "the CSR backend is the default");
+        assert_eq!(knobs.sweep().concurrency, knobs.concurrency);
     }
 
     #[test]
@@ -814,35 +735,55 @@ mod tests {
 
         assert!(!read.is_empty(), "the scan found no env_knob call");
         assert_eq!(documented, read, "README knob table vs ExecKnobs::from_env");
+        let mut known = KNOBS.to_vec();
+        known.sort();
+        assert_eq!(known, read, "KNOBS vs ExecKnobs::from_env");
+
+        // A deleted knob must not stay behind in a job's environment or in
+        // the smoke test's child environment.
+        for (file, text) in [
+            ("ci.yml", include_str!("../../../.github/workflows/ci.yml")),
+            ("exp_smoke.rs", include_str!("../tests/exp_smoke.rs")),
+        ] {
+            for rest in text.split("HYBRID_").skip(1) {
+                let suffix: String =
+                    rest.chars().take_while(|c| c.is_ascii_uppercase() || *c == '_').collect();
+                let name = format!("HYBRID_{suffix}");
+                assert!(suffix.is_empty() || read.contains(&name), "{file} names {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_hybrid_variables_are_a_hard_error_naming_the_known_knobs() {
+        assert_eq!(check_knob_names([]), Ok(()));
+        assert_eq!(check_knob_names(["PATH", "HYBRID_THREADS", "HYBRID_SCENARIO"]), Ok(()));
+        assert_eq!(check_knob_names(["HYBRID_ADDR", "NOT_HYBRID_BATCH"]), Ok(()));
+        for bad in ["HYBRID_BATCH", "HYBRID_THREAD", "HYBRID_THREADS_2", "HYBRID_"] {
+            let err = check_knob_names(["HYBRID_THREADS", bad])
+                .expect_err(&format!("{bad:?} must be rejected"));
+            assert!(err.contains(bad), "message names the variable: {err}");
+            for knob in KNOBS {
+                assert!(err.contains(knob), "message lists the known knobs: {err}");
+            }
+        }
     }
 
     #[test]
     fn each_exec_knob_lands_in_its_one_consumer_field() {
-        use routesim::{OriginScheduling, PolicyScenario};
+        use routesim::PolicyScenario;
         type Expect = fn(&mut SimConfig, &mut PipelineOptions);
         let base = ExecKnobs::default();
         let preset = SimConfig::small();
         // Each row sets one knob off its default and names the fields it
         // must change; everything else in the simulator configuration and
         // the pipeline options must stay at the all-default resolution.
-        let cases: [(&str, ExecKnobs, Expect); 7] = [
+        let cases: [(&str, ExecKnobs, Expect); 3] = [
             ("concurrency", ExecKnobs { concurrency: 3, ..base.clone() }, |sim, options| {
                 sim.concurrency = 3;
                 options.concurrency = 3;
                 options.sweep.concurrency = 3;
             }),
-            ("frontier", ExecKnobs { frontier: 4, ..base.clone() }, |sim, _| {
-                sim.frontier_concurrency = 4;
-            }),
-            ("removal_repair", ExecKnobs { removal_repair: true, ..base.clone() }, |_, options| {
-                options.sweep.removal_repair = true;
-            }),
-            (
-                "scheduling",
-                ExecKnobs { scheduling: OriginScheduling::Static, ..base.clone() },
-                |sim, _| sim.scheduling = OriginScheduling::Static,
-            ),
-            ("csr", ExecKnobs { csr: false, ..base.clone() }, |_, options| options.csr = false),
             (
                 "scenario",
                 ExecKnobs { scenario: PolicyScenario::RouteLeak, ..base.clone() },
@@ -858,6 +799,11 @@ mod tests {
                 |_, _| {},
             ),
         ];
+        assert_eq!(
+            base.pipeline().options,
+            PipelineOptions::default(),
+            "default knobs resolve to the library defaults"
+        );
         for (knob, knobs, expect) in cases {
             assert_ne!(knobs, base, "{knob}: the row must move its knob off the default");
             let mut sim = base.sim(&preset);
@@ -867,14 +813,6 @@ mod tests {
             assert_eq!(knobs.pipeline().options, options, "{knob}");
             assert_eq!(knobs.sweep(), options.sweep, "{knob}");
         }
-    }
-
-    #[test]
-    fn removal_repair_knob_reaches_the_pipeline_sweep() {
-        // The regression this guards: `knobs.pipeline()` used to drop the
-        // knob, so the temporal replay and the daemon always rebuilt.
-        let knobs = ExecKnobs { removal_repair: true, ..Default::default() };
-        assert!(knobs.pipeline().options.sweep.removal_repair);
     }
 
     #[test]
@@ -906,8 +844,7 @@ mod tests {
         assert_eq!(parse_count_knob("HYBRID_THREADS", Some(""), 0), Ok(0));
         assert_eq!(parse_count_knob("HYBRID_THREADS", Some("  "), 0), Ok(0));
         assert_eq!(parse_count_knob("HYBRID_THREADS", Some("2"), 0), Ok(2));
-        assert_eq!(parse_count_knob("HYBRID_FRONTIER", Some(" 8 "), 1), Ok(8));
-        assert_eq!(parse_count_knob("HYBRID_FRONTIER", None, 1), Ok(1));
+        assert_eq!(parse_count_knob("HYBRID_THREADS", Some(" 8 "), 0), Ok(8));
     }
 
     #[test]
@@ -919,53 +856,6 @@ mod tests {
             assert!(err.contains(bad), "message quotes the value: {err}");
             assert!(err.contains("non-negative integer"), "message says what is legal: {err}");
         }
-    }
-
-    #[test]
-    fn bool_knobs_accept_both_spellings_and_default_when_absent() {
-        assert_eq!(parse_bool_knob("HYBRID_CSR", None, true), Ok(true));
-        assert_eq!(parse_bool_knob("HYBRID_CSR", Some(""), true), Ok(true));
-        assert_eq!(parse_bool_knob("HYBRID_REMOVAL_REPAIR", None, false), Ok(false));
-        for on in ["1", "true", "TRUE", "on", "yes", " Yes "] {
-            assert_eq!(parse_bool_knob("HYBRID_CSR", Some(on), false), Ok(true), "{on:?}");
-        }
-        for off in ["0", "false", "False", "off", "NO"] {
-            assert_eq!(parse_bool_knob("HYBRID_CSR", Some(off), true), Ok(false), "{off:?}");
-        }
-    }
-
-    #[test]
-    fn malformed_bool_knobs_are_a_hard_error_not_silently_on() {
-        // The regression this guards: a typo such as `flase` used to parse
-        // as *enabled* under the old "anything but 0/false" rule.
-        for bad in ["flase", "2", "enabled", "ja"] {
-            let err = parse_bool_knob("HYBRID_CSR", Some(bad), true)
-                .expect_err(&format!("{bad:?} must be rejected"));
-            assert!(err.contains("HYBRID_CSR"), "message names the variable: {err}");
-            assert!(err.contains(bad), "message quotes the value: {err}");
-        }
-    }
-
-    #[test]
-    fn scheduling_knob_parses_both_schedules_and_rejects_everything_else() {
-        use routesim::OriginScheduling;
-        assert_eq!(parse_scheduling_knob("HYBRID_SCHEDULING", None), Ok(OriginScheduling::Dynamic));
-        assert_eq!(
-            parse_scheduling_knob("HYBRID_SCHEDULING", Some("")),
-            Ok(OriginScheduling::Dynamic)
-        );
-        assert_eq!(
-            parse_scheduling_knob("HYBRID_SCHEDULING", Some("dynamic")),
-            Ok(OriginScheduling::Dynamic)
-        );
-        assert_eq!(
-            parse_scheduling_knob("HYBRID_SCHEDULING", Some(" Static ")),
-            Ok(OriginScheduling::Static)
-        );
-        let err = parse_scheduling_knob("HYBRID_SCHEDULING", Some("degree")).unwrap_err();
-        assert!(err.contains("HYBRID_SCHEDULING") && err.contains("degree"), "{err}");
-        let err = parse_scheduling_knob("HYBRID_SCHEDULING", Some("lpt")).unwrap_err();
-        assert!(err.contains("HYBRID_SCHEDULING") && err.contains("lpt"), "{err}");
     }
 
     #[test]
@@ -1110,6 +1000,15 @@ mod tests {
         let stats = report.sweep_stats.expect("the harness asks for sweep stats");
         assert!(stats.lookups() > 0);
         assert_eq!(stats.misses, stats.delta_repairs + stats.full_rebuilds);
+    }
+
+    #[test]
+    fn misinferred_graph_is_annotated() {
+        let scenario = build_scenario(&tiny_scale());
+        let (graph, _) = sweep_inputs(&scenario);
+        let annotated =
+            graph.plane_edges(IpVersion::V6).filter(|e| e.rel(IpVersion::V6).is_some()).count();
+        assert!(annotated > 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! exp-smoke: every experiment binary, run end to end at `--tiny` scale,
 //! must reproduce its committed golden stdout byte for byte — and must
-//! produce those bytes at *every* execution setting, so the smoke run
+//! produce those bytes at every worker count, so the smoke run
 //! doubles as an end-to-end check of the determinism contract at the
 //! process boundary (the stdout a user pipes into a file, not just the
 //! report JSON the unit suites compare).
@@ -10,19 +10,14 @@
 //! with `UPDATE_GOLDEN=1 cargo test -p bench --test exp_smoke` and commit
 //! the diff only when the output change is intended.
 //!
-//! The child environment is pinned (`HYBRID_THREADS`, `HYBRID_FRONTIER`,
-//! `HYBRID_REMOVAL_REPAIR`), so the comparison is reproducible whatever the caller's shell exports
-//! — and the second run flips every knob to prove the bytes do not
-//! depend on them. Two knobs are deliberately *inherited* rather than
-//! pinned: the reference run takes `HYBRID_SCHEDULING` from the job
-//! environment and the flipped run pins the *other* schedule (`static`
-//! after `dynamic` or an unset knob, `dynamic` after `static`), so every
-//! CI matrix leg re-proves the goldens under both origin schedules; and
-//! `HYBRID_SCENARIO` is inherited by *both* runs — a scenario is an
-//! output knob, so each scenario leg compares against
-//! its own golden directory (`tests/golden/exp/` for classic, a
+//! The child environment pins `HYBRID_THREADS`, so the comparison is
+//! reproducible whatever the caller's shell exports, and the second run
+//! flips it (1 → 2 workers) to prove the bytes do not depend on it.
+//! `HYBRID_SCENARIO` is deliberately *inherited* by both runs: a scenario
+//! is an output knob, so each scenario leg compares against its own
+//! golden directory (`tests/golden/exp/` for classic, a
 //! `tests/golden/exp/<scenario>/` subdirectory otherwise) and the
-//! worker-knob flip must still reproduce the bytes within the leg.
+//! worker flip must still reproduce the bytes within the leg.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -59,27 +54,14 @@ fn golden_dir() -> PathBuf {
     }
 }
 
-/// Run one binary at `--tiny` scale under the given execution knobs and
-/// return its stdout. `scheduling` is `None` to inherit the caller's
-/// `HYBRID_SCHEDULING` (the CI matrix leg), `Some` to pin it.
-fn run_tiny(
-    name: &str,
-    exe: &str,
-    threads: &str,
-    frontier: &str,
-    scheduling: Option<&str>,
-) -> String {
-    let mut command = Command::new(exe);
-    command
+/// Run one binary at `--tiny` scale on `threads` workers and return its
+/// stdout. HYBRID_SCENARIO is inherited (see the module doc).
+fn run_tiny(name: &str, exe: &str, threads: &str) -> String {
+    let output = Command::new(exe)
         .arg("--tiny")
         .env("HYBRID_THREADS", threads)
-        .env("HYBRID_FRONTIER", frontier)
-        .env("HYBRID_REMOVAL_REPAIR", "0");
-    // HYBRID_SCENARIO is deliberately inherited (see the module doc).
-    if let Some(scheduling) = scheduling {
-        command.env("HYBRID_SCHEDULING", scheduling);
-    }
-    let output = command.output().unwrap_or_else(|e| panic!("cannot spawn {name} ({exe}): {e}"));
+        .output()
+        .unwrap_or_else(|e| panic!("cannot spawn {name} ({exe}): {e}"));
     assert!(
         output.status.success(),
         "{name} --tiny exited with {}; stderr:\n{}",
@@ -87,15 +69,6 @@ fn run_tiny(
         String::from_utf8_lossy(&output.stderr)
     );
     String::from_utf8(output.stdout).unwrap_or_else(|e| panic!("{name} stdout is not UTF-8: {e}"))
-}
-
-/// The origin schedule the flipped run pins: whichever one the inherited
-/// `HYBRID_SCHEDULING` did not select.
-fn flipped_schedule() -> &'static str {
-    match std::env::var("HYBRID_SCHEDULING") {
-        Ok(inherited) if inherited.trim().eq_ignore_ascii_case("static") => "dynamic",
-        _ => "static",
-    }
 }
 
 #[test]
@@ -106,10 +79,8 @@ fn exp_bins_reproduce_their_goldens_at_every_execution_setting() {
         std::fs::create_dir_all(&dir).expect("create tests/golden/exp");
     }
     for (name, exe) in BINS {
-        // The sequential reference run pins the goldens. It inherits
-        // HYBRID_SCHEDULING so the CI matrix can flip the schedule for
-        // the whole golden comparison.
-        let sequential = run_tiny(name, exe, "1", "1", None);
+        // The sequential reference run pins the goldens.
+        let sequential = run_tiny(name, exe, "1");
         let golden_path = dir.join(format!("{name}.txt"));
         if update {
             std::fs::write(&golden_path, &sequential)
@@ -129,18 +100,9 @@ fn exp_bins_reproduce_their_goldens_at_every_execution_setting() {
                 golden_path.display()
             );
         }
-        // ... and a run with both worker knobs flipped (sharded origins
-        // AND a parallel frontier) and the origin schedule flipped to the
-        // one the reference run did not use must produce the same bytes:
-        // parallelism is never an output knob, and neither is the
-        // schedule. The removal policy stays pinned — exp_f2 deliberately
-        // prints the sweep's execution counters, which describe *how* the
-        // sweep ran and so reflect that knob.
-        let parallel = run_tiny(name, exe, "2", "2", Some(flipped_schedule()));
-        assert!(
-            parallel == sequential,
-            "{name} --tiny stdout depends on the worker knobs \
-             (HYBRID_THREADS/HYBRID_FRONTIER/HYBRID_SCHEDULING)"
-        );
+        // ... and a run on two workers must produce the same bytes:
+        // parallelism is never an output knob.
+        let parallel = run_tiny(name, exe, "2");
+        assert!(parallel == sequential, "{name} --tiny stdout depends on HYBRID_THREADS");
     }
 }

@@ -169,8 +169,9 @@ pub struct SweepOptions {
     /// Repair load-bearing removals in place
     /// ([`asgraph::delta::RemovalPolicy::Repair`]) instead of falling back
     /// to a full BFS. Defaults to off (the conservative historical
-    /// fallback); the experiment harness maps `HYBRID_REMOVAL_REPAIR=1`
-    /// onto this knob.
+    /// fallback), which is what every experiment binary runs; `true`
+    /// stays only as a test reference the determinism suite and the
+    /// proptests pin against the default.
     pub removal_repair: bool,
 }
 

@@ -1613,9 +1613,10 @@ mod tests {
 
     #[test]
     fn both_schedules_match_sequential_at_every_worker_count() {
-        // The scheduling knob is the third execution dimension after
-        // origin and frontier workers: {Dynamic, Static} × worker counts
-        // must all reproduce the sequential outcome sequence exactly.
+        // The schedule is the third execution dimension after origin and
+        // frontier workers: {Dynamic, Static} × worker counts must all
+        // reproduce the sequential outcome sequence exactly, under every
+        // adversarial scenario too.
         let g = fixture_graph();
         let mut origins: Vec<Asn> = g.asns().collect();
         origins.sort();
@@ -1627,6 +1628,9 @@ mod tests {
                 seed: 7,
                 ..Default::default()
             },
+            PropagationOptions::default().with_scenario(PolicyScenario::RouteLeak),
+            PropagationOptions::default().with_scenario(PolicyScenario::PrefixHijack),
+            PropagationOptions::default().with_scenario(PolicyScenario::SubprefixHijack),
         ];
         for plane in IpVersion::BOTH {
             for options in &variants {

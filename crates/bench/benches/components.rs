@@ -107,32 +107,6 @@ fn components(c: &mut Criterion) {
             })
         });
     }
-    // The second parallelism level: the within-origin frontier expansion,
-    // measured where it matters — the highest-degree origins of a
-    // paper-scale graph, whose per-origin latency caps the wall-clock of
-    // full-topology runs (bench-scale levels sit below the sequential
-    // cutoff, so they would measure nothing). Per-origin sharding is
-    // pinned to one worker so the rows isolate the frontier layer;
-    // `frontier=1` is the sequential baseline and outcomes are
-    // byte-identical at every row.
-    let paper_truth = topogen::generate(&bench::paper_scale().topology);
-    let paper_graph = &paper_truth.graph;
-    let mut heavy: Vec<Asn> = paper_graph.asns().collect();
-    heavy.sort_by_key(|a| std::cmp::Reverse(paper_graph.degree(*a, IpVersion::V4)));
-    heavy.truncate(4);
-    heavy.sort();
-    group.throughput(Throughput::Elements(heavy.len() as u64));
-    for frontier in [1usize, 2, 4] {
-        let options = PropagationOptions::default().with_frontier(frontier);
-        group.bench_function(&format!("frontier={frontier}"), |b| {
-            b.iter(|| {
-                black_box(
-                    propagate_origins(paper_graph, black_box(&heavy), IpVersion::V4, &options, 1)
-                        .len(),
-                )
-            })
-        });
-    }
     // Internet-scale rows: the frozen CSR backend propagating a sampled
     // origin set over the CAIDA-shaped 10k/50k/100k-AS graphs the
     // `--scale` experiment knob runs at. Origins are strided exactly as

@@ -115,8 +115,8 @@ fn check_knob_names<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<(), 
 /// strict parsers. `concurrency` is byte-invisible in every report;
 /// `scenario` is an **output** knob that changes the routes — but still
 /// byte-identically at every worker count. Every other execution choice
-/// (frontier split, origin schedule, graph backend, sweep removal policy)
-/// runs at its library default.
+/// (origin schedule, graph backend, sweep removal policy) runs at its
+/// library default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecKnobs {
     /// `HYBRID_THREADS` — worker threads for scenario building, the
@@ -183,8 +183,7 @@ impl ExecKnobs {
 
     /// `sim` with the worker and scenario knobs written into their
     /// `SimConfig` fields; every other field (seeds, probabilities,
-    /// defensive deployment, origin sampling, frontier split, schedule) is
-    /// kept. Every scenario the harness builds — including the
+    /// defensive deployment, origin sampling, schedule) is kept. Every scenario the harness builds — including the
     /// per-rate/per-collector rebuilds inside [`coverage_sweep`] and
     /// [`collector_sensitivity`] — goes through this.
     pub fn sim(&self, sim: &SimConfig) -> SimConfig {

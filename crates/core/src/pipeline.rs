@@ -96,8 +96,8 @@ impl PipelineInput {
 /// knob — every worker count produces byte-identical reports (the
 /// determinism suite runs the same seeds at `concurrency` 1, 2 and 8 and
 /// compares the JSON byte-for-byte). Route propagation is not the
-/// pipeline's business: its knobs (frontier workers, origin schedule,
-/// defensive deployment) live in [`routesim::SimConfig`] alone.
+/// pipeline's business: its knobs (origin schedule, defensive
+/// deployment) live in [`routesim::SimConfig`] alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineOptions {
     /// Worker threads for the parallel sections: `0` uses all available
@@ -614,21 +614,17 @@ mod tests {
     // move only where the knob is an output knob.
 
     #[test]
-    fn frontier_knob_resolves_and_stamps_unpinned_sim_configs() {
-        assert_eq!(SimConfig::small().frontier_concurrency, 1, "default is sequential");
+    fn concurrency_knob_resolves_and_stamps_unpinned_sim_configs() {
         let reference = scenario();
-        let split = Scenario::build(
-            &TopologyConfig::tiny(),
-            &SimConfig::small().with_concurrency(2).with_frontier(2),
-        );
-        assert_eq!(split.sim_config.frontier_concurrency, 2, "the pin is kept");
+        let split =
+            Scenario::build(&TopologyConfig::tiny(), &SimConfig::small().with_concurrency(2));
         assert_eq!(split.sim_config.concurrency, 2, "the pin is kept");
-        // Execution only: the split frontier renders the reference bytes
-        // under any pipeline worker count.
+        // Execution only: two propagation workers render the reference
+        // bytes under any pipeline worker count.
         let sequential = render_on(&reference, &Pipeline::with_concurrency(1));
         for workers in [1usize, 4] {
             let report = render_on(&split, &Pipeline::with_concurrency(workers));
-            assert!(report == sequential, "frontier=2 diverged at concurrency={workers}");
+            assert!(report == sequential, "concurrency=2 diverged at concurrency={workers}");
         }
     }
 

@@ -65,16 +65,6 @@ pub struct SimConfig {
     /// determinism suite enforces this).
     pub concurrency: usize,
 
-    /// Worker threads for the *within-origin* frontier expansion of the
-    /// propagation (the level-synchronous Phase 1/3 walks and the Phase 2
-    /// exporter scan): `0` = all available cores, `1` (the default) =
-    /// sequential scans, with all parallelism going to the per-origin
-    /// sharding. The two levels compose without oversubscription —
-    /// [`SimConfig::propagation_split`] bounds origins × frontier workers
-    /// by the budget `concurrency` resolves to. Like `concurrency`, the
-    /// knob is an execution detail with byte-identical output.
-    pub frontier_concurrency: usize,
-
     /// How origins are assigned to the propagation workers (see
     /// [`OriginScheduling`]): self-balancing claims by default, static
     /// striping as the reference schedule. Like the worker
@@ -123,7 +113,6 @@ impl Default for SimConfig {
             full_feeder_fraction: 0.5,
             timestamp: 1_280_620_800, // 2010-08-01
             concurrency: 0,
-            frontier_concurrency: 1,
             scheduling: OriginScheduling::default(),
             origin_sample: 0,
             policy_scenario: PolicyScenario::default(),
@@ -142,12 +131,6 @@ impl SimConfig {
     /// The same configuration pinned to `concurrency` worker threads.
     pub fn with_concurrency(self, concurrency: usize) -> Self {
         SimConfig { concurrency, ..self }
-    }
-
-    /// The same configuration pinned to `frontier_concurrency`
-    /// within-origin frontier workers.
-    pub fn with_frontier(self, frontier_concurrency: usize) -> Self {
-        SimConfig { frontier_concurrency, ..self }
     }
 
     /// The same configuration pinned to an origin-to-worker schedule.
@@ -176,23 +159,12 @@ impl SimConfig {
         crate::shard::effective_concurrency(self.concurrency)
     }
 
-    /// Split the resolved worker budget between the two propagation
-    /// levels as `(origin workers, frontier workers)`: the frontier knob
-    /// is resolved first (`0` = the whole budget) and capped by the
-    /// budget, then per-origin sharding gets what integer-divides into
-    /// the rest — so `origins × frontier ≤ effective_concurrency()` and
-    /// nested parallelism never oversubscribes the host. The default
-    /// (`frontier_concurrency = 1`) keeps the whole budget on per-origin
-    /// sharding, which is the right split whenever there are more origins
-    /// than cores.
+    /// The propagation workers as `(origin workers, within-origin
+    /// workers)`: the whole resolved budget goes to the origins, and each
+    /// origin's walk is sequential. Kept in this two-value shape only
+    /// while perfbench still calls it (ROADMAP item 6).
     pub fn propagation_split(&self) -> (usize, usize) {
-        let budget = self.effective_concurrency().max(1);
-        // Within the split, "all available parallelism" is the budget
-        // itself — `concurrency` already resolved the host's cores.
-        let frontier =
-            if self.frontier_concurrency == 0 { budget } else { self.frontier_concurrency };
-        let frontier = frontier.clamp(1, budget);
-        ((budget / frontier).max(1), frontier)
+        (self.effective_concurrency().max(1), 1)
     }
 
     /// Validate probability ranges and structural requirements.
@@ -287,54 +259,17 @@ mod tests {
 
     #[test]
     fn propagation_split_bounds_nested_parallelism_by_the_budget() {
-        assert_eq!(SimConfig::default().frontier_concurrency, 1, "default keeps frontier seq");
-        // Default split: everything to per-origin sharding.
-        let sim = SimConfig::small().with_concurrency(6);
-        assert_eq!(sim.propagation_split(), (6, 1));
-        // A pinned frontier divides the budget.
-        assert_eq!(sim.clone().with_frontier(2).propagation_split(), (3, 2));
-        assert_eq!(sim.clone().with_frontier(4).propagation_split(), (1, 4));
-        // Frontier 0 claims the whole budget; origins drop to one worker.
-        assert_eq!(sim.clone().with_frontier(0).propagation_split(), (1, 6));
-        // Oversized requests are capped by the budget.
-        assert_eq!(sim.clone().with_frontier(64).propagation_split(), (1, 6));
-        // Fully sequential stays fully sequential.
-        assert_eq!(sim.with_concurrency(1).with_frontier(8).propagation_split(), (1, 1));
-        // The product never exceeds the resolved budget.
-        for concurrency in [0usize, 1, 2, 3, 8] {
-            for frontier in [0usize, 1, 2, 3, 8] {
-                let sim = SimConfig::small().with_concurrency(concurrency).with_frontier(frontier);
-                let (origins, frontier_workers) = sim.propagation_split();
-                assert!(origins * frontier_workers <= sim.effective_concurrency().max(1));
-                assert!(origins >= 1 && frontier_workers >= 1);
-            }
+        // The whole budget goes to the origins; the walk is sequential.
+        for concurrency in [1usize, 2, 3, 6] {
+            let sim = SimConfig::small().with_concurrency(concurrency);
+            assert_eq!(sim.propagation_split(), (concurrency, 1), "concurrency={concurrency}");
         }
     }
 
     #[test]
     fn propagation_split_holds_at_degenerate_budgets() {
-        // Budget of one: whatever the frontier knob asks for — the whole
-        // budget (0), more than the budget, or exactly one — the split
-        // must collapse to the fully sequential (1, 1).
-        for frontier in [0usize, 1, 2, 8, usize::MAX] {
-            let sim = SimConfig::small().with_concurrency(1).with_frontier(frontier);
-            assert_eq!(sim.propagation_split(), (1, 1), "frontier={frontier}");
-        }
-        // Frontier larger than the budget: capped at the budget, origins
-        // drop to a single worker — never zero, never oversubscribed.
-        let sim = SimConfig::small().with_concurrency(2).with_frontier(3);
-        assert_eq!(sim.propagation_split(), (1, 2));
-        let sim = SimConfig::small().with_concurrency(2).with_frontier(usize::MAX);
-        assert_eq!(sim.propagation_split(), (1, 2));
-        // A frontier that does not divide the budget floors the origin
-        // side (5 / 2 = 2), keeping the product within the budget.
-        let sim = SimConfig::small().with_concurrency(5).with_frontier(2);
-        assert_eq!(sim.propagation_split(), (2, 2));
-        // `concurrency = 0` resolves to the host's cores before the
-        // split, so the invariant holds against that resolved budget.
-        let sim = SimConfig::small().with_concurrency(0).with_frontier(usize::MAX);
-        let (origins, frontier) = sim.propagation_split();
-        assert_eq!(origins, 1);
-        assert_eq!(frontier, sim.effective_concurrency().max(1));
+        // `concurrency = 0` resolves to the host's cores before the split.
+        let sim = SimConfig::small().with_concurrency(0);
+        assert_eq!(sim.propagation_split(), (sim.effective_concurrency().max(1), 1));
     }
 }

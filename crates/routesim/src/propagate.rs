@@ -31,12 +31,9 @@
 //! partially deployed defensive policies (ROV, ASPA-lite) veto the
 //! tainted candidates — see [`propagate_origin_with`].
 //!
-//! Execution is parallel on two levels, both steered by knobs that never
-//! change the selected routes: workers claim origins one at a time
-//! ([`propagate_origins`]), and *within* one origin the Phase 1/3 walks
-//! run level-synchronously with each level's neighbor scan striped across
-//! workers ([`PropagationOptions::frontier_concurrency`], resolved with
-//! the usual `0` = all cores / `1` = sequential convention).
+//! Execution is parallel across origins only: workers claim origins one
+//! at a time ([`propagate_origins`]), and each origin's walk is one
+//! sequential kernel over the plane's edges split by class.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -50,7 +47,6 @@ use asgraph::{AsGraph, NodeId};
 use bgp_types::{Asn, IpVersion, Relationship};
 
 use crate::policy::{PolicyDeployment, PolicyEngine, PolicyScenario};
-use crate::shard::shard_frontier;
 
 /// How origins are assigned to the workers of [`propagate_origins`].
 ///
@@ -226,6 +222,16 @@ impl RouteTable {
         self.words[node.index()] = RouteWord::pack(&info);
     }
 
+    /// The routed `sender`'s route offered one hop further as `class`:
+    /// decoded for the policies, and packed for the table.
+    #[inline]
+    fn export(&self, sender: NodeId, class: RouteClass) -> (RouteInfo, RouteWord) {
+        let info = self.get(sender).expect("only routed nodes export");
+        let cand =
+            RouteInfo { class, path_len: info.path_len + 1, next_hop: sender, taint: info.taint };
+        (cand, RouteWord::pack(&cand))
+    }
+
     /// The node's next hop towards the origin (the node itself at an
     /// origin), or `None` without a route.
     #[inline]
@@ -288,13 +294,10 @@ pub struct PropagationOptions {
     /// Partial deployment of the scenario's defensive policy (see
     /// [`PolicyDeployment`]). Route model like the scenario itself.
     pub deployment: PolicyDeployment,
-    /// Worker threads for the *within-origin* frontier expansion: each
-    /// level of the Phase 1/3 level-synchronous walks and the Phase 2
-    /// exporter scan stripe their neighbor scans across this many
-    /// threads. `0` = all available cores, `1` (the default) = the plain
-    /// sequential scan — the same convention as every other concurrency
-    /// knob. Execution only: the selected routes are identical at every
-    /// value (see [`PropagationOptions::same_route_model`]).
+    /// Read by nothing: each origin's walk is sequential. The field stays
+    /// only while perfbench still names it (ROADMAP item 6). `0` and `1`
+    /// (the default) are accepted; a larger value makes the propagation
+    /// entry points panic rather than be silently ignored.
     pub frontier_concurrency: usize,
     /// How [`propagate_origins`] assigns origins to its workers.
     /// Execution only, like the worker counts: both schedules produce
@@ -317,12 +320,6 @@ impl Default for PropagationOptions {
 }
 
 impl PropagationOptions {
-    /// These options pinned to `frontier_concurrency` within-origin
-    /// workers.
-    pub fn with_frontier(self, frontier_concurrency: usize) -> Self {
-        PropagationOptions { frontier_concurrency, ..self }
-    }
-
     /// These options pinned to an origin-to-worker schedule.
     pub fn with_scheduling(self, scheduling: OriginScheduling) -> Self {
         PropagationOptions { scheduling, ..self }
@@ -344,7 +341,7 @@ impl PropagationOptions {
     /// [`ScenarioPool`](crate::ScenarioPool): a sweep point reuses the
     /// base point's outcomes on a plane whose options compare equal here
     /// (not `==`) and whose origin-sampling stride is unchanged, so
-    /// retuning the frontier or scheduling knob between sweep points
+    /// retuning the scheduling knob between sweep points
     /// neither forces a re-propagation nor smuggles an execution detail
     /// into reuse decisions. The exhaustive destructuring makes a
     /// new field refuse to compile until it is classified as route model
@@ -464,15 +461,10 @@ struct Candidate {
     node: u32,
 }
 
-/// Fixed-capacity bitset over node ids: the next-frontier accumulator of
-/// the level-synchronous walks. One bit per node replaces the old
-/// `Vec<NodeId>` push-per-candidate frontier — membership stays a set
-/// under duplicate insertions and the drain yields ids in ascending
-/// order. The reordering is output-invariant: each level's candidate
-/// merge is a per-target minimum over `(path_len, next-hop ASN)` (see
-/// [`better`]), so neither the winners nor the next level's membership
-/// depend on the order the frontier was accumulated in. Phase 4 keeps its
-/// leakers in one, and Phase 5 collects the routed borders of its holes.
+/// Fixed-capacity bitset over node ids: membership stays a set under
+/// duplicate insertions and the drain yields ids in ascending order.
+/// Phase 4 keeps its leakers in one, and Phase 5 collects the routed
+/// borders of its holes in one.
 struct NodeBitSet {
     words: Vec<u64>,
 }
@@ -508,20 +500,6 @@ impl NodeBitSet {
             }
         }
     }
-}
-
-/// Below this many frontier nodes per worker, scanning a level is cheaper
-/// than spawning the scoped threads that would stripe it, so the
-/// expansion stays sequential whatever the knob says. Execution only:
-/// [`shard_frontier`] produces the same candidate sequence at any worker
-/// count, this merely skips the spawn when it cannot pay for itself.
-const MIN_FRONTIER_PER_WORKER: usize = 128;
-
-/// The worker count actually used for one level's scan: the requested
-/// count, capped so every worker gets at least
-/// [`MIN_FRONTIER_PER_WORKER`] nodes.
-fn level_workers(requested: usize, frontier_len: usize) -> usize {
-    requested.min(frontier_len / MIN_FRONTIER_PER_WORKER).max(1)
 }
 
 /// Propagate one origin's prefix over one plane, building the scenario's
@@ -565,59 +543,111 @@ pub fn propagate_origin_with(
 /// What every origin of one batch shares: the plane, options and policy
 /// engine, plus the plane's edges split by the class the phases read.
 ///
+/// * `climbs`: each node's providers and siblings
+///   (`CustomerToProvider` and `SiblingToSibling` links), the edges
+///   Phase 1 carries a customer route up.
+/// * `peers`: each node's peers, the edges Phase 2 exports over.
 /// * `customers`: each node's customers (`ProviderToCustomer` links), the
-///   only edges Phase 3 carries a route over. A node without customers
-///   cannot export downhill, so Phase 3 never schedules it.
+///   only edges Phase 3 carries a route over.
+/// * `sibling_links`: each node's siblings, the edges both sibling
+///   closures forward over.
 /// * `annotated`: each node's neighbours over links annotated on the
 ///   plane, the only edges Phase 5 relaxes across. Its holes' lists seed
 ///   the relaxation heap.
 /// * `siblings`: the sibling-linked nodes in ascending id order, the only
 ///   nodes a sibling closure can ever act on.
+/// * `transit`: the nodes with customers in ascending id order, the only
+///   nodes Phase 3 schedules: a node without customers exports nothing
+///   downhill.
 ///
-/// All three come from one pass over the plane's adjacency, and the two
-/// edge lists keep each node's neighbours in [`AsGraph::neighbors_by_id`]
-/// order. The phases push candidates in that order, so the candidate
-/// sequences, and with them every tie the merges see, are exactly those
-/// of a filtered adjacency scan.
+/// All of them come from one pass over the plane's adjacency, and every
+/// edge list keeps each node's neighbours in [`AsGraph::neighbors_by_id`]
+/// order, so a phase that walks a list sees exactly the neighbours, in
+/// exactly the order, of a filtered adjacency scan.
 struct Batch<'a> {
     graph: &'a AsGraph,
     plane: IpVersion,
     options: &'a PropagationOptions,
     engine: &'a PolicyEngine,
+    climbs: EdgeClass,
+    peers: EdgeClass,
     customers: EdgeClass,
+    sibling_links: EdgeClass,
     annotated: EdgeClass,
     siblings: Vec<NodeId>,
+    transit: Vec<NodeId>,
 }
 
 impl<'a> Batch<'a> {
+    /// Split the plane's edges for a batch of walks under `options`.
+    ///
+    /// # Panics
+    ///
+    /// When `options.frontier_concurrency` asks for more than one
+    /// within-origin worker: the walk is sequential, and the field stays
+    /// only while perfbench still names it (ROADMAP item 6), so a caller
+    /// that asks for a split learns that it is gone instead of being
+    /// silently ignored.
     fn new(
         graph: &'a AsGraph,
         plane: IpVersion,
         options: &'a PropagationOptions,
         engine: &'a PolicyEngine,
     ) -> Self {
+        assert!(
+            options.frontier_concurrency <= 1,
+            "PropagationOptions::frontier_concurrency = {} asks for a within-origin split, \
+             but the walk is sequential; the field stays only until perfbench stops naming it \
+             (ROADMAP item 6) and must be 0 or 1",
+            options.frontier_concurrency
+        );
         let n = graph.node_count();
+        let mut climbs = EdgeClass::with_capacity(n, 0);
+        let mut peers = EdgeClass::with_capacity(n, 0);
         let mut customers = EdgeClass::with_capacity(n, 0);
+        let mut sibling_links = EdgeClass::with_capacity(n, 0);
         let mut annotated = EdgeClass::with_capacity(n, 2 * graph.plane_edge_count(plane));
         let mut siblings = Vec::new();
+        let mut transit = Vec::new();
         for node in graph.nodes() {
-            let mut has_sibling = false;
             for (next, rel) in graph.neighbors_by_id(node, plane) {
                 let Some(rel) = rel else { continue };
                 annotated.targets.push(next.0);
                 match rel {
+                    Relationship::CustomerToProvider => climbs.targets.push(next.0),
+                    Relationship::PeerToPeer => peers.targets.push(next.0),
                     Relationship::ProviderToCustomer => customers.targets.push(next.0),
-                    Relationship::SiblingToSibling => has_sibling = true,
-                    _ => {}
+                    Relationship::SiblingToSibling => {
+                        climbs.targets.push(next.0);
+                        sibling_links.targets.push(next.0);
+                    }
                 }
             }
-            customers.end_node();
-            annotated.end_node();
-            if has_sibling {
+            for class in
+                [&mut climbs, &mut peers, &mut customers, &mut sibling_links, &mut annotated]
+            {
+                class.end_node();
+            }
+            if sibling_links.any(node) {
                 siblings.push(node);
             }
+            if customers.any(node) {
+                transit.push(node);
+            }
         }
-        Batch { graph, plane, options, engine, customers, annotated, siblings }
+        Batch {
+            graph,
+            plane,
+            options,
+            engine,
+            climbs,
+            peers,
+            customers,
+            sibling_links,
+            annotated,
+            siblings,
+            transit,
+        }
     }
 }
 
@@ -711,9 +741,14 @@ fn propagate_in(batch: &Batch<'_>, origin: Asn) -> RoutingOutcome {
 /// The five-phase walk from `seeds`, with every adoption gated by the
 /// engine's per-AS policy and `blocked` never installing anything
 /// (neither a route nor an export — its prefix knowledge is handled by
-/// the caller). Deterministic at every worker count: the per-target
-/// merges are order-independent minima and every candidate batch is
-/// sorted before it is applied.
+/// the caller).
+///
+/// Phases 1–3 apply every candidate in place the moment it is made. Each
+/// adoption is a per-target minimum over `(path_len, next-hop ASN)` (see
+/// [`better`]), which is a strict total order, and a sender's route is
+/// never rewritten while it exports (its own level's candidates are one
+/// hop longer), so neither the winners nor the set of nodes a level
+/// newly routes depend on the order the candidates arrive in.
 fn run_walk(
     batch: &Batch<'_>,
     origin: Asn,
@@ -729,161 +764,84 @@ fn run_walk(
     }
     let admit =
         |target: NodeId, cand: &RouteInfo| Some(target) != blocked && engine.accepts(target, cand);
-    let workers = crate::shard::effective_concurrency(options.frontier_concurrency);
+    // Offer `cand` (packed as `word`) to `target`; true when it was
+    // installed on a node that had no route before.
+    let offer = |routes: &mut RouteTable, target: NodeId, cand: &RouteInfo, word: RouteWord| {
+        let current = routes.words[target.index()];
+        if better(current, word, graph) && admit(target, cand) {
+            routes.words[target.index()] = word;
+            !current.is_routed()
+        } else {
+            false
+        }
+    };
 
     // ---- Phase 1: customer routes (and the origin's siblings) -----------
     // A route travels "upward": from a node to its providers, and across
-    // sibling links, keeping the Customer class. Level-synchronous
-    // frontier expansion: every node's final path length is its level in
-    // the climb BFS, and a level's candidates all come from the previous
-    // level, so scanning one level at a time and merging with `better(..)`
-    // reaches exactly the fixed point of the old priority-queue walk —
-    // while each level's neighbor scan stripes across `workers` threads.
-    {
-        let mut frontier: Vec<NodeId> = seeds.iter().map(|&(seed, _)| seed).collect();
-        frontier.sort_by_key(|seed| seed.0);
-        let mut next_frontier = NodeBitSet::new(n);
-        let mut next_len: u32 = 0;
-        while !frontier.is_empty() {
-            next_len += 1;
-            // The route moves node -> next. `next` learns it from `node`.
-            // next sees node as a customer when rel(next -> node) = p2c,
-            // i.e. rel(node -> next) = c2p. Sibling links always carry it.
-            let candidates: Vec<(NodeId, NodeId)> =
-                shard_frontier(&frontier, level_workers(workers, frontier.len()), |&node, out| {
-                    for (next, rel) in graph.neighbors_by_id(node, plane) {
-                        let climbs = rel == Some(Relationship::CustomerToProvider)
-                            || rel == Some(Relationship::SiblingToSibling);
-                        if climbs {
-                            out.push((next, node));
-                        }
-                    }
-                });
-            // Deterministic merge: `better(..)` is a strict total order on
-            // (path_len, next-hop ASN), so the per-target winner does not
-            // depend on candidate order, which itself is frontier order at
-            // every worker count.
-            for (target, sender) in candidates {
-                let cand = RouteInfo {
-                    class: RouteClass::Customer,
-                    path_len: next_len,
-                    next_hop: sender,
-                    taint: routes.get(sender).expect("frontier nodes are routed").taint,
-                };
-                let current = routes.get(target);
-                if admit(target, &cand) && better(current, &cand, graph, RouteClass::Customer) {
-                    // A node newly routed at this level joins the next
-                    // frontier; later candidates can only improve the
-                    // next hop, and the bitset keeps membership a set.
-                    if current.is_none() {
-                        next_frontier.insert(target);
-                    }
-                    routes.set(target, cand);
-                }
+    // sibling links, keeping the Customer class (`Batch::climbs`). The
+    // climb is a BFS with `exporters` as its FIFO queue: a node is queued
+    // when first routed, at its final level, and exports after every
+    // same-level improvement, because the whole previous level is ahead
+    // of it. The queue ends holding every node this phase routed: the
+    // Phase 2 exporters.
+    let mut exporters: Vec<NodeId> = seeds.iter().map(|&(seed, _)| seed).collect();
+    let mut queued = 0;
+    while let Some(&sender) = exporters.get(queued) {
+        queued += 1;
+        let (cand, word) = routes.export(sender, RouteClass::Customer);
+        for &next in batch.climbs.of(sender) {
+            if offer(&mut routes, NodeId(next), &cand, word) {
+                exporters.push(NodeId(next));
             }
-            next_frontier.drain_into(&mut frontier);
         }
     }
 
     // ---- Phase 2: peer routes --------------------------------------------
     // Nodes with a customer/origin route export it across one peering
-    // link; the exporter scan stripes across workers and the sort below
-    // makes the merge order-independent.
-    {
-        let exporters: Vec<NodeId> = (0..n as u32)
-            .map(NodeId)
-            .filter(|&id| {
-                matches!(
-                    routes.get(id).map(|r| r.class),
-                    Some(RouteClass::Origin) | Some(RouteClass::Customer)
-                )
-            })
-            .collect();
-        let mut peer_candidates: Vec<(NodeId, RouteInfo)> =
-            shard_frontier(&exporters, level_workers(workers, exporters.len()), |&node, out| {
-                let info = routes.get(node).expect("exporters are routed");
-                for (next, rel) in graph.neighbors_by_id(node, plane) {
-                    if rel != Some(Relationship::PeerToPeer) {
-                        continue;
-                    }
-                    out.push((
-                        next,
-                        RouteInfo {
-                            class: RouteClass::Peer,
-                            path_len: info.path_len + 1,
-                            next_hop: node,
-                            taint: info.taint,
-                        },
-                    ));
-                }
-            });
-        // Deterministic order: by target node, then candidate quality.
-        peer_candidates
-            .sort_by_key(|(next, cand)| (next.0, cand.path_len, graph.asn(cand.next_hop).value()));
-        for (next, cand) in peer_candidates {
-            if admit(next, &cand) && better(routes.get(next), &cand, graph, RouteClass::Peer) {
-                routes.set(next, cand);
-            }
+    // link (`Batch::peers`). Exporters are never displaced by a peer
+    // route, so each target simply keeps its best admissible offer.
+    for &sender in &exporters {
+        let (cand, word) = routes.export(sender, RouteClass::Peer);
+        for &next in batch.peers.of(sender) {
+            offer(&mut routes, NodeId(next), &cand, word);
         }
-        // Sibling closure for peer routes.
-        sibling_closure(batch, &mut routes, RouteClass::Peer, blocked);
     }
+    sibling_closure(batch, &mut routes, RouteClass::Peer, blocked);
 
     // ---- Phase 3: provider routes ------------------------------------------
     // Any routed node exports its best route to its customers; customers
     // that still lack a better route take it, and pass it on downhill.
-    // Same level-synchronous scheme as Phase 1, with multiple sources at
-    // different levels: every routed node exports once, at its route's
-    // path length, and a customer accepting a provider route at level
-    // d+1 exports at level d+1. Same-level improvements only change the
-    // next hop (never the level), so each node is scheduled exactly once
-    // and the levels can be processed strictly in order. Only nodes with
-    // customers are scheduled and only their customer lists are scanned
-    // (`Batch::customers`, in adjacency order): a node without customers
-    // exports nothing, so dropping it leaves every level's candidate
-    // sequence unchanged.
+    // The same BFS by level as Phase 1, with sources at different levels:
+    // every routed node exports once, at its route's path length, and a
+    // customer first routed at level d+1 exports at level d+1. Same-level
+    // improvements only change the next hop, never the level, so the
+    // levels run strictly in order. Only nodes with customers
+    // (`Batch::transit`) are scheduled, and only their customer lists are
+    // read.
     {
-        let mut buckets: Vec<NodeBitSet> = Vec::new();
-        let schedule = |buckets: &mut Vec<NodeBitSet>, level: usize, node: NodeId| {
+        let mut buckets: Vec<Vec<NodeId>> = Vec::new();
+        let schedule = |buckets: &mut Vec<Vec<NodeId>>, level: usize, node: NodeId| {
             if buckets.len() <= level {
-                buckets.resize_with(level + 1, || NodeBitSet::new(n));
+                buckets.resize_with(level + 1, Vec::new);
             }
-            buckets[level].insert(node);
+            buckets[level].push(node);
         };
-        for node in graph.nodes().filter(|&node| batch.customers.any(node)) {
+        for &node in &batch.transit {
             if let Some(info) = routes.get(node) {
                 schedule(&mut buckets, info.path_len as usize, node);
             }
         }
-        let mut frontier: Vec<NodeId> = Vec::new();
         let mut level = 0;
         while level < buckets.len() {
-            buckets[level].drain_into(&mut frontier);
+            let frontier = std::mem::take(&mut buckets[level]);
             level += 1;
-            if frontier.is_empty() {
-                continue;
-            }
-            // node -> next is p2c: next is node's customer, so next
-            // learns the route from its provider. Sibling links also
-            // carry it (class preserved, handled by the closure below).
-            let candidates: Vec<(NodeId, NodeId)> =
-                shard_frontier(&frontier, level_workers(workers, frontier.len()), |&node, out| {
-                    out.extend(batch.customers.of(node).iter().map(|&next| (NodeId(next), node)));
-                });
-            let next_len = level as u32;
-            for (target, sender) in candidates {
-                let cand = RouteInfo {
-                    class: RouteClass::Provider,
-                    path_len: next_len,
-                    next_hop: sender,
-                    taint: routes.get(sender).expect("frontier nodes are routed").taint,
-                };
-                let current = routes.get(target);
-                if admit(target, &cand) && better(current, &cand, graph, RouteClass::Provider) {
-                    if current.is_none() && batch.customers.any(target) {
-                        schedule(&mut buckets, next_len as usize, target);
+            for sender in frontier {
+                let (cand, word) = routes.export(sender, RouteClass::Provider);
+                for &next in batch.customers.of(sender) {
+                    let next = NodeId(next);
+                    if offer(&mut routes, next, &cand, word) && batch.customers.any(next) {
+                        schedule(&mut buckets, level, next);
                     }
-                    routes.set(target, cand);
                 }
             }
         }
@@ -1141,11 +1099,9 @@ fn deterministic_leak(
 /// never interact. Each outcome lands in its origin's slot, making the
 /// result byte-identical to the sequential run at every worker count.
 ///
-/// `options.frontier_concurrency` adds a second, nested level of
-/// parallelism *inside* each origin's round; callers that use both should
-/// bound `concurrency × frontier workers` by the core budget (the
-/// scenario layer does this via `SimConfig::propagation_split`) so the
-/// two levels do not oversubscribe the host.
+/// Each origin's round is one sequential walk; `concurrency` is the only
+/// parallelism. `options.frontier_concurrency` above 1 panics (see
+/// [`PropagationOptions::frontier_concurrency`]).
 ///
 /// `options.scheduling` picks how origins map onto the workers: the
 /// default [`OriginScheduling::Dynamic`] lets each worker claim the next
@@ -1199,29 +1155,26 @@ pub(crate) fn map_origins<U: Send>(
     }
 }
 
-/// Is `candidate` better than the current route, given that the candidate
-/// belongs to propagation phase `phase`? Routes installed by earlier
-/// (more-preferred) phases are never displaced; within the same class the
-/// shorter path wins, then the lower next-hop ASN.
-fn better(
-    current: Option<RouteInfo>,
-    candidate: &RouteInfo,
-    graph: &AsGraph,
-    phase: RouteClass,
-) -> bool {
-    match current {
-        None => true,
-        Some(existing) => {
-            if existing.class < phase {
-                return false;
-            }
-            if existing.class > phase {
-                return true;
-            }
-            (candidate.path_len, graph.asn(candidate.next_hop).value())
-                < (existing.path_len, graph.asn(existing.next_hop).value())
-        }
+/// Is `candidate` better than the `current` route? The one preference
+/// rule of the strict phases and the sibling closures: a route of a
+/// more-preferred class is never displaced by a less-preferred one;
+/// within a class the shorter path wins, then the lower next-hop ASN.
+/// Compared on the packed words, whose class codes follow
+/// [`RouteClass`]'s order; the next-hop ASNs are read only on a tie.
+#[inline]
+fn better(current: RouteWord, candidate: RouteWord, graph: &AsGraph) -> bool {
+    if !current.is_routed() {
+        return true;
     }
+    let (have, want) = (current.meta & CLASS_MASK, candidate.meta & CLASS_MASK);
+    if have != want {
+        return have > want;
+    }
+    let (have_len, want_len) = (current.meta >> PATH_LEN_SHIFT, candidate.meta >> PATH_LEN_SHIFT);
+    if have_len != want_len {
+        return want_len < have_len;
+    }
+    graph.asn(NodeId(candidate.next_hop)) < graph.asn(NodeId(current.next_hop))
 }
 
 /// Propagate routes of the given class across sibling links (transparent
@@ -1238,7 +1191,7 @@ fn sibling_closure(
     class: RouteClass,
     blocked: Option<NodeId>,
 ) {
-    let (graph, plane, engine) = (batch.graph, batch.plane, batch.engine);
+    let (graph, engine) = (batch.graph, batch.engine);
     let mut queue: Vec<NodeId> = batch
         .siblings
         .iter()
@@ -1246,18 +1199,14 @@ fn sibling_closure(
         .filter(|&id| routes.get(id).map(|r| r.class) == Some(class))
         .collect();
     while let Some(node) = queue.pop() {
-        let Some(info) = routes.get(node) else { continue };
-        for (next, rel) in graph.neighbors_by_id(node, plane) {
-            if rel != Some(Relationship::SiblingToSibling) {
-                continue;
-            }
-            let cand =
-                RouteInfo { class, path_len: info.path_len + 1, next_hop: node, taint: info.taint };
+        let (cand, word) = routes.export(node, class);
+        for &next in batch.sibling_links.of(node) {
+            let next = NodeId(next);
             if Some(next) == blocked || !engine.accepts(next, &cand) {
                 continue;
             }
-            if better(routes.get(next), &cand, graph, class) {
-                routes.set(next, cand);
+            if better(routes.words[next.index()], word, graph) {
+                routes.words[next.index()] = word;
                 queue.push(next);
             }
         }
@@ -1450,11 +1399,6 @@ mod tests {
         g.annotate_both(Asn(3), Asn(5), Relationship::ProviderToCustomer);
 
         let leaky = PropagationOptions { leak_probability: 1.0, seed: 1, ..Default::default() };
-        // The frontier knob must not perturb the seeded deviations either.
-        assert_eq!(
-            propagate_origin(&g, Asn(4), IpVersion::V4, &leaky.with_frontier(4)),
-            propagate_origin(&g, Asn(4), IpVersion::V4, &leaky),
-        );
         let outcome = propagate_origin(&g, Asn(4), IpVersion::V4, &leaky);
         // Every AS still has a route and paths still terminate at the origin.
         assert_eq!(outcome.routed_count(), g.node_count());
@@ -1512,92 +1456,9 @@ mod tests {
     }
 
     #[test]
-    fn frontier_parallel_propagation_matches_sequential_at_every_worker_count() {
-        let g = fixture_graph();
-        let mut origins: Vec<Asn> = g.asns().collect();
-        origins.sort();
-        let variants = [
-            PropagationOptions::default(),
-            PropagationOptions {
-                reachability_relaxation: true,
-                leak_probability: 0.5,
-                seed: 7,
-                ..Default::default()
-            },
-        ];
-        for plane in IpVersion::BOTH {
-            for options in &variants {
-                let sequential = propagate_origins(&g, &origins, plane, options, 1);
-                // Nested combinations: frontier workers × origin workers.
-                for frontier in [0usize, 2, 3, 8] {
-                    for workers in [1usize, 2] {
-                        let parallel = propagate_origins(
-                            &g,
-                            &origins,
-                            plane,
-                            &options.with_frontier(frontier),
-                            workers,
-                        );
-                        assert_eq!(
-                            parallel, sequential,
-                            "plane {plane:?}, frontier {frontier}, workers {workers}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_frontiers_stripe_across_workers_and_match_sequential() {
-        // Levels wider than MIN_FRONTIER_PER_WORKER × workers, so the
-        // scans genuinely run on multiple threads (the fixture graphs are
-        // too small to clear the sequential cutoff): the origin has WIDE
-        // providers (Phase 1 level 1), each with a customer of its own
-        // (Phase 3), a peering ring across the providers (Phase 2), and
-        // ties everywhere — every provider reaches the origin at the same
-        // distance, so the deterministic next-hop ASN tie-break is what
-        // keeps the merged routes identical at every worker count.
-        const WIDE: u32 = 4 * MIN_FRONTIER_PER_WORKER as u32 + 17;
-        let mut g = AsGraph::new();
-        for i in 0..WIDE {
-            let provider = Asn(2 + i);
-            g.annotate_both(provider, Asn(1), Relationship::ProviderToCustomer);
-            g.annotate_both(provider, Asn(10_000 + i), Relationship::ProviderToCustomer);
-            g.annotate_both(provider, Asn(2 + ((i + 1) % WIDE)), Relationship::PeerToPeer);
-        }
-        assert_eq!(level_workers(4, WIDE as usize), 4, "the wide level must actually stripe");
-        for options in [
-            PropagationOptions::default(),
-            PropagationOptions {
-                reachability_relaxation: true,
-                leak_probability: 0.3,
-                seed: 11,
-                ..Default::default()
-            },
-        ] {
-            let sequential = propagate_origin(&g, Asn(1), IpVersion::V4, &options);
-            for frontier in [0usize, 2, 4, 7] {
-                let parallel =
-                    propagate_origin(&g, Asn(1), IpVersion::V4, &options.with_frontier(frontier));
-                assert_eq!(parallel, sequential, "frontier={frontier}");
-            }
-        }
-    }
-
-    #[test]
-    fn level_workers_caps_by_frontier_size() {
-        assert_eq!(level_workers(8, 0), 1);
-        assert_eq!(level_workers(8, MIN_FRONTIER_PER_WORKER - 1), 1);
-        assert_eq!(level_workers(8, 2 * MIN_FRONTIER_PER_WORKER), 2);
-        assert_eq!(level_workers(2, 100 * MIN_FRONTIER_PER_WORKER), 2);
-        assert_eq!(level_workers(1, 100 * MIN_FRONTIER_PER_WORKER), 1);
-    }
-
-    #[test]
     fn same_route_model_ignores_only_the_execution_knobs() {
         let base = PropagationOptions { seed: 9, ..Default::default() };
-        assert!(base.same_route_model(&base.with_frontier(8)));
+        assert!(base.same_route_model(&PropagationOptions { frontier_concurrency: 0, ..base }));
         assert!(base.same_route_model(&base.with_scheduling(OriginScheduling::Static)));
         assert!(!base.same_route_model(&PropagationOptions { seed: 10, ..base }));
         assert!(
@@ -1613,32 +1474,43 @@ mod tests {
 
     #[test]
     fn both_schedules_match_sequential_at_every_worker_count() {
-        // The schedule is the third execution dimension after origin and
-        // frontier workers: {Dynamic, Static} × worker counts must all
-        // reproduce the sequential outcome sequence exactly, under every
-        // adversarial scenario too.
-        let g = fixture_graph();
-        let mut origins: Vec<Asn> = g.asns().collect();
-        origins.sort();
-        let variants = [
-            PropagationOptions::default(),
-            PropagationOptions {
-                reachability_relaxation: true,
-                leak_probability: 0.5,
-                seed: 7,
-                ..Default::default()
-            },
-            PropagationOptions::default().with_scenario(PolicyScenario::RouteLeak),
-            PropagationOptions::default().with_scenario(PolicyScenario::PrefixHijack),
-            PropagationOptions::default().with_scenario(PolicyScenario::SubprefixHijack),
+        // The schedule is the second execution dimension after origin
+        // workers: {Dynamic, Static} × worker counts must all reproduce the
+        // sequential outcome sequence exactly, under every adversarial
+        // scenario too. The adversarial legs walk `leak_graph`, where each
+        // scenario changes some route: on the fixture the leaker never
+        // holds a route it would leak.
+        let adversarial =
+            |scenario| (leak_graph(), PropagationOptions::default().with_scenario(scenario));
+        let legs = [
+            (fixture_graph(), PropagationOptions::default()),
+            (
+                fixture_graph(),
+                PropagationOptions {
+                    reachability_relaxation: true,
+                    leak_probability: 0.5,
+                    seed: 7,
+                    ..Default::default()
+                },
+            ),
+            adversarial(PolicyScenario::RouteLeak),
+            adversarial(PolicyScenario::PrefixHijack),
+            adversarial(PolicyScenario::SubprefixHijack),
         ];
         for plane in IpVersion::BOTH {
-            for options in &variants {
-                let sequential = propagate_origins(&g, &origins, plane, options, 1);
+            for (g, options) in &legs {
+                let mut origins: Vec<Asn> = g.asns().collect();
+                origins.sort();
+                let sequential = propagate_origins(g, &origins, plane, options, 1);
+                if options.scenario != PolicyScenario::Classic {
+                    let classic =
+                        propagate_origins(g, &origins, plane, &PropagationOptions::default(), 1);
+                    assert_ne!(sequential, classic, "{:?} changes no route", options.scenario);
+                }
                 for scheduling in [OriginScheduling::Dynamic, OriginScheduling::Static] {
                     let options = options.with_scheduling(scheduling);
                     for workers in [1usize, 2, 3, 8] {
-                        let parallel = propagate_origins(&g, &origins, plane, &options, workers);
+                        let parallel = propagate_origins(g, &origins, plane, &options, workers);
                         assert_eq!(
                             parallel, sequential,
                             "plane {plane:?}, scheduling {scheduling:?}, workers {workers}"
@@ -1692,12 +1564,26 @@ mod tests {
                         .map(|(next, _)| next.0)
                         .collect::<Vec<u32>>()
                 };
-                let mut siblings = Vec::new();
+                let is = |want: Relationship| move |rel: Option<Relationship>| rel == Some(want);
+                let (mut siblings, mut transit) = (Vec::new(), Vec::new());
                 for node in g.nodes() {
                     let context = format!("node {node:?}, plane {plane:?}, frozen {frozen}");
                     assert_eq!(
+                        batch.climbs.of(node),
+                        filtered(node, &|rel| {
+                            is(Relationship::CustomerToProvider)(rel)
+                                || is(Relationship::SiblingToSibling)(rel)
+                        }),
+                        "climbs of {context}"
+                    );
+                    assert_eq!(
+                        batch.peers.of(node),
+                        filtered(node, &is(Relationship::PeerToPeer)),
+                        "peers of {context}"
+                    );
+                    assert_eq!(
                         batch.customers.of(node),
-                        filtered(node, &|rel| rel == Some(Relationship::ProviderToCustomer)),
+                        filtered(node, &is(Relationship::ProviderToCustomer)),
                         "customers of {context}"
                     );
                     assert_eq!(
@@ -1706,20 +1592,34 @@ mod tests {
                         "{context}"
                     );
                     assert_eq!(
+                        batch.sibling_links.of(node),
+                        filtered(node, &is(Relationship::SiblingToSibling)),
+                        "sibling links of {context}"
+                    );
+                    assert_eq!(
                         batch.annotated.of(node),
                         filtered(node, &|rel| rel.is_some()),
                         "annotated neighbours of {context}"
                     );
-                    if !filtered(node, &|rel| rel == Some(Relationship::SiblingToSibling))
-                        .is_empty()
-                    {
+                    if !batch.sibling_links.of(node).is_empty() {
                         siblings.push(node);
+                    }
+                    if !batch.customers.of(node).is_empty() {
+                        transit.push(node);
                     }
                 }
                 assert_eq!(batch.siblings, siblings, "plane {plane:?}, frozen {frozen}");
+                assert_eq!(batch.transit, transit, "plane {plane:?}, frozen {frozen}");
                 assert!(!batch.siblings.is_empty(), "the chain must show on {plane:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "PropagationOptions::frontier_concurrency = 2")]
+    fn a_within_origin_split_is_refused_not_ignored() {
+        let options = PropagationOptions { frontier_concurrency: 2, ..Default::default() };
+        let _ = propagate_origin(&fixture_graph(), Asn(50), IpVersion::V4, &options);
     }
 
     #[test]
@@ -1736,6 +1636,21 @@ mod tests {
     }
 
     // ---- adversarial scenarios -------------------------------------------
+
+    /// The graph of `route_leak_scenario_injects_tainted_routes_deterministically`,
+    /// widened: the leaker 3 learns routes over its peering with 2 and
+    /// from its three providers, so it leaks for most origins, and the
+    /// providers' own customers carry the leaks further down.
+    fn leak_graph() -> AsGraph {
+        let mut g = AsGraph::new();
+        g.annotate_both(Asn(2), Asn(1), Relationship::ProviderToCustomer);
+        g.annotate_both(Asn(2), Asn(3), Relationship::PeerToPeer);
+        for provider in [4, 5, 6] {
+            g.annotate_both(Asn(provider), Asn(3), Relationship::ProviderToCustomer);
+            g.annotate_both(Asn(provider), Asn(provider + 10), Relationship::ProviderToCustomer);
+        }
+        g
+    }
 
     /// Options pinned to `scenario` at the given deployment fraction
     /// (deployment seed fixed so tests are reproducible).
@@ -1861,17 +1776,24 @@ mod tests {
 
     #[test]
     fn scenario_outcomes_are_worker_count_invisible() {
-        let g = fixture_graph();
+        let g = leak_graph();
         let mut origins: Vec<Asn> = g.asns().collect();
         origins.sort();
+        let classic =
+            propagate_origins(&g, &origins, IpVersion::V6, &PropagationOptions::default(), 1);
         for scenario in [
             PolicyScenario::RouteLeak,
             PolicyScenario::PrefixHijack,
             PolicyScenario::SubprefixHijack,
         ] {
             for fraction in [0.0, 0.5, 1.0] {
-                let options = scenario_options(scenario, fraction).with_frontier(2);
+                let options = scenario_options(scenario, fraction);
                 let sequential = propagate_origins(&g, &origins, IpVersion::V6, &options, 1);
+                // Full ASPA-lite deployment may filter every leak; short
+                // of it, each scenario must change some route.
+                if fraction < 1.0 {
+                    assert_ne!(sequential, classic, "{scenario:?} at {fraction} changes no route");
+                }
                 for workers in [2usize, 8] {
                     let parallel =
                         propagate_origins(&g, &origins, IpVersion::V6, &options, workers);

@@ -58,11 +58,8 @@ type BaseOutcomes = [(PropagationOptions, usize, Vec<NextHops>); 2];
 type OriginEntries = Vec<(usize, RibEntry)>;
 
 /// The propagation configuration of one plane, derived from the
-/// simulation config exactly as the build derives it. The frontier
-/// worker count comes from [`SimConfig::propagation_split`], so nested
-/// parallelism (origins × frontier) stays within the worker budget.
+/// simulation config exactly as the build derives it.
 fn propagation_options(sim_config: &SimConfig, plane: IpVersion) -> PropagationOptions {
-    let (_, frontier_workers) = sim_config.propagation_split();
     PropagationOptions {
         reachability_relaxation: plane == IpVersion::V6 && sim_config.v6_reachability_relaxation,
         leak_probability: sim_config.leak_probability,
@@ -72,7 +69,7 @@ fn propagation_options(sim_config: &SimConfig, plane: IpVersion) -> PropagationO
             fraction: sim_config.policy_deployment,
             seed: sim_config.seed ^ 0x6465_706c,
         },
-        frontier_concurrency: frontier_workers,
+        frontier_concurrency: 1,
         scheduling: sim_config.scheduling,
     }
 }
@@ -230,10 +227,8 @@ impl Scenario {
 
     /// One plane's propagation round, fused with RIB materialisation:
     /// every origin of the plane (see [`plane_origins`]), sharded across
-    /// worker threads, each origin's own walk expanded with the frontier
-    /// workers `options` carries (the split computed by
-    /// [`SimConfig::propagation_split`], so origins × frontier stays
-    /// within the budget). Each worker hands its live outcome straight to
+    /// worker threads, each origin's own walk sequential on its worker.
+    /// Each worker hands its live outcome straight to
     /// `materialiser` and keeps only the origin's RIB entries, which come
     /// back in origin order, so the rest of the build is oblivious to how
     /// (or whether) it was parallelised.
@@ -246,8 +241,8 @@ impl Scenario {
     ) -> Vec<OriginEntries> {
         let graph = &truth.graph;
         let origins = plane_origins(graph, sim_config, plane);
-        let (origin_workers, _) = sim_config.propagation_split();
-        map_origins(graph, &origins, plane, options, origin_workers, |outcome| {
+        let workers = sim_config.effective_concurrency();
+        map_origins(graph, &origins, plane, options, workers, |outcome| {
             materialiser.origin_entries(outcome.origin, |feeder| outcome.path(graph, feeder))
         })
     }
@@ -327,12 +322,11 @@ impl ScenarioPool {
         sim.validate().expect("invalid simulation configuration");
         let mut truth = topogen::generate(topology);
         truth.graph.freeze();
-        let (origin_workers, _) = sim.propagation_split();
+        let workers = sim.effective_concurrency();
         let base = IpVersion::BOTH.map(|plane| {
             let options = propagation_options(sim, plane);
             let origins = plane_origins(&truth.graph, sim, plane);
-            let next_hops =
-                propagate_next_hops(&truth.graph, &origins, plane, &options, origin_workers);
+            let next_hops = propagate_next_hops(&truth.graph, &origins, plane, &options, workers);
             (options, sim.origin_sample, next_hops)
         });
         ScenarioPool {
@@ -645,23 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_knob_is_invisible_in_scenario_outputs() {
-        let sequential =
-            Scenario::build(&TopologyConfig::tiny(), &SimConfig::small().with_concurrency(1));
-        for (workers, frontier) in [(1usize, 2usize), (1, 0), (2, 2), (0, 4), (4, 1)] {
-            let parallel = Scenario::build(
-                &TopologyConfig::tiny(),
-                &SimConfig::small().with_concurrency(workers).with_frontier(frontier),
-            );
-            assert_eq!(
-                parallel.snapshots, sequential.snapshots,
-                "workers={workers} frontier={frontier}"
-            );
-            assert_eq!(parallel.registry, sequential.registry);
-        }
-    }
-
-    #[test]
     fn scheduling_knob_is_invisible_in_scenario_outputs() {
         use crate::propagate::OriginScheduling;
         let dynamic = Scenario::build(
@@ -682,20 +659,6 @@ mod tests {
         let patched = pool.scenario_with(|s| s.scheduling = OriginScheduling::Static);
         assert_eq!(patched.snapshots, dynamic.snapshots);
         assert_eq!(pool.propagation_reuses(), 2, "both planes reused");
-    }
-
-    #[test]
-    fn rebuild_with_a_frontier_only_patch_reuses_everything() {
-        let base = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-        // The frontier knob never reaches the route model, so the pool
-        // serves both planes from its base outcomes and the snapshots
-        // come out identical.
-        let mut pool = ScenarioPool::new(&TopologyConfig::tiny(), &SimConfig::small());
-        let patched = pool.scenario_with(|s| s.frontier_concurrency = 4);
-        assert_eq!(patched.snapshots, base.snapshots);
-        assert_eq!(patched.sim_config.frontier_concurrency, 4);
-        assert_eq!(pool.propagation_reuses(), 2, "both planes reused");
-        assert_eq!(pool.propagation_computes(), 2, "only the base point propagated");
     }
 
     #[test]
@@ -861,21 +824,17 @@ mod tests {
             PolicyScenario::SubprefixHijack,
         ] {
             for concurrency in [1usize, 2] {
-                for frontier in [1usize, 2] {
-                    let sim = SimConfig::small()
-                        .with_scenario(scenario)
-                        .with_deployment(0.5)
-                        .with_concurrency(concurrency)
-                        .with_frontier(frontier);
-                    let what =
-                        format!("{scenario:?} concurrency={concurrency} frontier={frontier}");
-                    let fused = Scenario::build(&topology, &sim);
-                    let mut pool = ScenarioPool::new(&topology, &sim);
-                    let stored = pool.scenario_with(|_| {});
-                    assert!(fused.total_rib_entries() > 0, "{what}: no routes");
-                    assert_eq!(pool.propagation_reuses(), 2, "{what}: both planes reused");
-                    assert_same_outputs(&stored, &fused, &what);
-                }
+                let sim = SimConfig::small()
+                    .with_scenario(scenario)
+                    .with_deployment(0.5)
+                    .with_concurrency(concurrency);
+                let what = format!("{scenario:?} concurrency={concurrency}");
+                let fused = Scenario::build(&topology, &sim);
+                let mut pool = ScenarioPool::new(&topology, &sim);
+                let stored = pool.scenario_with(|_| {});
+                assert!(fused.total_rib_entries() > 0, "{what}: no routes");
+                assert_eq!(pool.propagation_reuses(), 2, "{what}: both planes reused");
+                assert_same_outputs(&stored, &fused, &what);
             }
         }
     }

@@ -181,66 +181,6 @@ where
     slots.into_iter().map(|s| s.expect("claims cover every index exactly once")).collect()
 }
 
-/// Stripe a frontier scan across up to `workers` scoped threads and
-/// return the concatenated per-item results in frontier order.
-///
-/// This is the within-origin counterpart of [`shard_map`]: one level of a
-/// level-synchronous BFS hands its frontier here, `scan` emits each
-/// frontier node's candidate routes into the provided buffer, and the
-/// merged vector is exactly what the sequential
-/// `for node in frontier { scan(node, &mut out) }` loop would have
-/// produced — every worker count yields the same candidate sequence, so
-/// the caller's deterministic merge (and therefore the report bytes)
-/// never depends on `workers`. With one worker — or one frontier node —
-/// no thread is spawned at all.
-pub fn shard_frontier<T, U, F>(frontier: &[T], workers: usize, scan: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T, &mut Vec<U>) + Sync,
-{
-    let workers = workers.clamp(1, frontier.len().max(1));
-    if workers <= 1 {
-        let mut out = Vec::new();
-        for item in frontier {
-            scan(item, &mut out);
-        }
-        return out;
-    }
-    // Worker w scans frontier items w, w+workers, … into one buffer per
-    // item, so the round-robin drain below can interleave the buffers
-    // back into frontier order even though items emit different numbers
-    // of candidates.
-    let mut shards: Vec<Vec<Vec<U>>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let scan = &scan;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    frontier
-                        .iter()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|item| {
-                            let mut out = Vec::new();
-                            scan(item, &mut out);
-                            out
-                        })
-                        .collect::<Vec<Vec<U>>>()
-                })
-            })
-            .collect();
-        shards = handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect();
-    });
-    let mut drains: Vec<std::vec::IntoIter<Vec<U>>> =
-        shards.into_iter().map(Vec::into_iter).collect();
-    let mut merged = Vec::new();
-    for i in 0..frontier.len() {
-        merged.extend(drains[i % workers].next().expect("stripes cover every index exactly once"));
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use std::time::{Duration, Instant};
@@ -323,27 +263,6 @@ mod tests {
             true
         });
         assert!(completed.iter().all(|&ok| ok), "item 0 timed out: items were stranded behind it");
-    }
-
-    #[test]
-    fn shard_frontier_matches_the_sequential_scan_for_any_worker_count() {
-        // Items emit variable-length runs (item x emits x % 4 values), so
-        // the merge has to interleave buffers, not just concatenate.
-        let frontier: Vec<u32> = (0..97).collect();
-        let scan = |&x: &u32, out: &mut Vec<u64>| {
-            for k in 0..(x % 4) {
-                out.push(u64::from(x) * 10 + u64::from(k));
-            }
-        };
-        let mut expected = Vec::new();
-        for item in &frontier {
-            scan(item, &mut expected);
-        }
-        for workers in [0usize, 1, 2, 3, 8, 200] {
-            let got = shard_frontier(&frontier, workers, scan);
-            assert_eq!(got, expected, "workers={workers}");
-        }
-        assert!(shard_frontier(&Vec::<u32>::new(), 4, scan).is_empty());
     }
 
     #[test]

@@ -12,24 +12,13 @@ use hybrid_as_rel::topology::fixtures::two_plane_fixture;
 use hybrid_as_rel::tor::impact::{ImpactOptions, SweepOptions};
 
 /// Render the report for `(topology, sim)` with both the simulator and
-/// the pipeline pinned to `concurrency` worker threads, and the
-/// simulator to `frontier` within-origin frontier workers.
-fn report_json_at(
-    topology: &TopologyConfig,
-    sim: &SimConfig,
-    concurrency: usize,
-    frontier: usize,
-) -> String {
-    let sim = sim.clone().with_concurrency(concurrency).with_frontier(frontier);
+/// the pipeline pinned to `concurrency` worker threads.
+fn report_json(topology: &TopologyConfig, sim: &SimConfig, concurrency: usize) -> String {
+    let sim = sim.clone().with_concurrency(concurrency);
     let scenario = Scenario::build(topology, &sim);
     let pipeline = Pipeline::with_concurrency(concurrency);
     let report = pipeline.run(PipelineInput::from_scenario_with(&scenario, &pipeline.options));
     serde_json::to_string_pretty(&report).expect("report serializes")
-}
-
-/// [`report_json_at`] with the default (sequential) frontier expansion.
-fn report_json(topology: &TopologyConfig, sim: &SimConfig, concurrency: usize) -> String {
-    report_json_at(topology, sim, concurrency, 1)
 }
 
 #[test]
@@ -56,32 +45,10 @@ fn concurrency_matrix_produces_byte_identical_reports() {
 }
 
 #[test]
-fn frontier_matrix_produces_byte_identical_reports() {
-    // The within-origin frontier expansion is the second level of the
-    // execution stack: every (origin concurrency × frontier concurrency)
-    // combination must produce the bytes of the fully sequential run.
-    let topology = TopologyConfig::tiny();
-    let sim = SimConfig::small();
-    let sequential = report_json_at(&topology, &sim, 1, 1);
-    for frontier in [1usize, 2, 4] {
-        for concurrency in [1usize, 2, 8] {
-            if (concurrency, frontier) == (1, 1) {
-                continue;
-            }
-            let report = report_json_at(&topology, &sim, concurrency, frontier);
-            assert!(
-                report == sequential,
-                "concurrency={concurrency} frontier={frontier} diverged from the sequential report"
-            );
-        }
-    }
-}
-
-#[test]
 fn scheduling_matrix_produces_byte_identical_reports() {
     use hybrid_as_rel::sim::OriginScheduling;
-    // The origin-to-worker schedule is the third dimension of the
-    // execution stack (after origin and frontier workers): dynamic
+    // The origin-to-worker schedule is the second dimension of the
+    // execution stack (after origin workers): dynamic
     // claims and static striping must both reproduce the bytes of
     // the fully sequential run at every worker count.
     let topology = TopologyConfig::tiny();

@@ -458,50 +458,6 @@ proptest! {
     }
 
     #[test]
-    fn frontier_parallel_propagation_matches_sequential_on_random_graphs(
-        links in prop::collection::vec((1u32..40, 1u32..40, arb_relationship()), 1..60),
-        relaxation in any::<bool>(),
-        leak_tenths in 0u8..=10,
-        seed in any::<u64>(),
-    ) {
-        let mut graph = AsGraph::new();
-        for (a, b, rel) in &links {
-            if a != b {
-                graph.annotate(Asn(*a), Asn(*b), IpVersion::V6, *rel);
-            }
-        }
-        let mut origins: Vec<Asn> = graph.asns().collect();
-        origins.sort();
-        let options = PropagationOptions {
-            reachability_relaxation: relaxation,
-            leak_probability: f64::from(leak_tenths) / 10.0,
-            seed,
-            ..Default::default()
-        };
-        // The reference: the fully sequential walk (one origin worker,
-        // sequential level scans).
-        let sequential = propagate_origins(&graph, &origins, IpVersion::V6, &options, 1);
-        for frontier in [2usize, 4] {
-            for threads in [1usize, 2] {
-                let parallel = propagate_origins(
-                    &graph,
-                    &origins,
-                    IpVersion::V6,
-                    &options.with_frontier(frontier),
-                    threads,
-                );
-                prop_assert_eq!(
-                    &parallel,
-                    &sequential,
-                    "frontier={} threads={}",
-                    frontier,
-                    threads
-                );
-            }
-        }
-    }
-
-    #[test]
     fn classic_policy_dispatch_is_invisible_on_random_graphs(
         links in prop::collection::vec((1u32..40, 1u32..40, arb_relationship()), 1..60),
         relaxation in any::<bool>(),

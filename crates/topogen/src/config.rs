@@ -59,9 +59,9 @@ pub struct TopologyConfig {
     /// the planes (the paper found exactly one such case).
     pub hybrid_opposite_transit_count: usize,
     /// Bias exponent for picking hybrid links: candidate dual-stack links
-    /// are weighted by `(deg(a) * deg(b))^bias`, reproducing the paper's
-    /// observation that hybrids sit between well-connected ASes. 0 = no
-    /// bias.
+    /// are weighted by `((deg(a) + 1) * (deg(b) + 1))^bias`, reproducing
+    /// the paper's observation that hybrids sit between well-connected
+    /// ASes. 0 = no bias; must be finite and non-negative.
     pub hybrid_degree_bias: f64,
 
     /// Fraction of provider links replaced by sibling (s2s) links.
@@ -201,6 +201,16 @@ impl TopologyConfig {
                 return Err(format!("{name} must be within [0, 1], got {p}"));
             }
         }
+        for (name, x) in [
+            ("tier2_peering_degree", self.tier2_peering_degree),
+            ("stub_peering_degree", self.stub_peering_degree),
+            ("v6_only_peering_degree", self.v6_only_peering_degree),
+            ("hybrid_degree_bias", self.hybrid_degree_bias),
+        ] {
+            if !x.is_finite() || x < 0.0 {
+                return Err(format!("{name} must be finite and non-negative, got {x}"));
+            }
+        }
         let last_asn = self.first_asn as usize + self.total_as_count();
         if !self.allow_32bit_asns && last_asn > u16::MAX as usize {
             return Err(format!(
@@ -263,6 +273,24 @@ mod tests {
 
         let c = TopologyConfig { tier2_providers: (0, 2), ..TopologyConfig::default() };
         assert!(c.validate().is_err());
+
+        let c = TopologyConfig { hybrid_degree_bias: f64::NAN, ..TopologyConfig::default() };
+        assert!(c.validate().unwrap_err().contains("hybrid_degree_bias"));
+
+        let c = TopologyConfig { hybrid_degree_bias: f64::INFINITY, ..TopologyConfig::default() };
+        assert!(c.validate().unwrap_err().contains("hybrid_degree_bias"));
+
+        let c = TopologyConfig { hybrid_degree_bias: -1.0, ..TopologyConfig::default() };
+        assert!(c.validate().unwrap_err().contains("hybrid_degree_bias"));
+
+        let c = TopologyConfig { v6_only_peering_degree: f64::NAN, ..TopologyConfig::default() };
+        assert!(c.validate().unwrap_err().contains("v6_only_peering_degree"));
+
+        let c = TopologyConfig { stub_peering_degree: f64::INFINITY, ..TopologyConfig::default() };
+        assert!(c.validate().unwrap_err().contains("stub_peering_degree"));
+
+        let c = TopologyConfig { tier2_peering_degree: -0.5, ..TopologyConfig::default() };
+        assert!(c.validate().unwrap_err().contains("tier2_peering_degree"));
     }
 
     #[test]

@@ -21,6 +21,18 @@ use crate::ground_truth::{GroundTruth, HybridClass, HybridLink, PlannedTier};
 pub fn generate(config: &TopologyConfig) -> GroundTruth {
     config.validate().expect("invalid topology configuration");
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    let (mut truth, degree) = base_topology(config, &mut rng);
+    inject_hybrids(config, &mut truth, &degree, &mut rng);
+    truth
+}
+
+/// Everything before hybrid injection: the tiered base graph on both
+/// planes and the IPv6-only peering, plus the running IPv4 degree that
+/// the hybrid pass weights its candidates by.
+fn base_topology(
+    config: &TopologyConfig,
+    rng: &mut ChaCha8Rng,
+) -> (GroundTruth, HashMap<Asn, usize>) {
     let mut truth = GroundTruth { seed: config.seed, ..Default::default() };
 
     // ---- ASN allocation -------------------------------------------------
@@ -87,7 +99,7 @@ pub fn generate(config: &TopologyConfig) -> GroundTruth {
     // ---- Tier-2 transit --------------------------------------------------
     for &asn in &tier2 {
         let providers = rng.gen_range(config.tier2_providers.0..=config.tier2_providers.1);
-        let chosen = tier1_sampler.pick(providers, &mut rng);
+        let chosen = tier1_sampler.pick(providers, rng);
         for provider in chosen {
             base_links.push((provider, asn, Relationship::ProviderToCustomer));
             bump(&mut degree, [&mut tier1_sampler, &mut tier2_sampler], provider, asn);
@@ -112,9 +124,9 @@ pub fn generate(config: &TopologyConfig) -> GroundTruth {
         let providers = rng.gen_range(config.stub_providers.0..=config.stub_providers.1);
         for _ in 0..providers {
             let provider = if rng.gen_bool(config.stub_direct_tier1_probability) {
-                *tier1_sampler.pick(1, &mut rng).first().unwrap()
+                *tier1_sampler.pick(1, rng).first().unwrap()
             } else {
-                *tier2_sampler.pick(1, &mut rng).first().unwrap()
+                *tier2_sampler.pick(1, rng).first().unwrap()
             };
             base_links.push((provider, asn, Relationship::ProviderToCustomer));
             bump(&mut degree, [&mut tier1_sampler, &mut tier2_sampler], provider, asn);
@@ -179,10 +191,7 @@ pub fn generate(config: &TopologyConfig) -> GroundTruth {
         }
     }
 
-    // ---- Hybrid injection --------------------------------------------------------
-    inject_hybrids(config, &mut truth, &degree, &mut rng);
-
-    truth
+    (truth, degree)
 }
 
 /// Preferential-attachment sampler over a fixed pool: slot `i` carries
@@ -192,11 +201,12 @@ pub fn generate(config: &TopologyConfig) -> GroundTruth {
 /// the difference between minutes and sub-second topology generation at
 /// the 100k-AS scale, where every stub scans the 15k-member tier-2 pool.
 ///
-/// Draw-for-draw RNG-identical to the linear version: the same single
-/// `gen_range(0..total)` per attempt, and the tree descent selects
-/// exactly the slot the prefix scan selected (the one whose cumulative
-/// weight interval contains the target), so pre-existing topologies are
-/// byte-identical.
+/// Draw-for-draw identical to the linear sum-and-prefix-scan it
+/// replaced: each attempt takes the same single `gen_range(0..total)`,
+/// and the tree descent selects exactly the slot the scan selected (the
+/// one whose cumulative-weight interval contains the target), so
+/// pre-existing topologies are byte-identical. The weights are integers,
+/// so the tree's sums are exact and no draw needs the scan itself.
 struct DegreeSampler {
     pool: Vec<Asn>,
     slot: HashMap<Asn, usize>,
@@ -283,63 +293,53 @@ impl DegreeSampler {
 /// Select dual-stack links (degree-biased) and flip their IPv6 relationship
 /// so the configured fraction of dual-stack links becomes hybrid, with the
 /// paper's class mix.
+///
+/// The links are drawn without replacement, weighted by
+/// `((deg(a)+1)·(deg(b)+1))^bias` ([`sample_hybrids`]).
+///
+/// Draw-for-draw identical to the linear sum-and-prefix-scan it replaced
+/// ([`pick_literal`]): each pick takes the same single `gen::<f64>()`
+/// draw `u`, and [`HybridSampler`] selects exactly the slot the scan
+/// selected for that `u`, so pre-existing topologies are byte-identical.
+/// The weights are floats, so the tree's sums round differently from the
+/// scan's: the tree answers only where that provably cannot change the
+/// slot, and any other draw runs the scan itself.
+///
+/// # The guard band
+///
+/// Let `ε` be `f64::EPSILON` (one rounding errs by at most `ε/2`,
+/// relative), `n` the number of weights, `d` the tree depth, `C_j` the
+/// exact prefix sums of the weights, `T = C_n`, and `S` the tree's root.
+/// By the error bound for recursive summation (Higham, "The accuracy of
+/// floating point summation", SIAM J. Sci. Comput. 1993), to first order:
+///
+/// - The scan's fold total errs by at most `(n−1)·ε/2·T`, and each of
+///   its at most `n` steps `t -= w` by `ε/2·t ≤ ε/2·T`. So its running
+///   `t` stays within `(n+1)·ε·T` of the exact `u·T − C_k`, and the scan
+///   selects slot `j` whenever `u·T` lies more than `(n+1)·ε·T` inside
+///   `(C_{j−1}, C_j)`.
+/// - Every tree node's sum is within `d·ε/2` (relative) of its exact
+///   value. At leaf `j` the descent's remainder `r` is `u·S` less the at
+///   most `d` left siblings on its path, so `r` stays within
+///   `(2d+1)·ε·T` of `u·T − C_{j−1}`, and the computed `w_j − r` within
+///   `(2d+2)·ε·T` of `C_j − u·T`.
+///
+/// So a leaf with `r > G` and `w_j − r > G` is the scan's slot once
+/// `G ≥ (n + 2d + 3)·ε·T`. The sampler takes `G = 4·(n + 2d + 4)·ε·S`:
+/// the factor 4 covers the higher-order terms and the gap between `S` and
+/// `T`. An absolute `f64::MIN_POSITIVE` on top covers underflow in `u·S`
+/// (sums and differences of floats never lose accuracy to underflow). The
+/// tree also stands aside when `S > f64::MAX / 2`, where the scan's
+/// total may overflow; so a bias large enough to overflow a weight to
+/// infinity always runs the scan.
 fn inject_hybrids<R: Rng>(
     config: &TopologyConfig,
     truth: &mut GroundTruth,
     degree: &HashMap<Asn, usize>,
     rng: &mut R,
 ) {
-    // Candidates: dual-stack, non-sibling links.
-    let mut candidates: Vec<(Asn, Asn, Relationship)> = truth
-        .graph
-        .dual_stack_edges()
-        .filter_map(|e| {
-            let rel = e.rel_v4?;
-            (!rel.is_sibling()).then_some((e.a, e.b, rel))
-        })
-        .collect();
-    candidates.sort_by_key(|(a, b, _)| (*a, *b));
-    if candidates.is_empty() {
-        return;
-    }
-    let dual_total = truth.graph.dual_stack_edges().count();
-    let target = ((dual_total as f64) * config.hybrid_fraction).round() as usize;
-    let target = target.min(candidates.len());
-    if target == 0 {
-        return;
-    }
-
-    // Degree-biased sampling without replacement.
-    let mut weights: Vec<f64> = candidates
-        .iter()
-        .map(|(a, b, _)| {
-            let da = *degree.get(a).unwrap_or(&0) as f64 + 1.0;
-            let db = *degree.get(b).unwrap_or(&0) as f64 + 1.0;
-            (da * db).powf(config.hybrid_degree_bias)
-        })
-        .collect();
-    let mut selected: Vec<usize> = Vec::with_capacity(target);
-    for _ in 0..target {
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            break;
-        }
-        let mut t = rng.gen::<f64>() * total;
-        let mut chosen = None;
-        for (i, w) in weights.iter().enumerate() {
-            if *w <= 0.0 {
-                continue;
-            }
-            if t < *w {
-                chosen = Some(i);
-                break;
-            }
-            t -= *w;
-        }
-        let idx = chosen.unwrap_or_else(|| weights.iter().position(|w| *w > 0.0).unwrap());
-        selected.push(idx);
-        weights[idx] = 0.0;
-    }
+    let (candidates, weights, target) = hybrid_candidates(config, truth, degree);
+    let selected = sample_hybrids(&weights, target, rng);
 
     // Assign classes: opposite-transit first (fixed count), then the
     // p2p4/transit6 share, remainder transit4/p2p6.
@@ -388,6 +388,150 @@ fn inject_hybrids<R: Rng>(
             relationships: RelationshipPair::new(new_v4, new_v6),
             class,
         });
+    }
+}
+
+/// The links [`inject_hybrids`] draws from (dual-stack, non-sibling, in
+/// `(a, b)` order), their weights `((deg(a)+1)·(deg(b)+1))^bias`, and how
+/// many to draw: the configured fraction of all dual-stack links, capped
+/// at the candidate count.
+fn hybrid_candidates(
+    config: &TopologyConfig,
+    truth: &GroundTruth,
+    degree: &HashMap<Asn, usize>,
+) -> (Vec<(Asn, Asn, Relationship)>, Vec<f64>, usize) {
+    let mut candidates: Vec<(Asn, Asn, Relationship)> = truth
+        .graph
+        .dual_stack_edges()
+        .filter_map(|e| {
+            let rel = e.rel_v4?;
+            (!rel.is_sibling()).then_some((e.a, e.b, rel))
+        })
+        .collect();
+    candidates.sort_by_key(|(a, b, _)| (*a, *b));
+    let weights = candidates
+        .iter()
+        .map(|(a, b, _)| {
+            let da = *degree.get(a).unwrap_or(&0) as f64 + 1.0;
+            let db = *degree.get(b).unwrap_or(&0) as f64 + 1.0;
+            (da * db).powf(config.hybrid_degree_bias)
+        })
+        .collect();
+    let dual_total = truth.graph.dual_stack_edges().count();
+    let target = ((dual_total as f64) * config.hybrid_fraction).round() as usize;
+    let target = target.min(candidates.len());
+    (candidates, weights, target)
+}
+
+/// Weighted sampling without replacement: up to `target` distinct slots
+/// of `weights`, each drawn with one `gen::<f64>()` and then given weight
+/// 0, stopping early once every weight is 0.
+fn sample_hybrids<R: Rng>(weights: &[f64], target: usize, rng: &mut R) -> Vec<usize> {
+    let mut sampler = HybridSampler::new(weights);
+    let mut selected = Vec::with_capacity(target);
+    for _ in 0..target {
+        // The weights are non-negative, so the tree's total is <= 0
+        // exactly when every weight is 0, as is the scan's.
+        if sampler.total() <= 0.0 {
+            break;
+        }
+        let idx = sampler.pick(rng.gen());
+        selected.push(idx);
+        sampler.remove(idx);
+    }
+    selected
+}
+
+/// The linear pick, and the one exact definition of which slot a draw
+/// `u` selects: sum the weights left to right, scale `u` by the total,
+/// and walk the positive weights, subtracting each, until the remainder
+/// falls below one. If rounding carries the remainder past the last
+/// weight, the first positive weight is taken.
+fn pick_literal(weights: &[f64], u: f64) -> usize {
+    let total: f64 = weights.iter().sum();
+    let mut t = u * total;
+    for (i, &w) in weights.iter().enumerate() {
+        if w <= 0.0 {
+            continue;
+        }
+        if t < w {
+            return i;
+        }
+        t -= w;
+    }
+    weights.iter().position(|&w| w > 0.0).expect("the caller checked that the total is positive")
+}
+
+/// [`pick_literal`] in `O(log n)` over non-negative weights that lose one
+/// slot per pick (see [`inject_hybrids`] for why it is exact).
+///
+/// An array segment tree of partial sums: the leaves are
+/// `tree[base..base + len]` and node `k` holds `tree[2k] + tree[2k + 1]`.
+/// Removing a slot zeroes its leaf and recomputes the nodes above it
+/// from their children, never by subtraction, so a removed slot weighs
+/// exactly 0 and rounding error does not build up across picks.
+struct HybridSampler {
+    tree: Vec<f64>,
+    base: usize,
+    len: usize,
+    /// The guard band as a multiple of the total: `4·(n + 2d + 4)·ε`.
+    guard: f64,
+}
+
+impl HybridSampler {
+    fn new(weights: &[f64]) -> Self {
+        let base = weights.len().next_power_of_two();
+        let mut tree = vec![0.0; 2 * base];
+        tree[base..base + weights.len()].copy_from_slice(weights);
+        for k in (1..base).rev() {
+            tree[k] = tree[2 * k] + tree[2 * k + 1];
+        }
+        let depth = base.trailing_zeros() as f64;
+        let guard = 4.0 * (weights.len() as f64 + 2.0 * depth + 4.0) * f64::EPSILON;
+        HybridSampler { tree, base, len: weights.len(), guard }
+    }
+
+    fn total(&self) -> f64 {
+        self.tree[1]
+    }
+
+    fn weights(&self) -> &[f64] {
+        &self.tree[self.base..self.base + self.len]
+    }
+
+    fn remove(&mut self, index: usize) {
+        let mut k = self.base + index;
+        self.tree[k] = 0.0;
+        while k > 1 {
+            k /= 2;
+            self.tree[k] = self.tree[2 * k] + self.tree[2 * k + 1];
+        }
+    }
+
+    /// The slot [`pick_literal`] selects for `u`.
+    fn pick(&self, u: f64) -> usize {
+        self.tree_pick(u).unwrap_or_else(|| pick_literal(self.weights(), u))
+    }
+
+    /// The tree's slot for `u` where it is provably the scan's: `None`
+    /// when `u·S` falls within the guard band of its leaf's edges, or the
+    /// total is NaN or near overflow.
+    fn tree_pick(&self, u: f64) -> Option<usize> {
+        let total = self.total();
+        if total.is_nan() || total > f64::MAX / 2.0 {
+            return None;
+        }
+        let band = self.guard * total + f64::MIN_POSITIVE;
+        let mut r = u * total;
+        let mut k = 1;
+        while k < self.base {
+            k *= 2;
+            if r >= self.tree[k] {
+                r -= self.tree[k];
+                k += 1;
+            }
+        }
+        (r > band && self.tree[k] - r > band).then_some(k - self.base)
     }
 }
 
@@ -636,6 +780,115 @@ mod tests {
                 let slow = pick_weighted_reference(&pool, &degree, count, &mut rng_b);
                 assert_eq!(fast, slow, "round {round} count {count}");
                 assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG streams diverged");
+            }
+        }
+    }
+
+    /// The float one step above / below a non-negative finite `x`
+    /// (`f64::next_up` and `next_down` need a newer Rust than the MSRV).
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    fn next_down(x: f64) -> f64 {
+        if x == 0.0 {
+            0.0
+        } else {
+            f64::from_bits(x.to_bits() - 1)
+        }
+    }
+
+    #[test]
+    fn hybrid_sampler_picks_the_literal_slot_for_every_draw() {
+        // Weights spread over 22 decades, with ties, zeros and removed
+        // slots, so the tree's sums round apart from the scan's. Draws on
+        // and one float either side of every interval edge land in the
+        // guard band, where only the scan may decide.
+        let mut rng = ChaCha8Rng::seed_from_u64(0xb1a5);
+        let mut banded = 0;
+        for _ in 0..300 {
+            let n: usize = rng.gen_range(1..=150);
+            let mut weights: Vec<f64> = Vec::with_capacity(n);
+            for i in 0..n {
+                let w = if i > 0 && rng.gen_bool(0.2) {
+                    weights[rng.gen_range(0..i)]
+                } else if rng.gen_bool(0.1) {
+                    0.0
+                } else {
+                    10f64.powf(rng.gen_range(-6.0..16.0))
+                };
+                weights.push(w);
+            }
+            let mut sampler = HybridSampler::new(&weights);
+            for (i, w) in weights.iter_mut().enumerate() {
+                if rng.gen_bool(0.1) {
+                    sampler.remove(i);
+                    *w = 0.0;
+                }
+            }
+            assert_eq!(sampler.weights(), &weights[..]);
+            let total: f64 = weights.iter().sum();
+            if total <= 0.0 {
+                continue;
+            }
+            let mut draws: Vec<f64> = (0..20).map(|_| rng.gen()).collect();
+            let mut prefix = 0.0;
+            for &w in &weights {
+                prefix += w;
+                let edge = prefix / total;
+                draws.extend(
+                    [next_down(edge), edge, next_up(edge)].into_iter().filter(|&u| u < 1.0),
+                );
+            }
+            for u in draws {
+                let literal = pick_literal(&weights, u);
+                assert_eq!(sampler.pick(u), literal, "u = {u:e} over {weights:?}");
+                banded += usize::from(sampler.tree_pick(u).is_none());
+            }
+        }
+        assert!(banded > 0, "no draw fell inside the guard band");
+    }
+
+    /// [`sample_hybrids`] with every pick made by the linear scan.
+    fn sample_hybrids_literal<R: Rng>(weights: &[f64], target: usize, rng: &mut R) -> Vec<usize> {
+        let mut weights = weights.to_vec();
+        let mut selected = Vec::with_capacity(target);
+        for _ in 0..target {
+            let total: f64 = weights.iter().sum();
+            if total <= 0.0 {
+                break;
+            }
+            let idx = pick_literal(&weights, rng.gen());
+            selected.push(idx);
+            weights[idx] = 0.0;
+        }
+        selected
+    }
+
+    #[test]
+    fn hybrid_sampler_matches_the_linear_scan_draw_for_draw() {
+        // The candidate weights `inject_hybrids` builds, over presets,
+        // seeds and biases. Bias 400 overflows weights to infinity, where
+        // the scan alone decides.
+        for preset in [TopologyConfig::tiny(), TopologyConfig::small(), TopologyConfig::default()] {
+            for seed in 0..8 {
+                let mut config = TopologyConfig { seed, ..preset.clone() };
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let (truth, degree) = base_topology(&config, &mut rng);
+                for bias in [0.0, 0.37, 1.0, 2.5, 400.0] {
+                    config.hybrid_degree_bias = bias;
+                    let (_, weights, target) = hybrid_candidates(&config, &truth, &degree);
+                    assert!(target > 0, "seed {seed}: nothing to draw");
+                    let overflows = weights.iter().any(|w| w.is_infinite());
+                    assert_eq!(overflows, bias == 400.0, "seed {seed} bias {bias}");
+                    let (mut rng_a, mut rng_b) = (rng.clone(), rng.clone());
+                    assert_eq!(
+                        sample_hybrids(&weights, target, &mut rng_a),
+                        sample_hybrids_literal(&weights, target, &mut rng_b),
+                        "seed {seed} bias {bias}"
+                    );
+                    assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG streams diverged");
+                }
             }
         }
     }

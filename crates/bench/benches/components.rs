@@ -294,25 +294,14 @@ fn components(c: &mut Criterion) {
     });
     group.finish();
 
-    // Sweep-point scenario construction: a full from-config rebuild (what
-    // the experiment bins did before the reuse layer) against
-    // `ScenarioPool::scenario_with` building the same sweep point on the
-    // pool's ground truth and base-point propagation. Outputs are
-    // byte-identical; only the work differs.
+    // Sweep-point scenario construction: every point of the paper-scale
+    // sweeps is a full from-config build with one knob patched.
     let mut group = c.benchmark_group("scenario");
     group.bench_function("rebuild", |b| {
         b.iter(|| {
             let mut sim = scale.sim.clone();
             sim.documentation_probability = 0.5;
             black_box(Scenario::build(&scale.topology, &sim).total_rib_entries())
-        })
-    });
-    group.bench_function("reuse", |b| {
-        let mut pool = bench::scenario_pool(&scale);
-        b.iter(|| {
-            black_box(
-                pool.scenario_with(|sim| sim.documentation_probability = 0.5).total_rib_entries(),
-            )
         })
     });
     group.finish();

@@ -7,7 +7,7 @@ fn main() {
     let rates = [0.1, 0.25, 0.5, 0.75, 0.82, 1.0];
     eprintln!(
         "running coverage sweep over {} documentation rates ({} worker threads, HYBRID_THREADS \
-         to change; sweep points reuse the base scenario's propagation)...",
+         to change)...",
         rates.len(),
         bench::ExecKnobs::from_env().threads()
     );

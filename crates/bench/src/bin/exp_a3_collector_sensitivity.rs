@@ -6,8 +6,7 @@ fn main() {
     let scale = bench::scale_from_args();
     let counts = [1usize, 2, 4, 8];
     eprintln!(
-        "running collector sensitivity sweep ({} worker threads, HYBRID_THREADS to change; \
-         sweep points reuse the base scenario's propagation)...",
+        "running collector sensitivity sweep ({} worker threads, HYBRID_THREADS to change)...",
         bench::ExecKnobs::from_env().threads()
     );
     let rows: Vec<Vec<String>> = bench::collector_sensitivity(&scale, &counts)

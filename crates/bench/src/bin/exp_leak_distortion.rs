@@ -14,7 +14,7 @@ fn main() {
     let scale = bench::scale_from_args();
     eprintln!(
         "running {} adversarial scenarios ({} ASes, {} worker threads, HYBRID_THREADS to \
-         change; sweep points reuse the base topology)...",
+         change)...",
         bench::ADVERSARIAL_SCENARIOS.len(),
         scale.topology.total_as_count(),
         bench::ExecKnobs::from_env().threads()

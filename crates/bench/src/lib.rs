@@ -20,7 +20,7 @@ use hybrid_tor::impact::SweepOptions;
 use hybrid_tor::ingest::{TemporalSweep, UpdateStream, WindowOutcome};
 use hybrid_tor::pipeline::{Pipeline, PipelineInput, PipelineOptions};
 use hybrid_tor::report::Report;
-use routesim::{Scenario, ScenarioPool, SimConfig, UpdateStreamConfig};
+use routesim::{Scenario, SimConfig, UpdateStreamConfig};
 use topogen::fixtures::figure1_topology;
 use topogen::TopologyConfig;
 
@@ -413,25 +413,25 @@ pub fn figure1_customer_trees() -> (Vec<Asn>, Vec<Asn>) {
     (customer_tree(&transit, Asn(1), IpVersion::V6), customer_tree(&peering, Asn(1), IpVersion::V6))
 }
 
-/// The sweep-point factory the experiment sweeps run on: one topology
-/// generation and one propagation per plane, every sweep point derived by
-/// patching the base configuration (see [`routesim::ScenarioPool`]).
-pub fn scenario_pool(scale: &ExperimentScale) -> ScenarioPool {
-    ScenarioPool::new(&scale.topology, &ExecKnobs::from_env().sim(&scale.sim))
+/// One sweep point: the scale's scenario with `patch` applied to its
+/// configuration (after the environment's knobs), built from scratch.
+fn sweep_point(scale: &ExperimentScale, patch: impl FnOnce(&mut SimConfig)) -> Scenario {
+    let mut sim = ExecKnobs::from_env().sim(&scale.sim);
+    patch(&mut sim);
+    Scenario::build(&scale.topology, &sim)
 }
 
 /// A2: coverage as a function of the IRR documentation rate.
 /// Returns `(documentation_rate, ipv6_coverage, dual_stack_coverage)` rows.
 ///
-/// Built on the sweep-point reuse layer: documentation only reaches the
-/// registry and the per-AS policies, so every rate shares the base
-/// scenario's propagation outcomes instead of rebuilding from config.
+/// Each rate is a full scenario build with only the documentation rate
+/// patched. Documentation reaches only the registry and the per-AS
+/// policies, so the routes are the same at every point.
 pub fn coverage_sweep(scale: &ExperimentScale, rates: &[f64]) -> Vec<(f64, f64, f64)> {
-    let mut pool = scenario_pool(scale);
     rates
         .iter()
         .map(|&rate| {
-            let scenario = pool.scenario_with(|sim| sim.documentation_probability = rate);
+            let scenario = sweep_point(scale, |sim| sim.documentation_probability = rate);
             let report = run_measurement(&scenario);
             (rate, report.dataset.ipv6_coverage(), report.dataset.dual_stack_coverage())
         })
@@ -441,18 +441,17 @@ pub fn coverage_sweep(scale: &ExperimentScale, rates: &[f64]) -> Vec<(f64, f64, 
 /// A3: hybrid detection as a function of the number of collectors.
 /// Returns `(collectors, detected_hybrids, hybrid_fraction, ipv6_links)` rows.
 ///
-/// Like [`coverage_sweep`], every collector count is a patch of the pooled
-/// base scenario: what the collectors *see* changes, what the Internet
-/// *routes* does not, so propagation is reused at every sweep point.
+/// Like [`coverage_sweep`], each collector count is a full build with one
+/// knob patched: what the collectors *see* changes, what the Internet
+/// *routes* does not.
 pub fn collector_sensitivity(
     scale: &ExperimentScale,
     collector_counts: &[usize],
 ) -> Vec<(usize, usize, f64, usize)> {
-    let mut pool = scenario_pool(scale);
     collector_counts
         .iter()
         .map(|&count| {
-            let scenario = pool.scenario_with(|sim| sim.collector_count = count);
+            let scenario = sweep_point(scale, |sim| sim.collector_count = count);
             let report = run_measurement(&scenario);
             (
                 count,
@@ -513,11 +512,10 @@ impl ScenarioDistortion {
 /// `policy_deployment` explicitly, so the output is identical whatever
 /// `HYBRID_SCENARIO` says — the bin *is* the sweep.
 pub fn leak_distortion(scale: &ExperimentScale) -> Vec<ScenarioDistortion> {
-    let mut pool = scenario_pool(scale);
     ADVERSARIAL_SCENARIOS
         .iter()
         .map(|&scenario_kind| {
-            let scenario = pool.scenario_with(|sim| {
+            let scenario = sweep_point(scale, |sim| {
                 sim.policy_scenario = scenario_kind;
                 sim.policy_deployment = 0.0;
             });
@@ -568,12 +566,11 @@ pub struct DeploymentImpact {
 /// [`leak_distortion`], every row pins the scenario knobs explicitly, so
 /// the environment cannot leak into the output.
 pub fn rov_sweep(scale: &ExperimentScale, fractions: &[f64]) -> Vec<DeploymentImpact> {
-    let mut pool = scenario_pool(scale);
     let attacks = [routesim::PolicyScenario::SubprefixHijack, routesim::PolicyScenario::RouteLeak];
     let mut rows = Vec::with_capacity(attacks.len() * fractions.len());
     for &attack in &attacks {
         for &fraction in fractions {
-            let scenario = pool.scenario_with(|sim| {
+            let scenario = sweep_point(scale, |sim| {
                 sim.policy_scenario = attack;
                 sim.policy_deployment = fraction;
             });
@@ -977,19 +974,6 @@ mod tests {
         assert_eq!(scale.topology.total_as_count(), bench_scale().topology.total_as_count());
         let scale = scale_from_argv(["--small", "--tiny"]).unwrap();
         assert_eq!(scale.topology.total_as_count(), tiny, "--tiny beats --small");
-    }
-
-    #[test]
-    fn pooled_sweep_points_reuse_propagation_and_match_from_scratch_builds() {
-        let scale = tiny_scale();
-        let mut pool = scenario_pool(&scale);
-        let pooled = pool.scenario_with(|sim| sim.documentation_probability = 0.4);
-        assert_eq!(pool.propagation_reuses(), 2, "both planes reused");
-        let mut sim = ExecKnobs::from_env().sim(&scale.sim);
-        sim.documentation_probability = 0.4;
-        let scratch = routesim::Scenario::build(&scale.topology, &sim);
-        assert_eq!(pooled.snapshots, scratch.snapshots);
-        assert_eq!(pooled.registry, scratch.registry);
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub use propagate::{
     propagate_origin, propagate_origin_with, propagate_origins, OriginScheduling,
     PropagationOptions, RouteClass, RouteInfo, RouteTaint, RoutingOutcome,
 };
-pub use scenario::{Scenario, ScenarioPool};
+pub use scenario::Scenario;
 pub use shard::{effective_concurrency, join, shard_map, shard_map_dynamic, shard_map_owned};
 pub use updates::UpdateStreamConfig;

@@ -246,38 +246,6 @@ impl RouteTable {
     }
 }
 
-/// Follow next-hop pointers from `from` to the origin and return the AS
-/// path `from → … → origin` (inclusive on both ends). `hop(node)` is the
-/// node's next hop — the node itself at an origin, `None` without a
-/// route. `None` when `from` has no route or the pointers loop for more
-/// than `limit` hops. Every path the simulator emits goes through here,
-/// whether it reads a walk's live routes or the next hops a scenario pool
-/// stores for its base point.
-pub(crate) fn follow_next_hops(
-    graph: &AsGraph,
-    from: Asn,
-    limit: usize,
-    hop: impl Fn(NodeId) -> Option<NodeId>,
-) -> Option<Vec<Asn>> {
-    let mut node = graph.node(from)?;
-    hop(node)?;
-    let mut path = vec![graph.asn(node)];
-    let mut guard = 0usize;
-    while let Some(next) = hop(node) {
-        if next == node {
-            break;
-        }
-        node = next;
-        path.push(graph.asn(node));
-        guard += 1;
-        if guard > limit {
-            // A replacement introduced a pointer loop; treat as unroutable.
-            return None;
-        }
-    }
-    Some(path)
-}
-
 /// Options controlling the propagation deviations and its execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PropagationOptions {
@@ -334,34 +302,6 @@ impl PropagationOptions {
     pub fn with_deployment(self, deployment: PolicyDeployment) -> Self {
         PropagationOptions { deployment, ..self }
     }
-
-    /// True when `other` selects exactly the same routes: every field
-    /// that feeds route selection matches, ignoring the execution-only
-    /// `frontier_concurrency` and `scheduling`. This is the reuse key of
-    /// [`ScenarioPool`](crate::ScenarioPool): a sweep point reuses the
-    /// base point's outcomes on a plane whose options compare equal here
-    /// (not `==`) and whose origin-sampling stride is unchanged, so
-    /// retuning the scheduling knob between sweep points
-    /// neither forces a re-propagation nor smuggles an execution detail
-    /// into reuse decisions. The exhaustive destructuring makes a
-    /// new field refuse to compile until it is classified as route model
-    /// or execution detail.
-    pub fn same_route_model(&self, other: &PropagationOptions) -> bool {
-        let PropagationOptions {
-            reachability_relaxation,
-            leak_probability,
-            seed,
-            scenario,
-            deployment,
-            frontier_concurrency: _,
-            scheduling: _,
-        } = *self;
-        reachability_relaxation == other.reachability_relaxation
-            && leak_probability == other.leak_probability
-            && seed == other.seed
-            && scenario == other.scenario
-            && deployment == other.deployment
-    }
 }
 
 /// The result of propagating one origin on one plane.
@@ -387,8 +327,26 @@ impl RoutingOutcome {
 
     /// The AS path `from → ... → origin` (inclusive on both ends) that
     /// `from` would use, reconstructed through the next-hop pointers.
+    /// `None` when `from` has no route or the pointers loop. Every path
+    /// the simulator emits goes through here.
     pub fn path(&self, graph: &AsGraph, from: Asn) -> Option<Vec<Asn>> {
-        follow_next_hops(graph, from, self.routes.len(), |node| self.routes.next_hop(node))
+        let mut node = graph.node(from)?;
+        self.routes.next_hop(node)?;
+        let mut path = vec![graph.asn(node)];
+        let mut guard = 0usize;
+        while let Some(next) = self.routes.next_hop(node) {
+            if next == node {
+                break;
+            }
+            node = next;
+            path.push(graph.asn(node));
+            guard += 1;
+            if guard > self.routes.len() {
+                // A replacement introduced a pointer loop; treat as unroutable.
+                return None;
+            }
+        }
+        Some(path)
     }
 
     /// True when the route of `from` traverses at least one irregular
@@ -411,46 +369,6 @@ impl RoutingOutcome {
             }
         }
         Some(false)
-    }
-
-    /// The outcome reduced to per-node next hops (see [`NextHops`]).
-    fn into_next_hops(self) -> NextHops {
-        let hops = self
-            .routes
-            .words
-            .iter()
-            .map(|word| if word.is_routed() { word.next_hop } else { NextHops::NO_ROUTE })
-            .collect();
-        NextHops { origin: self.origin, hops }
-    }
-}
-
-/// One origin's routes reduced to what RIB materialisation reads: per
-/// node, the `u32` next hop towards the origin — the node itself at an
-/// origin, [`NextHops::NO_ROUTE`] without a route. Half the size of the
-/// packed routes and a third of the decoded ones, which is what lets a
-/// scenario pool keep every origin of its base point's planes. Only the
-/// pool keeps them: a plain scenario build materialises each origin's
-/// RIB entries from its live outcome and never builds these.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct NextHops {
-    /// The origin AS.
-    pub(crate) origin: Asn,
-    hops: Vec<u32>,
-}
-
-impl NextHops {
-    /// The "no route" marker. Node ids never reach it: a graph would need
-    /// 2³² nodes first.
-    const NO_ROUTE: u32 = u32::MAX;
-
-    /// The AS path `from → … → origin`, exactly as
-    /// [`RoutingOutcome::path`] reconstructs it from the full routes.
-    pub(crate) fn path(&self, graph: &AsGraph, from: Asn) -> Option<Vec<Asn>> {
-        follow_next_hops(graph, from, self.hops.len(), |node| {
-            let hop = self.hops[node.index()];
-            (hop != Self::NO_ROUTE).then_some(NodeId(hop))
-        })
     }
 }
 
@@ -1117,19 +1035,6 @@ pub fn propagate_origins(
     map_origins(graph, origins, plane, options, concurrency, |outcome| outcome)
 }
 
-/// [`propagate_origins`] reduced to next hops on the worker that computed
-/// each outcome, so the full routes of only one origin per worker are
-/// ever alive at once. What a scenario pool stores for its base point.
-pub(crate) fn propagate_next_hops(
-    graph: &AsGraph,
-    origins: &[Asn],
-    plane: IpVersion,
-    options: &PropagationOptions,
-    concurrency: usize,
-) -> Vec<NextHops> {
-    map_origins(graph, origins, plane, options, concurrency, RoutingOutcome::into_next_hops)
-}
-
 /// The shared batch driver: propagate every origin under the configured
 /// schedule and pass each outcome through `keep` on the worker that
 /// computed it, so only `keep`'s result outlives the walk.
@@ -1453,23 +1358,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn same_route_model_ignores_only_the_execution_knobs() {
-        let base = PropagationOptions { seed: 9, ..Default::default() };
-        assert!(base.same_route_model(&PropagationOptions { frontier_concurrency: 0, ..base }));
-        assert!(base.same_route_model(&base.with_scheduling(OriginScheduling::Static)));
-        assert!(!base.same_route_model(&PropagationOptions { seed: 10, ..base }));
-        assert!(
-            !base.same_route_model(&PropagationOptions { reachability_relaxation: true, ..base })
-        );
-        assert!(!base.same_route_model(&PropagationOptions { leak_probability: 0.5, ..base }));
-        // The adversarial knobs are route-model fields, not execution
-        // knobs: changing either must force a re-propagation.
-        assert!(!base.same_route_model(&base.with_scenario(PolicyScenario::RouteLeak)));
-        assert!(!base
-            .same_route_model(&base.with_deployment(PolicyDeployment { fraction: 0.5, seed: 0 })));
     }
 
     #[test]

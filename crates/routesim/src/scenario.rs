@@ -1,8 +1,5 @@
 //! End-to-end scenario assembly: topology → policies → propagation →
-//! collector RIBs → IRR registry → MRT files — plus the sweep-point
-//! factory ([`ScenarioPool`]) that keeps its base point's propagation
-//! outcomes and reuses them for every patch that provably cannot change
-//! them.
+//! collector RIBs → IRR registry → MRT files.
 
 use std::collections::HashMap;
 use std::io;
@@ -24,7 +21,7 @@ use topogen::{GroundTruth, TopologyConfig};
 use crate::collector::{build_collectors, CollectorSetup, FeederKind};
 use crate::config::SimConfig;
 use crate::policy::{PolicyDeployment, PolicyTable};
-use crate::propagate::{map_origins, propagate_next_hops, NextHops, PropagationOptions};
+use crate::propagate::{map_origins, PropagationOptions};
 use crate::shard::shard_map;
 
 /// A fully materialised measurement scenario: the synthetic Internet, what
@@ -46,12 +43,6 @@ pub struct Scenario {
     /// The simulation configuration used.
     pub sim_config: SimConfig,
 }
-
-/// One plane's propagation outcomes with their reuse key: the options
-/// they were computed under and the origin-sampling stride, which
-/// selects *which* origins were propagated. Indexed in
-/// [`IpVersion::BOTH`] order.
-type BaseOutcomes = [(PropagationOptions, usize, Vec<NextHops>); 2];
 
 /// One origin's RIB entries on one plane, tagged with the index of the
 /// collector each entry belongs to, in feeder-ASN order.
@@ -133,35 +124,20 @@ impl Scenario {
     /// subset in the IRR, select collectors, propagate every origin on both
     /// planes, and record what each feeder exports to its collector.
     pub fn build(topology_config: &TopologyConfig, sim_config: &SimConfig) -> Scenario {
-        sim_config.validate().expect("invalid simulation configuration");
         let truth = topogen::generate(topology_config);
         Self::build_from_truth(truth, topology_config.clone(), sim_config)
     }
 
     /// Build a scenario on an existing ground truth (used by fixtures and
     /// ablations that reuse one topology under several measurement setups).
+    /// Each plane is propagated afresh and each origin's RIB entries are
+    /// materialised on the worker right after its walk, so the build never
+    /// holds a plane of routes.
     pub fn build_from_truth(
-        truth: GroundTruth,
-        topology_config: TopologyConfig,
-        sim_config: &SimConfig,
-    ) -> Scenario {
-        Self::assemble(truth, topology_config, sim_config, None).0
-    }
-
-    /// The shared build path: generate policies, registry and collectors
-    /// for `sim_config`, then materialise each plane's collector RIBs. A
-    /// plane is served from `base` — the pool's stored next hops — when
-    /// they were computed under the same route model and origin-sampling
-    /// stride; otherwise it is propagated afresh and each origin's RIB
-    /// entries are materialised on the worker right after its walk, so
-    /// the build never holds a plane of next hops. Also returns how many
-    /// planes `base` served.
-    fn assemble(
         mut truth: GroundTruth,
         topology_config: TopologyConfig,
         sim_config: &SimConfig,
-        base: Option<&BaseOutcomes>,
-    ) -> (Scenario, u64) {
+    ) -> Scenario {
         sim_config.validate().expect("invalid simulation configuration");
         // Serve the hot per-plane walks from the flat CSR mirror. It
         // iterates neighbours in the exact adjacency order, so every
@@ -185,35 +161,19 @@ impl Scenario {
             .map(|c| RibSnapshot::new(c.id.clone(), sim_config.timestamp))
             .collect();
 
-        let mut reused = 0;
-        for (slot, plane) in IpVersion::BOTH.into_iter().enumerate() {
-            let options = propagation_options(sim_config, plane);
+        for plane in IpVersion::BOTH {
             let materialiser =
                 PlaneMaterialiser::new(&truth.graph, &policies, &collectors, sim_config, plane);
-            let batches = match base.map(|base| &base[slot]) {
-                Some((base_options, origin_sample, next_hops))
-                    if *origin_sample == sim_config.origin_sample
-                        && base_options.same_route_model(&options) =>
-                {
-                    reused += 1;
-                    let workers = sim_config.effective_concurrency();
-                    shard_map(next_hops, workers, |hops| {
-                        materialiser
-                            .origin_entries(hops.origin, |feeder| hops.path(&truth.graph, feeder))
-                    })
-                }
-                _ => Self::propagate_plane(&truth, sim_config, plane, &options, &materialiser),
-            };
             // Batches come back in origin order, reproducing the
             // sequential entry sequence exactly.
-            for batch in batches {
+            for batch in Self::propagate_plane(&truth, sim_config, plane, &materialiser) {
                 for (collector_idx, entry) in batch {
                     snapshots[collector_idx].push(entry);
                 }
             }
         }
 
-        let scenario = Scenario {
+        Scenario {
             truth,
             policies,
             registry,
@@ -221,8 +181,7 @@ impl Scenario {
             snapshots,
             topology_config,
             sim_config: sim_config.clone(),
-        };
-        (scenario, reused)
+        }
     }
 
     /// One plane's propagation round, fused with RIB materialisation:
@@ -236,13 +195,13 @@ impl Scenario {
         truth: &GroundTruth,
         sim_config: &SimConfig,
         plane: IpVersion,
-        options: &PropagationOptions,
         materialiser: &PlaneMaterialiser<'_>,
     ) -> Vec<OriginEntries> {
         let graph = &truth.graph;
         let origins = plane_origins(graph, sim_config, plane);
+        let options = propagation_options(sim_config, plane);
         let workers = sim_config.effective_concurrency();
-        map_origins(graph, &origins, plane, options, workers, |outcome| {
+        map_origins(graph, &origins, plane, &options, workers, |outcome| {
             materialiser.origin_entries(outcome.origin, |feeder| outcome.path(graph, feeder))
         })
     }
@@ -289,81 +248,6 @@ impl Scenario {
     /// The total number of RIB entries across all collectors.
     pub fn total_rib_entries(&self) -> usize {
         self.snapshots.iter().map(|s| s.len()).sum()
-    }
-}
-
-/// A sweep-point factory over one topology: generates the ground truth
-/// and propagates the base configuration's planes once, then builds
-/// every sweep point as a patch of the base configuration, so the
-/// topology is never regenerated and propagation only re-runs on a plane
-/// whose route model or origin sampling the patch changes.
-///
-/// This is the layer the paper-scale experiment bins sweep on (the
-/// coverage sweep patches `documentation_probability`, the collector
-/// sensitivity sweep patches `collector_count`; neither touches
-/// propagation, so every point reuses the base's routed outcomes). Only
-/// the base point's outcomes are kept: a point that propagates afresh
-/// drops its outcomes once its RIBs are materialised. The reuse counters
-/// report how often each happened.
-#[derive(Debug, Clone)]
-pub struct ScenarioPool {
-    truth: GroundTruth,
-    topology_config: TopologyConfig,
-    sim_config: SimConfig,
-    base: BaseOutcomes,
-    propagation_reuses: u64,
-    propagation_computes: u64,
-}
-
-impl ScenarioPool {
-    /// Generate the topology and propagate both planes of the base
-    /// configuration the pool derives sweep points from.
-    pub fn new(topology: &TopologyConfig, sim: &SimConfig) -> ScenarioPool {
-        sim.validate().expect("invalid simulation configuration");
-        let mut truth = topogen::generate(topology);
-        truth.graph.freeze();
-        let workers = sim.effective_concurrency();
-        let base = IpVersion::BOTH.map(|plane| {
-            let options = propagation_options(sim, plane);
-            let origins = plane_origins(&truth.graph, sim, plane);
-            let next_hops = propagate_next_hops(&truth.graph, &origins, plane, &options, workers);
-            (options, sim.origin_sample, next_hops)
-        });
-        ScenarioPool {
-            truth,
-            topology_config: topology.clone(),
-            sim_config: sim.clone(),
-            base,
-            propagation_reuses: 0,
-            propagation_computes: 2,
-        }
-    }
-
-    /// Build the sweep point obtained by patching the base configuration
-    /// — byte-identical to `Scenario::build` with the patched config.
-    pub fn scenario_with(&mut self, patch: impl FnOnce(&mut SimConfig)) -> Scenario {
-        let mut sim = self.sim_config.clone();
-        patch(&mut sim);
-        let (scenario, reused) = Scenario::assemble(
-            self.truth.clone(),
-            self.topology_config.clone(),
-            &sim,
-            Some(&self.base),
-        );
-        self.propagation_reuses += reused;
-        self.propagation_computes += IpVersion::BOTH.len() as u64 - reused;
-        scenario
-    }
-
-    /// Per-plane propagation rounds served from the base point's outcomes.
-    pub fn propagation_reuses(&self) -> u64 {
-        self.propagation_reuses
-    }
-
-    /// Per-plane propagation rounds actually computed (including the two
-    /// the base point ran).
-    pub fn propagation_computes(&self) -> u64 {
-        self.propagation_computes
     }
 }
 
@@ -597,12 +481,6 @@ mod tests {
         for entry in &sampled.merged_snapshot().entries {
             assert!(full_prefixes.contains(&entry.prefix));
         }
-        // An output knob: a pool must re-propagate for it, and the two
-        // strides must agree with from-scratch builds byte for byte.
-        let mut pool = ScenarioPool::new(&TopologyConfig::tiny(), &SimConfig::small());
-        let rebuilt = pool.scenario_with(|s| s.origin_sample = 4);
-        assert_same_outputs(&rebuilt, &sampled, "origin_sample rebuild");
-        assert_eq!(pool.propagation_reuses(), 0, "the stride keys propagation reuse");
     }
 
     #[test]
@@ -624,17 +502,30 @@ mod tests {
 
     #[test]
     fn parallel_scenario_build_is_byte_identical_to_sequential() {
-        let sequential =
-            Scenario::build(&TopologyConfig::tiny(), &SimConfig::small().with_concurrency(1));
-        for workers in [0usize, 2, 4] {
-            let parallel = Scenario::build(
-                &TopologyConfig::tiny(),
-                &SimConfig::small().with_concurrency(workers),
-            );
-            assert_eq!(parallel.snapshots, sequential.snapshots, "workers={workers}");
-            assert_eq!(parallel.registry, sequential.registry, "workers={workers}");
-            // Pooling order is independent of the pooling worker count too.
-            assert_eq!(parallel.pooled_snapshot(workers), sequential.merged_snapshot());
+        use crate::policy::PolicyScenario;
+        // Every policy scenario, with half the ASes deploying its defence,
+        // so the hijack and leak walks are split across workers too.
+        let topology = TopologyConfig::tiny();
+        for scenario in [
+            PolicyScenario::Classic,
+            PolicyScenario::RouteLeak,
+            PolicyScenario::PrefixHijack,
+            PolicyScenario::SubprefixHijack,
+        ] {
+            let sim = SimConfig::small().with_scenario(scenario).with_deployment(0.5);
+            let sequential = Scenario::build(&topology, &sim.clone().with_concurrency(1));
+            assert!(sequential.total_rib_entries() > 0, "{scenario:?}: no routes");
+            for workers in [0usize, 2, 4] {
+                let what = format!("{scenario:?} workers={workers}");
+                let parallel = Scenario::build(&topology, &sim.clone().with_concurrency(workers));
+                assert_same_outputs(&parallel, &sequential, &what);
+                // Pooling order is independent of the pooling worker count too.
+                assert_eq!(
+                    parallel.pooled_snapshot(workers),
+                    sequential.merged_snapshot(),
+                    "{what}"
+                );
+            }
         }
     }
 
@@ -651,14 +542,6 @@ mod tests {
         );
         assert_eq!(dynamic.snapshots, statically.snapshots);
         assert_eq!(dynamic.registry, statically.registry);
-        // And a scheduling-only patch reuses the pool's base outcomes.
-        let mut pool = ScenarioPool::new(
-            &TopologyConfig::tiny(),
-            &SimConfig::small().with_scheduling(OriginScheduling::Dynamic),
-        );
-        let patched = pool.scenario_with(|s| s.scheduling = OriginScheduling::Static);
-        assert_eq!(patched.snapshots, dynamic.snapshots);
-        assert_eq!(pool.propagation_reuses(), 2, "both planes reused");
     }
 
     #[test]
@@ -806,104 +689,6 @@ mod tests {
         assert_eq!(a.snapshots, b.snapshots, "{what}: snapshots diverged");
         assert_eq!(a.registry, b.registry, "{what}: registry diverged");
         assert_eq!(a.collectors, b.collectors, "{what}: collectors diverged");
-    }
-
-    #[test]
-    fn fused_build_matches_materialising_from_stored_next_hops() {
-        use crate::policy::PolicyScenario;
-        // `Scenario::build` materialises each origin from its live routes
-        // on the worker that walked it; an identity sweep point of a pool
-        // materialises every origin from the next hops its base point
-        // stored. Both must emit the same entries in the same order under
-        // every policy scenario and worker split.
-        let topology = TopologyConfig::tiny();
-        for scenario in [
-            PolicyScenario::Classic,
-            PolicyScenario::RouteLeak,
-            PolicyScenario::PrefixHijack,
-            PolicyScenario::SubprefixHijack,
-        ] {
-            for concurrency in [1usize, 2] {
-                let sim = SimConfig::small()
-                    .with_scenario(scenario)
-                    .with_deployment(0.5)
-                    .with_concurrency(concurrency);
-                let what = format!("{scenario:?} concurrency={concurrency}");
-                let fused = Scenario::build(&topology, &sim);
-                let mut pool = ScenarioPool::new(&topology, &sim);
-                let stored = pool.scenario_with(|_| {});
-                assert!(fused.total_rib_entries() > 0, "{what}: no routes");
-                assert_eq!(pool.propagation_reuses(), 2, "{what}: both planes reused");
-                assert_same_outputs(&stored, &fused, &what);
-            }
-        }
-    }
-
-    #[test]
-    fn rebuild_with_matches_a_from_scratch_build() {
-        let topology = TopologyConfig::tiny();
-        let mut pool = ScenarioPool::new(&topology, &SimConfig::small());
-        // Patches the three sweep bins apply, plus a propagation-relevant
-        // one that must force a recompute — all must be byte-identical to
-        // building from config.
-        type Patch = Box<dyn Fn(&mut SimConfig)>;
-        let patches: Vec<(&str, Patch)> = vec![
-            (
-                "documentation rate",
-                Box::new(|s: &mut SimConfig| s.documentation_probability = 0.25),
-            ),
-            ("collector count", Box::new(|s: &mut SimConfig| s.collector_count = 3)),
-            ("leak probability", Box::new(|s: &mut SimConfig| s.leak_probability = 0.2)),
-            ("concurrency only", Box::new(|s: &mut SimConfig| s.concurrency = 2)),
-            ("identity", Box::new(|_| {})),
-        ];
-        for (what, patch) in &patches {
-            let rebuilt = pool.scenario_with(patch);
-            let mut sim = SimConfig::small();
-            patch(&mut sim);
-            let scratch = Scenario::build(&topology, &sim);
-            assert_same_outputs(&rebuilt, &scratch, what);
-            assert_eq!(rebuilt.sim_config, sim, "{what}: sim config not patched");
-        }
-    }
-
-    #[test]
-    fn rebuild_with_reuses_propagation_only_when_its_inputs_are_unchanged() {
-        let mut pool = ScenarioPool::new(&TopologyConfig::tiny(), &SimConfig::small());
-        let counts = |pool: &ScenarioPool| (pool.propagation_reuses(), pool.propagation_computes());
-        let _ = pool.scenario_with(|s| s.documentation_probability = 0.3);
-        assert_eq!(counts(&pool), (2, 2), "documentation patch must reuse both planes");
-        let _ = pool.scenario_with(|s| s.leak_probability = 0.3);
-        assert_eq!(counts(&pool), (2, 4), "leak patch must recompute both planes");
-        // Relaxation is a v6-only input: v4 outcomes survive the patch.
-        let _ = pool.scenario_with(|s| s.v6_reachability_relaxation = false);
-        assert_eq!(counts(&pool), (3, 5), "relaxation patch reuses v4 and recomputes v6");
-    }
-
-    #[test]
-    fn scenario_pool_counts_reuse_and_reproduces_builds() {
-        let topology = TopologyConfig::tiny();
-        let mut pool = ScenarioPool::new(&topology, &SimConfig::small());
-        assert_eq!(pool.propagation_computes(), 2, "the base build propagates both planes");
-        assert_eq!(pool.propagation_reuses(), 0);
-        for rate in [0.1, 0.5, 1.0] {
-            let pooled = pool.scenario_with(|s| s.documentation_probability = rate);
-            let mut sim = SimConfig::small();
-            sim.documentation_probability = rate;
-            let scratch = Scenario::build(&topology, &sim);
-            assert_same_outputs(&pooled, &scratch, "pooled sweep point");
-        }
-        assert_eq!(pool.propagation_reuses(), 6, "3 sweep points × 2 planes reused");
-        assert_eq!(pool.propagation_computes(), 2, "no sweep point re-propagated");
-        let _ = pool.scenario_with(|s| s.leak_probability = 0.5);
-        assert_eq!(pool.propagation_computes(), 4, "a leak patch re-propagates both planes");
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid simulation configuration")]
-    fn rebuild_with_rejects_invalid_patches() {
-        let mut pool = ScenarioPool::new(&TopologyConfig::tiny(), &SimConfig::small());
-        let _ = pool.scenario_with(|s| s.collector_count = 0);
     }
 
     #[test]

@@ -276,39 +276,6 @@ fn fixture_report_matches_the_committed_golden_snapshot() {
 }
 
 #[test]
-fn pooled_sweep_points_produce_byte_identical_reports() {
-    // The sweep-point reuse layer must be invisible in the output: a
-    // report measured on a pooled scenario is byte-for-byte the report
-    // measured on a scenario built from the patched config directly.
-    let topology = TopologyConfig::tiny();
-    let sim = SimConfig::small();
-    let render = |scenario: &Scenario| {
-        let report = Pipeline::with_concurrency(1)
-            .run(PipelineInput::from_scenario_with(scenario, &PipelineOptions::sequential()));
-        serde_json::to_string_pretty(&report).expect("report serializes")
-    };
-    let mut pool = hybrid_as_rel::sim::ScenarioPool::new(&topology, &sim);
-    for (what, patch) in [
-        (
-            "documentation",
-            Box::new(|s: &mut SimConfig| s.documentation_probability = 0.4)
-                as Box<dyn Fn(&mut SimConfig)>,
-        ),
-        ("collectors", Box::new(|s: &mut SimConfig| s.collector_count = 3)),
-    ] {
-        let pooled = pool.scenario_with(&patch);
-        let mut patched = sim.clone();
-        patch(&mut patched);
-        let scratch = Scenario::build(&topology, &patched);
-        assert!(
-            render(&pooled) == render(&scratch),
-            "pooled {what} sweep point diverged from the from-scratch build"
-        );
-    }
-    assert!(pool.propagation_reuses() > 0, "neither patch touches propagation inputs");
-}
-
-#[test]
 fn same_seed_produces_identical_scenarios() {
     let topology = TopologyConfig::tiny();
     let sim = SimConfig::small();

@@ -2,10 +2,9 @@
 //! invariants: text and wire round trips, orientation consistency of the
 //! annotated graph, the valley-free rule, the parallel-equals-sequential
 //! contract of the sharded execution layer, the Figure 2 sweep engine
-//! against a memo-free oracle, the scenario pool's propagation reuse
-//! rule, the MRT decoders and pipeline under hostile input, and the
-//! allocation-free AS path walk, vote tally and baseline kernels against
-//! their allocating hash-map forms.
+//! against a memo-free oracle, the MRT decoders and pipeline under
+//! hostile input, and the allocation-free AS path walk, vote tally and
+//! baseline kernels against their allocating hash-map forms.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -20,7 +19,7 @@ use hybrid_as_rel::mrt::{read_snapshot_bytes, write_snapshot};
 use hybrid_as_rel::prelude::{Pipeline, PipelineInput, RibSnapshot};
 use hybrid_as_rel::prelude::{Scenario, SimConfig, TopologyConfig};
 use hybrid_as_rel::sim::propagate::{propagate_origins, PropagationOptions};
-use hybrid_as_rel::sim::{PolicyDeployment, PolicyScenario, ScenarioPool, UpdateStreamConfig};
+use hybrid_as_rel::sim::UpdateStreamConfig;
 use hybrid_as_rel::topology::HybridClass;
 use hybrid_as_rel::tor::baselines::{
     degree_heuristic_inference, gao_inference, BaselineInference, BaselineInput,
@@ -767,21 +766,6 @@ fn keep_or<S: Strategy>(values: S) -> impl Strategy<Value = Option<S::Value>> {
     (0u8..6, values).prop_map(|(keep, value)| (keep == 0).then_some(value))
 }
 
-/// The route-model part of a plane's propagation options as a build
-/// derives them from `sim`. The build seeds the deployment sample from
-/// `seed` one-to-one, so keying it on `seed` itself decides equality
-/// the same way.
-fn route_model(sim: &SimConfig, plane: IpVersion) -> PropagationOptions {
-    PropagationOptions {
-        reachability_relaxation: plane == IpVersion::V6 && sim.v6_reachability_relaxation,
-        leak_probability: sim.leak_probability,
-        seed: sim.seed,
-        scenario: sim.policy_scenario,
-        deployment: PolicyDeployment { fraction: sim.policy_deployment, seed: sim.seed },
-        ..PropagationOptions::default()
-    }
-}
-
 /// A valid TABLE_DUMP_V2 file and BGP4MP update stream of a tiny
 /// scenario, encoded once for the hostile-input properties.
 fn valid_encodings() -> &'static (Scenario, Vec<u8>, Vec<u8>) {
@@ -818,67 +802,6 @@ fn run_pipeline(scenario: &Scenario, snapshot: RibSnapshot) {
         truth: Some(scenario.truth.clone()),
     };
     let _ = Pipeline::with_concurrency(1).run(input).to_json();
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn pool_sweep_points_match_builds_and_reuse_exactly_the_unchanged_planes(
-        route in (
-            keep_or(1u64..4),
-            keep_or(prop_oneof![Just(0.0), Just(0.1), Just(0.3)]),
-            // The base relaxes v6; `false` is the only value that differs.
-            keep_or(Just(false)),
-            keep_or(0usize..4),
-            keep_or(prop_oneof![
-                Just(PolicyScenario::Classic),
-                Just(PolicyScenario::RouteLeak),
-                Just(PolicyScenario::PrefixHijack),
-                Just(PolicyScenario::SubprefixHijack),
-            ]),
-            keep_or(prop_oneof![Just(0.0), Just(0.5), Just(1.0)]),
-        ),
-        measurement in (
-            keep_or(prop_oneof![Just(0.0), Just(0.4), Just(1.0)]),
-            keep_or(1usize..4),
-        ),
-    ) {
-        let (seed, leak, relaxation, origin_sample, scenario, deployment) = route;
-        let (documentation, collectors) = measurement;
-        let patch = |sim: &mut SimConfig| {
-            sim.seed = seed.unwrap_or(sim.seed);
-            sim.leak_probability = leak.unwrap_or(sim.leak_probability);
-            sim.v6_reachability_relaxation = relaxation.unwrap_or(sim.v6_reachability_relaxation);
-            sim.origin_sample = origin_sample.unwrap_or(sim.origin_sample);
-            sim.policy_scenario = scenario.unwrap_or(sim.policy_scenario);
-            sim.policy_deployment = deployment.unwrap_or(sim.policy_deployment);
-            sim.documentation_probability =
-                documentation.unwrap_or(sim.documentation_probability);
-            sim.collector_count = collectors.unwrap_or(sim.collector_count);
-        };
-        let topology = TopologyConfig::tiny();
-        let base = SimConfig::small();
-        let mut patched = base.clone();
-        patch(&mut patched);
-
-        let mut pool = ScenarioPool::new(&topology, &base);
-        let pooled = pool.scenario_with(patch);
-        let scratch = Scenario::build(&topology, &patched);
-        prop_assert_eq!(&pooled.snapshots, &scratch.snapshots);
-        prop_assert_eq!(&pooled.registry, &scratch.registry);
-        prop_assert_eq!(&pooled.collectors, &scratch.collectors);
-
-        let reusable = IpVersion::BOTH
-            .into_iter()
-            .filter(|&plane| {
-                patched.origin_sample == base.origin_sample
-                    && route_model(&patched, plane).same_route_model(&route_model(&base, plane))
-            })
-            .count() as u64;
-        prop_assert_eq!(pool.propagation_reuses(), reusable);
-        prop_assert_eq!(pool.propagation_computes(), 2 + 2 - reusable);
-    }
 }
 
 proptest! {

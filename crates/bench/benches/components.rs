@@ -16,7 +16,7 @@ use hybrid_tor::impact::{
 };
 use hybrid_tor::pipeline::{Pipeline, PipelineInput};
 use routesim::propagate::{propagate_origin, propagate_origins, PropagationOptions};
-use routesim::{OriginScheduling, Scenario};
+use routesim::Scenario;
 use topogen::HybridClass;
 
 use bench::record_gauge;
@@ -24,7 +24,7 @@ use bench::record_gauge;
 fn components(c: &mut Criterion) {
     let scale = bench::bench_scale();
     let scenario = bench::build_scenario(&scale);
-    let snapshot = scenario.merged_snapshot();
+    let snapshot = scenario.pooled_snapshot(scenario.sim_config.concurrency);
 
     // MRT encode/decode throughput over the whole collector view.
     let mut encoded = Vec::new();
@@ -85,24 +85,6 @@ fn components(c: &mut Criterion) {
                         threads,
                     )
                     .len(),
-                )
-            })
-        });
-    }
-    // The origin-to-worker schedule at a fixed worker count: dynamic
-    // claims against the static striping baseline. The row ids predate
-    // the dynamic schedule (`lpt=degree` now times `Dynamic`) and stay
-    // as they are so recorded baselines keep tracking them. Outputs are
-    // byte-identical under both schedules — the rows only measure how
-    // evenly the per-origin work lands on the workers.
-    for (name, scheduling) in
-        [("lpt=degree", OriginScheduling::Dynamic), ("lpt=static", OriginScheduling::Static)]
-    {
-        let options = PropagationOptions::default().with_scheduling(scheduling);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    propagate_origins(graph, black_box(&origins), IpVersion::V4, &options, 4).len(),
                 )
             })
         });

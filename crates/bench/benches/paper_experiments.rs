@@ -40,7 +40,7 @@ fn prepare() -> Prepared {
     let scale = bench::bench_scale();
     let scenario = bench::build_scenario(&scale);
     let dictionary = scenario.registry.build_dictionary();
-    let snapshot = scenario.merged_snapshot();
+    let snapshot = scenario.pooled_snapshot(scenario.sim_config.concurrency);
     let data = extract(&snapshot);
     let mut inference = CommunityInference::from_snapshot(&snapshot, &dictionary);
     let rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &inference);
@@ -52,7 +52,7 @@ fn prepare() -> Prepared {
 
 fn paper_experiments(c: &mut Criterion) {
     let prepared = prepare();
-    let snapshot = prepared.scenario.merged_snapshot();
+    let snapshot = prepared.scenario.pooled_snapshot(prepared.scenario.sim_config.concurrency);
 
     c.bench_function("e1_dataset_pipeline", |b| {
         b.iter(|| {

@@ -596,7 +596,8 @@ pub fn rov_sweep(scale: &ExperimentScale, fractions: &[f64]) -> Vec<DeploymentIm
 /// `sweep/*` criterion group and the bench gate so they time exactly the
 /// sweep, not the surrounding pipeline.
 pub fn sweep_inputs(scenario: &Scenario) -> (AsGraph, Vec<HybridFinding>) {
-    let snapshot = scenario.merged_snapshot();
+    let workers = ExecKnobs::from_env().concurrency;
+    let snapshot = scenario.pooled_snapshot(workers);
     let data = hybrid_tor::extract::extract(&snapshot);
     let dictionary = scenario.registry.build_dictionary();
     let inference =
@@ -606,7 +607,7 @@ pub fn sweep_inputs(scenario: &Scenario) -> (AsGraph, Vec<HybridFinding>) {
         &data.graph,
         &inference,
         &baseline,
-        ExecKnobs::from_env().concurrency,
+        workers,
     );
     let hybrids = hybrid_tor::hybrid::detect_hybrids(&data, &inference).findings;
     (misinferred, hybrids)

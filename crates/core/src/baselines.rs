@@ -540,7 +540,7 @@ mod tests {
     #[test]
     fn baselines_beat_chance_on_simulated_data_but_are_imperfect_on_v6() {
         let scenario = Scenario::build(&TopologyConfig::small(), &SimConfig::small());
-        let data = extract(&scenario.merged_snapshot());
+        let data = extract(&scenario.pooled_snapshot(1));
         let gao = gao_inference(&data, BaselineInput::BothPlanes);
         let acc_v4 = InferenceAccuracy::evaluate(&gao, &scenario.truth.graph, IpVersion::V4);
         let acc_v6 = InferenceAccuracy::evaluate(&gao, &scenario.truth.graph, IpVersion::V6);

@@ -233,7 +233,7 @@ mod tests {
         use routesim::{Scenario, SimConfig};
         use topogen::TopologyConfig;
         let scenario = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-        let data = extract(&scenario.merged_snapshot());
+        let data = extract(&scenario.pooled_snapshot(1));
         // Every observed link must exist in the ground-truth graph on the
         // same plane.
         for plane in IpVersion::BOTH {

@@ -289,7 +289,7 @@ mod tests {
         use routesim::{Scenario, SimConfig};
         use topogen::TopologyConfig;
         let scenario = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-        let data = extract(&scenario.merged_snapshot());
+        let data = extract(&scenario.pooled_snapshot(1));
         let report = detect_hybrids_from_graph(&data, &scenario.truth.graph);
         // Every finding must correspond to an injected hybrid link.
         let injected: HashSet<(Asn, Asn)> = scenario

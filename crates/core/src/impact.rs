@@ -23,12 +23,12 @@
 //!    fallback to a full BFS when the delta cannot be bounded) instead of
 //!    recomputing from scratch.
 //!
-//! Per-source work is striped across workers with [`routesim::shard_map`]
-//! / [`routesim::shard_map_owned`]. Whatever the worker count and removal
-//! policy, the produced [`ImpactCurve`] is byte-identical to recomputing
-//! every source from scratch at every step (distance maps are a unique
-//! fixed point and all accumulation is integer arithmetic combined in
-//! source order). `tests/properties.rs` checks the engine against such a
+//! Workers claim per-source work one source at a time through
+//! [`routesim::shard_map`] / [`routesim::shard_map_owned`]. Whatever the
+//! worker count and removal policy, the produced [`ImpactCurve`] is
+//! byte-identical to recomputing every source from scratch at every step
+//! (distance maps are a unique fixed point and all accumulation is
+//! integer arithmetic combined in source order). `tests/properties.rs` checks the engine against such a
 //! memo-free oracle on random graphs.
 
 use std::fmt;
@@ -111,9 +111,9 @@ pub fn plane_blind_annotation(
 }
 
 /// [`plane_blind_annotation`] with an explicit worker count (`0` = all
-/// cores, `1` = sequential): the per-link relationship lookups are striped
-/// across workers and applied in edge order, so the annotated graph is
-/// identical whatever the worker count.
+/// cores, `1` = sequential): the workers claim the per-link relationship
+/// lookups one link at a time, and the results are applied in edge order,
+/// so the annotated graph is identical whatever the worker count.
 pub fn plane_blind_annotation_with(
     data_graph: &AsGraph,
     inference: &crate::communities::CommunityInference,
@@ -514,7 +514,7 @@ pub fn correction_sweep_in(
     // Steps run in order; per step, only the sources whose reachable set
     // touches the corrected link are dirty — everyone else is a skip-tier
     // hit. Dirty sources repair their distance map through the delta
-    // engine, striped across the workers, each map moved to its worker
+    // engine, claimed one source at a time, each map moved to its worker
     // and back without cloning.
     let policy = sweep.removal_policy();
     for (i, finding) in corrections.iter().enumerate() {

@@ -629,24 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_knob_resolves_and_stamps_unpinned_sim_configs() {
-        use routesim::OriginScheduling;
-        assert_eq!(SimConfig::small().scheduling, OriginScheduling::Dynamic);
-        let reference = scenario();
-        let striped = Scenario::build(
-            &TopologyConfig::tiny(),
-            &SimConfig::small().with_concurrency(2).with_scheduling(OriginScheduling::Static),
-        );
-        assert_eq!(striped.sim_config.scheduling, OriginScheduling::Static, "the pin is kept");
-        // Execution only: the static schedule renders the reference bytes.
-        let sequential = render_on(&reference, &Pipeline::with_concurrency(1));
-        for workers in [1usize, 4] {
-            let report = render_on(&striped, &Pipeline::with_concurrency(workers));
-            assert!(report == sequential, "static schedule diverged at concurrency={workers}");
-        }
-    }
-
-    #[test]
     fn csr_knob_resolves_and_stamps_unpinned_sim_configs() {
         assert!(PipelineOptions::default().csr, "the CSR mirror is the default backend");
         let options = PipelineOptions::sequential().with_csr(false);

@@ -241,7 +241,7 @@ mod tests {
         sim.leak_probability = 0.0;
         sim.v6_reachability_relaxation = false;
         let scenario = Scenario::build(&TopologyConfig::tiny(), &sim);
-        let data = extract(&scenario.merged_snapshot());
+        let data = extract(&scenario.pooled_snapshot(1));
         for plane in IpVersion::BOTH {
             let report = analyze_valleys(&data, &scenario.truth.graph, plane);
             assert_eq!(report.valley_paths, 0, "unexpected valleys on {plane}");
@@ -262,7 +262,7 @@ mod tests {
         topo.stub_ipv6_adoption = 0.25;
         topo.v6_only_peering_degree = 1.5;
         let scenario = Scenario::build(&topo, &sim);
-        let data = extract(&scenario.merged_snapshot());
+        let data = extract(&scenario.pooled_snapshot(1));
         let report = analyze_valleys(&data, &scenario.truth.graph, IpVersion::V6);
         // The relaxation may or may not fire for a tiny topology; when it
         // does, every resulting valley must be attributed to reachability.

@@ -13,8 +13,10 @@
 //!   fixed cap of 32 — and answers the whole batch against the snapshot
 //!   loaded at its start.
 //! * **Fan-out.** A batch is answered through [`routesim::shard_map`],
-//!   the same deterministic in-order worker pool the pipeline uses, so
-//!   responses come back in request order at any worker count.
+//!   the same deterministic fan-out the pipeline uses: workers claim the
+//!   next request from a shared counter and each answer lands in its
+//!   request's slot, so responses come back in request order at any
+//!   worker count.
 //!
 //! Responses are a pure function of (snapshot, request) — the what-if
 //! scratch graph is restored after every query — so the byte stream a

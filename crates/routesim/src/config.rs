@@ -65,10 +65,9 @@ pub struct SimConfig {
     /// determinism suite enforces this).
     pub concurrency: usize,
 
-    /// How origins are assigned to the propagation workers (see
-    /// [`OriginScheduling`]): self-balancing claims by default, static
-    /// striping as the reference schedule. Like the worker
-    /// counts, an execution detail with byte-identical output.
+    /// Read by nothing: propagation has one schedule (see
+    /// [`OriginScheduling`]). The field stays only while perfbench still
+    /// names it (ROADMAP item 6).
     pub scheduling: OriginScheduling,
 
     /// Propagate only every `origin_sample`-th eligible origin (after the
@@ -131,11 +130,6 @@ impl SimConfig {
     /// The same configuration pinned to `concurrency` worker threads.
     pub fn with_concurrency(self, concurrency: usize) -> Self {
         SimConfig { concurrency, ..self }
-    }
-
-    /// The same configuration pinned to an origin-to-worker schedule.
-    pub fn with_scheduling(self, scheduling: OriginScheduling) -> Self {
-        SimConfig { scheduling, ..self }
     }
 
     /// The same configuration pinned to an origin sampling stride

@@ -54,5 +54,5 @@ pub use propagate::{
     PropagationOptions, RouteClass, RouteInfo, RouteTaint, RoutingOutcome,
 };
 pub use scenario::Scenario;
-pub use shard::{effective_concurrency, join, shard_map, shard_map_dynamic, shard_map_owned};
+pub use shard::{effective_concurrency, join, shard_map, shard_map_owned};
 pub use updates::UpdateStreamConfig;

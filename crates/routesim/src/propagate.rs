@@ -48,21 +48,21 @@ use bgp_types::{Asn, IpVersion, Relationship};
 
 use crate::policy::{PolicyDeployment, PolicyEngine, PolicyScenario};
 
-/// How origins are assigned to the workers of [`propagate_origins`].
+/// How origins are assigned to the workers of [`propagate_origins`]:
+/// there is one schedule, the self-balancing claims of
+/// [`shard_map`](crate::shard_map).
 ///
-/// Execution only, like every concurrency knob: both schedules write each
-/// outcome back to its origin's slot, so the selected routes — and
-/// therefore the report bytes — are identical whichever is picked.
+/// The type and the [`PropagationOptions::scheduling`] and
+/// [`SimConfig::scheduling`](crate::SimConfig::scheduling) fields that hold
+/// it stay only while perfbench still names `sim.scheduling` (ROADMAP
+/// item 6); nothing reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum OriginScheduling {
-    /// Self-balancing claims (the default): each worker takes the next
-    /// unclaimed origin from a shared counter, so one expensive origin
-    /// occupies one worker while the others drain the rest of the list.
+    /// Each worker takes the next unclaimed origin from a shared counter,
+    /// so one expensive origin occupies one worker while the others drain
+    /// the rest of the list.
     #[default]
     Dynamic,
-    /// Static striping (worker `w` takes origins `w, w + workers, …`),
-    /// kept as the reference schedule.
-    Static,
 }
 
 /// How an AS learned its best route towards the origin.
@@ -267,9 +267,8 @@ pub struct PropagationOptions {
     /// (the default) are accepted; a larger value makes the propagation
     /// entry points panic rather than be silently ignored.
     pub frontier_concurrency: usize,
-    /// How [`propagate_origins`] assigns origins to its workers.
-    /// Execution only, like the worker counts: both schedules produce
-    /// the same outcomes in the same order.
+    /// Read by nothing: [`propagate_origins`] has one schedule. The field
+    /// stays only while perfbench still names it (ROADMAP item 6).
     pub scheduling: OriginScheduling,
 }
 
@@ -288,11 +287,6 @@ impl Default for PropagationOptions {
 }
 
 impl PropagationOptions {
-    /// These options pinned to an origin-to-worker schedule.
-    pub fn with_scheduling(self, scheduling: OriginScheduling) -> Self {
-        PropagationOptions { scheduling, ..self }
-    }
-
     /// These options pinned to an adversarial scenario.
     pub fn with_scenario(self, scenario: PolicyScenario) -> Self {
         PropagationOptions { scenario, ..self }
@@ -1021,10 +1015,9 @@ fn deterministic_leak(
 /// parallelism. `options.frontier_concurrency` above 1 panics (see
 /// [`PropagationOptions::frontier_concurrency`]).
 ///
-/// `options.scheduling` picks how origins map onto the workers: the
-/// default [`OriginScheduling::Dynamic`] lets each worker claim the next
-/// unclaimed origin, [`OriginScheduling::Static`] keeps the original
-/// striping. Neither is visible in the output.
+/// Each worker claims the next unclaimed origin (see
+/// [`shard_map`](crate::shard_map)), so one expensive origin never
+/// strands the cheap ones queued behind it.
 pub fn propagate_origins(
     graph: &AsGraph,
     origins: &[Asn],
@@ -1035,9 +1028,9 @@ pub fn propagate_origins(
     map_origins(graph, origins, plane, options, concurrency, |outcome| outcome)
 }
 
-/// The shared batch driver: propagate every origin under the configured
-/// schedule and pass each outcome through `keep` on the worker that
-/// computed it, so only `keep`'s result outlives the walk.
+/// The shared batch driver: propagate every origin through
+/// [`shard_map`](crate::shard_map) and pass each outcome through `keep` on
+/// the worker that computed it, so only `keep`'s result outlives the walk.
 pub(crate) fn map_origins<U: Send>(
     graph: &AsGraph,
     origins: &[Asn],
@@ -1053,11 +1046,7 @@ pub(crate) fn map_origins<U: Send>(
     // workers keeps the per-origin rounds pure.
     let engine = PolicyEngine::build(graph, options.scenario, options.deployment);
     let batch = Batch::new(graph, plane, options, &engine);
-    let run = |&origin: &Asn| keep(propagate_in(&batch, origin));
-    match options.scheduling {
-        OriginScheduling::Dynamic => crate::shard::shard_map_dynamic(origins, workers, run),
-        OriginScheduling::Static => crate::shard::shard_map(origins, workers, run),
-    }
+    crate::shard::shard_map(origins, workers, |&origin| keep(propagate_in(&batch, origin)))
 }
 
 /// Is `candidate` better than the `current` route? The one preference
@@ -1336,38 +1325,12 @@ mod tests {
 
     #[test]
     fn sharded_propagation_matches_sequential_at_every_worker_count() {
-        let g = fixture_graph();
-        let mut origins: Vec<Asn> = g.asns().collect();
-        origins.sort();
-        // Exercise both the strict policy path and the seeded deviations.
-        let variants = [
-            PropagationOptions::default(),
-            PropagationOptions {
-                reachability_relaxation: true,
-                leak_probability: 0.5,
-                seed: 7,
-                ..Default::default()
-            },
-        ];
-        for plane in IpVersion::BOTH {
-            for options in &variants {
-                let sequential = propagate_origins(&g, &origins, plane, options, 1);
-                for workers in [0usize, 2, 3, 8] {
-                    let parallel = propagate_origins(&g, &origins, plane, options, workers);
-                    assert_eq!(parallel, sequential, "plane {plane:?}, workers {workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn both_schedules_match_sequential_at_every_worker_count() {
-        // The schedule is the second execution dimension after origin
-        // workers: {Dynamic, Static} × worker counts must all reproduce the
-        // sequential outcome sequence exactly, under every adversarial
-        // scenario too. The adversarial legs walk `leak_graph`, where each
-        // scenario changes some route: on the fixture the leaker never
-        // holds a route it would leak.
+        // Every worker count must reproduce the sequential outcome
+        // sequence exactly: on the strict policy path, with the seeded
+        // deviations, and under every adversarial scenario. The
+        // adversarial legs walk `leak_graph`, where each scenario changes
+        // some route: on the fixture the leaker never holds a route it
+        // would leak.
         let adversarial =
             |scenario| (leak_graph(), PropagationOptions::default().with_scenario(scenario));
         let legs = [
@@ -1395,15 +1358,13 @@ mod tests {
                         propagate_origins(g, &origins, plane, &PropagationOptions::default(), 1);
                     assert_ne!(sequential, classic, "{:?} changes no route", options.scenario);
                 }
-                for scheduling in [OriginScheduling::Dynamic, OriginScheduling::Static] {
-                    let options = options.with_scheduling(scheduling);
-                    for workers in [1usize, 2, 3, 8] {
-                        let parallel = propagate_origins(g, &origins, plane, &options, workers);
-                        assert_eq!(
-                            parallel, sequential,
-                            "plane {plane:?}, scheduling {scheduling:?}, workers {workers}"
-                        );
-                    }
+                for workers in [0usize, 2, 3, 8] {
+                    let parallel = propagate_origins(g, &origins, plane, options, workers);
+                    assert_eq!(
+                        parallel, sequential,
+                        "plane {plane:?}, {:?}, workers {workers}",
+                        options.scenario
+                    );
                 }
             }
         }

@@ -207,15 +207,10 @@ impl Scenario {
     }
 
     /// Pool every collector's snapshot into one view, as the paper pools
-    /// RouteViews and RIS. Uses the scenario's configured concurrency.
-    pub fn merged_snapshot(&self) -> RibSnapshot {
-        self.pooled_snapshot(self.sim_config.concurrency)
-    }
-
-    /// [`merged_snapshot`](Self::merged_snapshot) with an explicit worker
-    /// count (`0` = all cores, `1` = sequential). Per-collector entry
-    /// cloning is sharded; the pooled entry order — collector order, then
-    /// each collector's own order — is identical at every worker count.
+    /// RouteViews and RIS, on `concurrency` workers (`0` = all cores,
+    /// `1` = sequential). Per-collector entry cloning is sharded; the
+    /// pooled entry order — collector order, then each collector's own
+    /// order — is identical at every worker count.
     pub fn pooled_snapshot(&self, concurrency: usize) -> RibSnapshot {
         let mut merged = RibSnapshot::new(CollectorId::new("merged"), self.sim_config.timestamp);
         let workers = crate::shard::effective_concurrency(concurrency);
@@ -477,8 +472,8 @@ mod tests {
         // Sampled origins are a subset selected by sorted-ASN stride, so
         // every surviving prefix also exists in the full build.
         let full_prefixes: std::collections::HashSet<Prefix> =
-            full.merged_snapshot().entries.iter().map(|e| e.prefix).collect();
-        for entry in &sampled.merged_snapshot().entries {
+            full.pooled_snapshot(1).entries.iter().map(|e| e.prefix).collect();
+        for entry in &sampled.pooled_snapshot(1).entries {
             assert!(full_prefixes.contains(&entry.prefix));
         }
     }
@@ -489,7 +484,7 @@ mod tests {
         assert!(s.truth.graph.is_frozen(), "propagation walks the CSR mirror");
         assert_eq!(s.snapshots.len(), s.collectors.len());
         assert!(s.total_rib_entries() > 0);
-        let merged = s.merged_snapshot();
+        let merged = s.pooled_snapshot(1);
         assert_eq!(merged.len(), s.total_rib_entries());
         assert!(merged.plane_entries(IpVersion::V4).count() > 0);
         assert!(merged.plane_entries(IpVersion::V6).count() > 0);
@@ -522,7 +517,7 @@ mod tests {
                 // Pooling order is independent of the pooling worker count too.
                 assert_eq!(
                     parallel.pooled_snapshot(workers),
-                    sequential.merged_snapshot(),
+                    sequential.pooled_snapshot(1),
                     "{what}"
                 );
             }
@@ -530,27 +525,12 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_knob_is_invisible_in_scenario_outputs() {
-        use crate::propagate::OriginScheduling;
-        let dynamic = Scenario::build(
-            &TopologyConfig::tiny(),
-            &SimConfig::small().with_scheduling(OriginScheduling::Dynamic),
-        );
-        let statically = Scenario::build(
-            &TopologyConfig::tiny(),
-            &SimConfig::small().with_scheduling(OriginScheduling::Static),
-        );
-        assert_eq!(dynamic.snapshots, statically.snapshots);
-        assert_eq!(dynamic.registry, statically.registry);
-    }
-
-    #[test]
     fn scenario_is_deterministic() {
         let a = small_scenario();
         let b = small_scenario();
         assert_eq!(a.total_rib_entries(), b.total_rib_entries());
-        let ma = a.merged_snapshot();
-        let mb = b.merged_snapshot();
+        let ma = a.pooled_snapshot(1);
+        let mb = b.pooled_snapshot(1);
         assert_eq!(ma, mb);
         assert_eq!(a.registry, b.registry);
     }
@@ -558,7 +538,7 @@ mod tests {
     #[test]
     fn paths_in_ribs_are_loop_free_and_end_at_the_origin_prefix_owner() {
         let s = small_scenario();
-        for entry in &s.merged_snapshot().entries {
+        for entry in &s.pooled_snapshot(1).entries {
             assert!(!entry.has_bogus_path(), "bogus path {}", entry.attrs.as_path);
             let origin = entry.origin_asn().unwrap();
             assert_eq!(origin_prefix(origin, entry.plane()), entry.prefix);
@@ -578,7 +558,7 @@ mod tests {
             .map(|f| f.asn)
             .collect();
         let mut saw_full = false;
-        for entry in &s.merged_snapshot().entries {
+        for entry in &s.pooled_snapshot(1).entries {
             if full.contains(&entry.peer.asn) {
                 assert!(entry.attrs.local_pref.is_some(), "full feeder without LocPrf");
                 saw_full = true;
@@ -595,7 +575,7 @@ mod tests {
         // For every full feeder, group LocPrf by the true relationship to the
         // first hop and verify customer > peer > provider on average.
         let mut by_rel: HashMap<(Asn, Relationship), Vec<u32>> = HashMap::new();
-        for entry in &s.merged_snapshot().entries {
+        for entry in &s.pooled_snapshot(1).entries {
             let Some(lp) = entry.attrs.local_pref else { continue };
             let path: Vec<Asn> = entry.attrs.as_path.asns().collect();
             if path.len() < 2 {
@@ -625,7 +605,7 @@ mod tests {
     fn communities_on_routes_reflect_true_relationships() {
         let s = small_scenario();
         let mut verified = 0;
-        for entry in &s.merged_snapshot().entries {
+        for entry in &s.pooled_snapshot(1).entries {
             let path: Vec<Asn> = entry.attrs.as_path.asns().collect();
             for community in entry.attrs.communities.iter() {
                 let tagger = community.asn();
@@ -704,8 +684,8 @@ mod tests {
 
         let strict = Scenario::build_from_truth(truth.clone(), TopologyConfig::tiny(), &strict_cfg);
         let relaxed = Scenario::build_from_truth(truth, TopologyConfig::tiny(), &relaxed_cfg);
-        let strict_v6 = strict.merged_snapshot().plane_entries(IpVersion::V6).count();
-        let relaxed_v6 = relaxed.merged_snapshot().plane_entries(IpVersion::V6).count();
+        let strict_v6 = strict.pooled_snapshot(1).plane_entries(IpVersion::V6).count();
+        let relaxed_v6 = relaxed.pooled_snapshot(1).plane_entries(IpVersion::V6).count();
         assert!(relaxed_v6 >= strict_v6);
     }
 }

@@ -1,21 +1,21 @@
 //! Deterministic sharding of per-item work across scoped worker threads.
 //!
-//! The whole workspace's parallelism runs through [`shard_map`]: the input
-//! slice is striped across `std::thread::scope` workers (worker `w` maps
-//! items `w, w + workers, w + 2·workers, …`) and the results are
-//! reassembled in input order. Because every item is mapped by a pure
-//! function of the item itself, the output is element-for-element
-//! identical to the sequential `items.iter().map(f)` whatever the worker
-//! count — which is what lets the determinism suite demand byte-identical
-//! reports at any `concurrency` setting. Striping (rather than contiguous
-//! chunking) keeps the shards balanced when a cost-skewed run of items
-//! sits at the head of the list. Where a single item can outweigh a
-//! whole stripe — one tier-1 origin of a 100k-AS propagation does —
-//! [`shard_map_dynamic`] lets the workers claim items one at a time
-//! instead, under the same in-order contract. Two independent stages
-//! fork and join through [`join`].
+//! The whole workspace's parallelism runs through [`shard_map`]: up to
+//! `workers` `std::thread::scope` threads each repeatedly claim the next
+//! unmapped index from one shared atomic counter, and every result is
+//! written back to its item's input slot. Because every item is mapped
+//! by a pure function of the item itself, the output is
+//! element-for-element identical to the sequential `items.iter().map(f)`
+//! whatever the worker count or timing — which is what lets the
+//! determinism suite demand byte-identical reports at any `concurrency`
+//! setting. Claiming needs no cost estimate: where a single item
+//! outweighs many others — one tier-1 origin of a 100k-AS propagation
+//! does — it occupies one worker while the others drain the rest of the
+//! list. [`shard_map_owned`] runs owned items through the same claims,
+//! and two independent stages fork and join through [`join`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Resolve a `concurrency` knob to a worker count: `0` means "all
 /// available parallelism", any other value is taken literally (`1` is the
@@ -31,117 +31,19 @@ pub fn effective_concurrency(requested: usize) -> usize {
 /// Map `f` over `items` on up to `workers` scoped threads, preserving
 /// input order.
 ///
+/// Each worker repeatedly takes the next unclaimed index from a shared
+/// atomic counter and maps that item, so a worker busy with one expensive
+/// item never strands the items behind it. Every result lands in its
+/// item's slot, so the output is the sequential `items.iter().map(f)`
+/// whatever the worker count or timing.
+///
 /// `workers` is used as given (resolve `0 = auto` with
 /// [`effective_concurrency`] first). With one worker — or one item — no
 /// thread is spawned at all, so `workers = 1` is exactly the sequential
-/// path, not a single-thread simulation of the parallel one.
+/// path, not a single-thread simulation of the parallel one. A panic in
+/// `f` is re-raised on the caller with its own payload, at any worker
+/// count.
 pub fn shard_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    // Stripe items across workers (worker w handles items w, w+workers,
-    // …): deterministic, and it spreads a cost-skewed head of the list
-    // over every worker instead of loading it onto shard 0.
-    let mut shards: Vec<Vec<U>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope
-                    .spawn(move || items.iter().skip(w).step_by(workers).map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        shards = handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect();
-    });
-    // Inverse of the striping: item i is element i / workers of shard
-    // i % workers, so a round-robin drain restores input order.
-    let mut drains: Vec<std::vec::IntoIter<U>> = shards.into_iter().map(Vec::into_iter).collect();
-    (0..items.len())
-        .map(|i| drains[i % workers].next().expect("stripes cover every index exactly once"))
-        .collect()
-}
-
-/// Run two independent closures and return both results, `a`'s first.
-///
-/// With two or more workers, `a` runs on one scoped thread while `b` runs
-/// on the caller; with one worker (`0` is taken as one) `a` then `b` run
-/// inline and no thread is spawned. A panic in either closure is re-raised
-/// on the caller. Nest it to fan out further:
-/// `join(workers, a, || join(workers - 1, b, c))` keeps the three stages
-/// within a budget of `workers` threads.
-pub fn join<A, B, RA, RB>(workers: usize, a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB,
-    RA: Send,
-{
-    if workers <= 1 {
-        let ra = a();
-        return (ra, b());
-    }
-    std::thread::scope(|scope| {
-        let a = scope.spawn(a);
-        let rb = b();
-        (a.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), rb)
-    })
-}
-
-/// [`shard_map`] over owned items: `f` consumes each item instead of
-/// borrowing it, which lets workers mutate heavyweight per-item state in
-/// place (the incremental sweep moves each dirty source's distance map
-/// through its repair without cloning it). Same striping, same in-order
-/// reassembly, same sequential fast path — and therefore the same
-/// determinism contract as [`shard_map`].
-pub fn shard_map_owned<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    // Pre-stripe the owned items into one bucket per worker (item i goes
-    // to bucket i % workers, preserving relative order within a bucket).
-    let mut buckets: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        buckets[i % workers].push(item);
-    }
-    let mut shards: Vec<Vec<U>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| scope.spawn(move || bucket.into_iter().map(f).collect::<Vec<U>>()))
-            .collect();
-        shards = handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect();
-    });
-    let total: usize = shards.iter().map(Vec::len).sum();
-    let mut drains: Vec<std::vec::IntoIter<U>> = shards.into_iter().map(Vec::into_iter).collect();
-    (0..total)
-        .map(|i| drains[i % workers].next().expect("stripes cover every index exactly once"))
-        .collect()
-}
-
-/// [`shard_map`] with self-balancing claims: each worker repeatedly takes
-/// the next unclaimed index from a shared atomic counter and maps that
-/// item, so a worker busy with one expensive item never strands the items
-/// behind it — the other workers keep draining the list. No cost estimate
-/// is needed, and however skewed the per-item cost, no worker sits idle
-/// while an item is still unclaimed.
-///
-/// Every result is written back to its item's input slot, so the output
-/// is element-for-element the sequential `items.iter().map(f)` whatever
-/// the worker count or timing, exactly like [`shard_map`] — including the
-/// no-spawn sequential path at one worker or one item.
-pub fn shard_map_dynamic<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -173,12 +75,55 @@ where
             })
             .collect();
         for handle in handles {
-            for (i, result) in handle.join().expect("shard worker panicked") {
+            let done = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
                 slots[i] = Some(result);
             }
         }
     });
     slots.into_iter().map(|s| s.expect("claims cover every index exactly once")).collect()
+}
+
+/// Run two independent closures and return both results, `a`'s first.
+///
+/// With two or more workers, `a` runs on one scoped thread while `b` runs
+/// on the caller; with one worker (`0` is taken as one) `a` then `b` run
+/// inline and no thread is spawned. A panic in either closure is re-raised
+/// on the caller. Nest it to fan out further:
+/// `join(workers, a, || join(workers - 1, b, c))` keeps the three stages
+/// within a budget of `workers` threads.
+pub fn join<A, B, RA, RB>(workers: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB,
+    RA: Send,
+{
+    if workers <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let a = scope.spawn(a);
+        let rb = b();
+        (a.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), rb)
+    })
+}
+
+/// [`shard_map`] over owned items: `f` consumes each item instead of
+/// borrowing it, which lets workers mutate heavyweight per-item state in
+/// place (the incremental sweep moves each dirty source's distance map
+/// through its repair without cloning it). Each item waits in a cell
+/// until its claim moves it out, so the schedule, the in-order result and
+/// the sequential fast path are [`shard_map`]'s own.
+pub fn shard_map_owned<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(T) -> U + Sync,
+{
+    let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let take = |cell: &Mutex<Option<T>>| cell.lock().expect("take never panics").take();
+    shard_map(&cells, workers, |cell| f(take(cell).expect("each cell is claimed once")))
 }
 
 #[cfg(test)]
@@ -212,43 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_dynamic_preserves_order_for_any_worker_count() {
-        let items: Vec<u32> = (0..101).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3).collect();
-        for workers in [0usize, 1, 2, 3, 8, 200] {
-            let got = shard_map_dynamic(&items, workers, |&x| u64::from(x) * 3);
-            assert_eq!(got, expected, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn shard_map_dynamic_handles_empty_and_singleton_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(shard_map_dynamic(&empty, 4, |&x| x).is_empty());
-        assert_eq!(shard_map_dynamic(&[9u32], 4, |&x| x + 1), vec![10]);
-    }
-
-    #[test]
-    fn shard_map_dynamic_matches_shard_map_exactly() {
-        let items: Vec<u32> = (0..57).collect();
-        for workers in [1usize, 2, 5, 16] {
-            let striped = shard_map(&items, workers, |&x| x.wrapping_mul(17));
-            let claimed = shard_map_dynamic(&items, workers, |&x| x.wrapping_mul(17));
-            assert_eq!(claimed, striped, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn shard_map_dynamic_never_strands_items_behind_a_slow_one() {
+    fn shard_map_never_strands_items_behind_a_slow_one() {
         // Item 0 waits until every other item has run. With claims, the
         // second worker drains the rest of the list; a schedule that binds
         // items to workers up front (striping, LPT binning) parks some of
         // them behind item 0 on its worker. The wait is bounded, so such a
         // schedule fails this assertion instead of hanging the suite.
-        let items: Vec<u32> = (0..64).collect();
-        let finished = AtomicUsize::new(0);
-        let others = items.len() - 1;
-        let completed = shard_map_dynamic(&items, 2, |&x| {
+        let wait_for_the_rest = |finished: &AtomicUsize, x: u32, others: usize| {
             if x != 0 {
                 finished.fetch_add(1, Ordering::SeqCst);
                 return true;
@@ -261,8 +176,32 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
             true
-        });
-        assert!(completed.iter().all(|&ok| ok), "item 0 timed out: items were stranded behind it");
+        };
+        let items: Vec<u32> = (0..64).collect();
+        let others = items.len() - 1;
+        let finished = AtomicUsize::new(0);
+        let borrowed = shard_map(&items, 2, |&x| wait_for_the_rest(&finished, x, others));
+        assert!(borrowed.iter().all(|&ok| ok), "shard_map stranded items behind item 0");
+        let finished = AtomicUsize::new(0);
+        let owned = shard_map_owned(items, 2, |x| wait_for_the_rest(&finished, x, others));
+        assert!(owned.iter().all(|&ok| ok), "shard_map_owned stranded items behind item 0");
+    }
+
+    #[test]
+    fn shard_map_propagates_a_panic_payload_at_any_worker_count() {
+        let items: Vec<u32> = (0..8).collect();
+        for workers in [1usize, 2] {
+            let borrowed = std::panic::catch_unwind(|| {
+                shard_map(&items, workers, |_| -> u32 { panic!("in f") })
+            });
+            let payload = borrowed.expect_err("a panic in `f` propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"in f"), "workers={workers}");
+            let owned = std::panic::catch_unwind(|| {
+                shard_map_owned(items.clone(), workers, |_| -> u32 { panic!("in f") })
+            });
+            let payload = owned.expect_err("a panic in `f` propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"in f"), "workers={workers}");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! next-hop ASN, taint) for every origin on both planes, under every
 //! [`PolicyScenario`] at deployment fractions 0 and 0.5 with a 0.3 leak
 //! probability, and demand the digests recorded below. The first pin
-//! walks `TopologyConfig::small()` (v6 relaxation on) at 1 and 2 workers
-//! under both origin schedules. The second walks fixed-seed random graphs
+//! walks `TopologyConfig::small()` (v6 relaxation on) at 1 and 2 workers.
+//! The second walks fixed-seed random graphs
 //! with the link shapes the generator never emits: present links without
 //! an annotation, links on one plane only, sibling chains and relaxation
 //! holes behind an unannotated link, with relaxation on on both planes.
@@ -16,8 +16,8 @@
 use asgraph::AsGraph;
 use bgp_types::{Asn, IpVersion, Relationship};
 use routesim::{
-    propagate_origins, OriginScheduling, PolicyDeployment, PolicyScenario, PropagationOptions,
-    RouteClass, RoutingOutcome,
+    propagate_origins, PolicyDeployment, PolicyScenario, PropagationOptions, RouteClass,
+    RoutingOutcome,
 };
 use topogen::TopologyConfig;
 
@@ -104,30 +104,27 @@ fn every_route_matches_the_pinned_digest_at_every_schedule() {
     let mut mismatches = Vec::new();
     for (scenario, fraction, pinned) in PINNED {
         for workers in [1usize, 2] {
-            for scheduling in [OriginScheduling::Dynamic, OriginScheduling::Static] {
-                let mut hash = Fnv::new();
-                for plane in IpVersion::BOTH {
-                    let options = PropagationOptions {
-                        reachability_relaxation: plane == IpVersion::V6,
-                        leak_probability: 0.3,
-                        seed: 42,
-                        scenario,
-                        deployment: PolicyDeployment { fraction, seed: 0x6465_706c },
-                        frontier_concurrency: 1,
-                        scheduling,
-                    };
-                    let origins: Vec<Asn> =
-                        asns.iter().copied().filter(|&a| graph.degree(a, plane) > 0).collect();
-                    let outcomes = propagate_origins(&graph, &origins, plane, &options, workers);
-                    digest(&graph, &asns, &outcomes, &mut hash);
-                }
-                if hash.0 != pinned {
-                    mismatches.push(format!(
-                        "{scenario:?} fraction={fraction} workers={workers} \
-                         scheduling={scheduling:?}: digest {:#018x}, pinned {pinned:#018x}",
-                        hash.0
-                    ));
-                }
+            let mut hash = Fnv::new();
+            for plane in IpVersion::BOTH {
+                let options = PropagationOptions {
+                    reachability_relaxation: plane == IpVersion::V6,
+                    leak_probability: 0.3,
+                    seed: 42,
+                    scenario,
+                    deployment: PolicyDeployment { fraction, seed: 0x6465_706c },
+                    ..Default::default()
+                };
+                let origins: Vec<Asn> =
+                    asns.iter().copied().filter(|&a| graph.degree(a, plane) > 0).collect();
+                let outcomes = propagate_origins(&graph, &origins, plane, &options, workers);
+                digest(&graph, &asns, &outcomes, &mut hash);
+            }
+            if hash.0 != pinned {
+                mismatches.push(format!(
+                    "{scenario:?} fraction={fraction} workers={workers}: \
+                     digest {:#018x}, pinned {pinned:#018x}",
+                    hash.0
+                ));
             }
         }
     }

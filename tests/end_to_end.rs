@@ -24,7 +24,7 @@ fn inferred_relationships_always_agree_with_ground_truth() {
     // per-plane relationships, so whatever the inference classifies must
     // be correct — coverage is partial, correctness must be total.
     let scenario = scenario(1);
-    let snapshot = scenario.merged_snapshot();
+    let snapshot = scenario.pooled_snapshot(1);
     let dictionary = scenario.registry.build_dictionary();
     let inference =
         hybrid_as_rel::tor::communities::CommunityInference::from_snapshot(&snapshot, &dictionary);
@@ -179,7 +179,7 @@ fn figure2_correction_sweep_moves_toward_the_truth_metrics() {
 #[test]
 fn observed_topology_is_a_subgraph_of_the_ground_truth() {
     let scenario = scenario(6);
-    let data = extract(&scenario.merged_snapshot());
+    let data = extract(&scenario.pooled_snapshot(1));
     for plane in IpVersion::BOTH {
         for edge in data.graph.plane_edges(plane) {
             assert!(scenario.truth.graph.has_link(edge.a, edge.b, plane));

@@ -33,9 +33,9 @@ fn canonicalized(snapshot: &RibSnapshot) -> Vec<String> {
 }
 
 #[test]
-fn merged_snapshot_round_trips_through_the_writer() {
+fn pooled_snapshot_round_trips_through_the_writer() {
     let scenario = Scenario::build(&TopologyConfig::tiny(), &SimConfig::small());
-    let snapshot = scenario.merged_snapshot();
+    let snapshot = scenario.pooled_snapshot(1);
     assert!(!snapshot.entries.is_empty(), "scenario produced an empty snapshot");
 
     let dir = temp_dir("mrt-roundtrip");

@@ -707,8 +707,8 @@ proptest! {
         for threads in [2usize, 4] {
             let parallel = Scenario::build(&topology, &sim.clone().with_concurrency(threads));
             prop_assert_eq!(
-                &parallel.merged_snapshot(),
-                &sequential.merged_snapshot(),
+                &parallel.pooled_snapshot(threads),
+                &sequential.pooled_snapshot(1),
                 "threads={}",
                 threads
             );

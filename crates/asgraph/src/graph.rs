@@ -1,10 +1,10 @@
 //! The annotated AS-level graph.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use serde::{Deserialize, Serialize};
 
-use bgp_types::{Asn, IpVersion, Relationship};
+use bgp_types::{Asn, FastMap, IpVersion, Relationship};
 
 /// Dense node identifier inside one [`AsGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -218,11 +218,11 @@ pub struct MemoryBreakdown {
 /// exists returns the existing id.
 #[derive(Debug, Clone, Default)]
 pub struct AsGraph {
-    asn_to_node: HashMap<Asn, NodeId>,
+    asn_to_node: FastMap<Asn, NodeId>,
     node_to_asn: Vec<Asn>,
     adjacency: Vec<Vec<(NodeId, EdgeId)>>,
     edges: Vec<Edge>,
-    edge_lookup: HashMap<(NodeId, NodeId), EdgeId>,
+    edge_lookup: FastMap<(NodeId, NodeId), EdgeId>,
     /// Links currently marked present per plane (kept in sync by
     /// [`AsGraph::observe_link`], so [`AsGraph::plane_edge_count`] is O(1)
     /// instead of an O(E) scan per report).
@@ -256,14 +256,15 @@ impl AsGraph {
 
     /// Add (or look up) a node for an ASN.
     pub fn add_node(&mut self, asn: Asn) -> NodeId {
-        if let Some(&id) = self.asn_to_node.get(&asn) {
-            return id;
-        }
+        let slot = match self.asn_to_node.entry(asn) {
+            Entry::Occupied(slot) => return *slot.get(),
+            Entry::Vacant(slot) => slot,
+        };
         let id = NodeId(
             u32::try_from(self.node_to_asn.len())
                 .expect("AsGraph node count exceeds the u32 id space"),
         );
-        self.asn_to_node.insert(asn, id);
+        slot.insert(id);
         self.node_to_asn.push(asn);
         self.adjacency.push(Vec::new());
         self.csr = None;
@@ -295,6 +296,8 @@ impl AsGraph {
         (0..self.node_to_asn.len() as u32).map(NodeId)
     }
 
+    /// The link's endpoints in stored order, and whether that order swaps
+    /// `(x, y)`: an edge stores its lower node id as `a`.
     fn canonical(&self, x: NodeId, y: NodeId) -> (NodeId, NodeId, bool) {
         if x.0 <= y.0 {
             (x, y, false)
@@ -306,36 +309,53 @@ impl AsGraph {
     /// Add (or look up) the undirected link between two ASes, without
     /// marking it present on any plane. Self-links are rejected.
     pub fn add_link(&mut self, a: Asn, b: Asn) -> Option<EdgeId> {
+        self.add_oriented_link(a, b).map(|(eid, _)| eid)
+    }
+
+    /// [`AsGraph::add_link`], plus whether the edge stores `b` as its `a`
+    /// end, so callers orient relationships without a third lookup.
+    fn add_oriented_link(&mut self, a: Asn, b: Asn) -> Option<(EdgeId, bool)> {
         if a == b {
             return None;
         }
         let na = self.add_node(a);
         let nb = self.add_node(b);
-        let (lo, hi, _) = self.canonical(na, nb);
-        if let Some(&eid) = self.edge_lookup.get(&(lo, hi)) {
-            return Some(eid);
-        }
-        let eid = EdgeId(
-            u32::try_from(self.edges.len()).expect("AsGraph edge count exceeds the u32 id space"),
-        );
+        let (lo, hi, swapped) = self.canonical(na, nb);
+        let next = self.edges.len();
+        let slot = match self.edge_lookup.entry((lo, hi)) {
+            Entry::Occupied(slot) => return Some((*slot.get(), swapped)),
+            Entry::Vacant(slot) => slot,
+        };
+        let eid = EdgeId(u32::try_from(next).expect("AsGraph edge count exceeds the u32 id space"));
+        slot.insert(eid);
         self.edges.push(Edge { a: lo, b: hi, planes: [PlaneEdge::default(); 2] });
-        self.edge_lookup.insert((lo, hi), eid);
         self.adjacency[lo.index()].push((hi, eid));
         self.adjacency[hi.index()].push((lo, eid));
         self.csr = None;
-        Some(eid)
+        Some((eid, swapped))
     }
 
     /// Mark a link as observed on a plane (creating it if necessary).
     pub fn observe_link(&mut self, a: Asn, b: Asn, plane: IpVersion) -> Option<EdgeId> {
-        let eid = self.add_link(a, b)?;
+        self.observe_oriented_link(a, b, plane).map(|(eid, _)| eid)
+    }
+
+    /// [`AsGraph::observe_link`] with the orientation of
+    /// [`AsGraph::add_oriented_link`].
+    fn observe_oriented_link(
+        &mut self,
+        a: Asn,
+        b: Asn,
+        plane: IpVersion,
+    ) -> Option<(EdgeId, bool)> {
+        let (eid, swapped) = self.add_oriented_link(a, b)?;
         let slot = &mut self.edges[eid.index()].planes[plane_index(plane)];
         if !slot.present {
             slot.present = true;
             self.plane_present[plane_index(plane)] += 1;
             self.refresh_frozen_edge(eid);
         }
-        Some(eid)
+        Some((eid, swapped))
     }
 
     /// Annotate the relationship of a link on one plane. `rel` is oriented
@@ -348,11 +368,9 @@ impl AsGraph {
         plane: IpVersion,
         rel: Relationship,
     ) -> Option<EdgeId> {
-        let eid = self.observe_link(a, b, plane)?;
-        let edge = &mut self.edges[eid.index()];
-        let na = self.asn_to_node[&a];
-        let stored = if edge.a == na { rel } else { rel.reverse() };
-        edge.planes[plane_index(plane)].rel = Some(stored);
+        let (eid, swapped) = self.observe_oriented_link(a, b, plane)?;
+        let stored = if swapped { rel.reverse() } else { rel };
+        self.edges[eid.index()].planes[plane_index(plane)].rel = Some(stored);
         self.refresh_frozen_edge(eid);
         Some(eid)
     }
@@ -460,10 +478,15 @@ impl AsGraph {
 
     /// The edge id of a link, if it exists.
     pub fn edge_id(&self, a: Asn, b: Asn) -> Option<EdgeId> {
+        self.oriented_edge_id(a, b).map(|(eid, _)| eid)
+    }
+
+    /// [`AsGraph::edge_id`], plus whether the edge stores `b` as its `a` end.
+    fn oriented_edge_id(&self, a: Asn, b: Asn) -> Option<(EdgeId, bool)> {
         let na = self.node(a)?;
         let nb = self.node(b)?;
-        let (lo, hi, _) = self.canonical(na, nb);
-        self.edge_lookup.get(&(lo, hi)).copied()
+        let (lo, hi, swapped) = self.canonical(na, nb);
+        self.edge_lookup.get(&(lo, hi)).map(|&eid| (eid, swapped))
     }
 
     /// True if the link exists and is present on the plane.
@@ -475,11 +498,9 @@ impl AsGraph {
 
     /// The relationship of the link on a plane, oriented `a → b`.
     pub fn relationship(&self, a: Asn, b: Asn, plane: IpVersion) -> Option<Relationship> {
-        let eid = self.edge_id(a, b)?;
-        let edge = &self.edges[eid.index()];
-        let rel = edge.planes[plane_index(plane)].rel?;
-        let na = self.node(a)?;
-        Some(if edge.a == na { rel } else { rel.reverse() })
+        let (eid, swapped) = self.oriented_edge_id(a, b)?;
+        let rel = self.edges[eid.index()].planes[plane_index(plane)].rel?;
+        Some(if swapped { rel.reverse() } else { rel })
     }
 
     /// A read-only view of an edge by id.
@@ -649,6 +670,37 @@ mod tests {
         assert_eq!(g.relationship(Asn(2), Asn(3), IpVersion::V6), None);
         // Missing link.
         assert_eq!(g.relationship(Asn(2), Asn(99), IpVersion::V4), None);
+    }
+
+    #[test]
+    fn annotating_against_the_stored_order_reads_back_reversed_from_both_ends() {
+        // Node 0 is AS 1, so the edge stores (1, 2) and `annotate(2, 1, ..)`
+        // must store the reverse of what it was given, on a new and on an
+        // existing link, frozen or not.
+        for frozen in [false, true] {
+            let mut g = AsGraph::new();
+            g.add_node(Asn(1));
+            g.add_node(Asn(2));
+            g.annotate(Asn(2), Asn(1), IpVersion::V4, Relationship::ProviderToCustomer);
+            if frozen {
+                g.freeze();
+            }
+            g.annotate(Asn(2), Asn(1), IpVersion::V6, Relationship::CustomerToProvider);
+            for (plane, rel) in [
+                (IpVersion::V4, Relationship::ProviderToCustomer),
+                (IpVersion::V6, Relationship::CustomerToProvider),
+            ] {
+                assert_eq!(g.relationship(Asn(2), Asn(1), plane), Some(rel));
+                assert_eq!(g.relationship(Asn(1), Asn(2), plane), Some(rel.reverse()));
+                let stored = g.edge_view(g.edge_id(Asn(2), Asn(1)).unwrap());
+                assert_eq!((stored.a, stored.b), (Asn(1), Asn(2)));
+                assert_eq!(stored.rel(plane), Some(rel.reverse()));
+            }
+            let one = g.node(Asn(1)).unwrap();
+            let v4: Vec<_> = g.neighbors_by_id(one, IpVersion::V4).collect();
+            assert_eq!(v4.len(), 1);
+            assert_eq!(v4[0].1, Some(Relationship::CustomerToProvider));
+        }
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //! ASes whose links are entirely unannotated fall back to a degree-based
 //! guess so the classification is total.
 
-use std::collections::HashMap;
-
-use bgp_types::{Asn, IpVersion};
+use bgp_types::{Asn, FastMap, IpVersion};
 
 use crate::graph::AsGraph;
 
@@ -49,7 +47,7 @@ impl std::fmt::Display for Tier {
 }
 
 /// The tier of every AS on one plane.
-pub type TierMap = HashMap<Asn, Tier>;
+pub type TierMap = FastMap<Asn, Tier>;
 
 /// Degree threshold above which an unannotated AS is guessed to be a
 /// transit provider rather than a stub.
@@ -57,7 +55,7 @@ const UNANNOTATED_TRANSIT_DEGREE: usize = 20;
 
 /// Classify every AS present on the given plane.
 pub fn classify_tiers(graph: &AsGraph, plane: IpVersion) -> TierMap {
-    let mut map = TierMap::new();
+    let mut map = TierMap::default();
     for asn in graph.asns() {
         if graph.degree(asn, plane) == 0 {
             continue; // not present on this plane

@@ -36,6 +36,7 @@ pub mod aspath;
 pub mod attrs;
 pub mod community;
 pub mod error;
+pub mod hash;
 pub mod prefix;
 pub mod relationship;
 pub mod rib;
@@ -45,6 +46,7 @@ pub use aspath::{AsPath, AsPathSegment};
 pub use attrs::{Origin, PathAttributes};
 pub use community::{Community, CommunitySet, LargeCommunity};
 pub use error::{ParseError, TypeError};
+pub use hash::{FastMap, FastSet, FastState};
 pub use prefix::{IpVersion, Ipv4Net, Ipv6Net, Prefix};
 pub use relationship::{Relationship, RelationshipPair};
 pub use rib::{CollectorId, PeerId, RibEntry, RibSnapshot, RouteSource};

@@ -22,13 +22,13 @@
 //! distinct paths, so a streaming session re-votes only the paths whose
 //! top provider may have moved instead of re-running [`gao_inference`].
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
 use asgraph::AsGraph;
-use bgp_types::{Asn, IpVersion, Relationship};
+use bgp_types::{Asn, FastMap, IpVersion, Relationship};
 
 use crate::extract::{ExtractedData, ObservedPath};
 
@@ -61,7 +61,7 @@ fn canonical(a: Asn, b: Asn) -> (Asn, Asn, bool) {
 /// lower-ASN-first orientation).
 #[derive(Debug, Clone, Default)]
 pub struct BaselineInference {
-    links: HashMap<(Asn, Asn), Relationship>,
+    links: FastMap<(Asn, Asn), Relationship>,
 }
 
 impl BaselineInference {
@@ -123,8 +123,8 @@ struct InternedPaths {
 
 impl InternedPaths {
     fn new(data: &ExtractedData, input: BaselineInput) -> Self {
-        let mut asn_ids: HashMap<Asn, u32> = HashMap::new();
-        let mut link_ids: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut asn_ids: FastMap<Asn, u32> = FastMap::default();
+        let mut link_ids: FastMap<(u32, u32), u32> = FastMap::default();
         let mut interned = InternedPaths::default();
         for p in input_paths(data, input) {
             for (i, &asn) in p.path.iter().enumerate() {
@@ -167,7 +167,7 @@ impl InternedPaths {
 
 /// The dense id of `key`, assigning the next free one (and recording the
 /// key under it in `keys`) on first sight.
-fn intern<K: Copy + Eq + Hash>(ids: &mut HashMap<K, u32>, keys: &mut Vec<K>, key: K) -> u32 {
+fn intern<K: Copy + Eq + Hash>(ids: &mut FastMap<K, u32>, keys: &mut Vec<K>, key: K) -> u32 {
     *ids.entry(key).or_insert_with(|| {
         keys.push(key);
         u32::try_from(keys.len() - 1).expect("fewer than 2^32 distinct keys")
@@ -289,8 +289,8 @@ struct GaoLink {
 /// [`GaoVotes::resolve`] reads the votes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GaoVotes {
-    links: HashMap<(Asn, Asn), GaoLink>,
-    degree: HashMap<Asn, usize>,
+    links: FastMap<(Asn, Asn), GaoLink>,
+    degree: FastMap<Asn, usize>,
     /// ASes whose degree changed since the last [`GaoVotes::settle`].
     moved: BTreeSet<Asn>,
 }

@@ -1,11 +1,9 @@
 //! Relationship inference from BGP Communities (the paper's core method).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use asgraph::AsGraph;
-use bgp_types::{Asn, IpVersion, PathAttributes, Relationship, RibSnapshot};
+use bgp_types::{Asn, FastMap, IpVersion, PathAttributes, Relationship, RibSnapshot};
 use irr::CommunityDictionary;
 
 /// Where an inferred relationship came from.
@@ -101,7 +99,7 @@ fn route_assertions(
 /// tallies always equal those of a fresh pass over the current routes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommunityVotes {
-    tallies: HashMap<(Asn, Asn, IpVersion), VoteTally>,
+    tallies: FastMap<(Asn, Asn, IpVersion), VoteTally>,
 }
 
 impl CommunityVotes {
@@ -164,8 +162,8 @@ fn tally_key(
 /// per-plane map from canonical link to inferred relationship.
 #[derive(Debug, Clone, Default)]
 pub struct CommunityInference {
-    links: HashMap<(Asn, Asn, IpVersion), InferredRelationship>,
-    tallies: HashMap<(Asn, Asn, IpVersion), VoteTally>,
+    links: FastMap<(Asn, Asn, IpVersion), InferredRelationship>,
+    tallies: FastMap<(Asn, Asn, IpVersion), VoteTally>,
     /// Links dropped because their votes tied.
     pub conflicted_links: usize,
 }
@@ -219,7 +217,7 @@ impl CommunityInference {
     pub fn resolve_all(&mut self) {
         self.conflicted_links = 0;
         // Preserve LocPrf-sourced entries that have no tally of their own.
-        let mut links: HashMap<(Asn, Asn, IpVersion), InferredRelationship> = self
+        let mut links: FastMap<(Asn, Asn, IpVersion), InferredRelationship> = self
             .links
             .iter()
             .filter(|(key, link)| {

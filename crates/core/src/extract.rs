@@ -1,11 +1,9 @@
 //! Extraction of AS paths and AS links from collector RIB snapshots.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use asgraph::AsGraph;
-use bgp_types::{Asn, IpVersion, RibSnapshot};
+use bgp_types::{Asn, FastMap, IpVersion, RibSnapshot};
 
 /// One distinct observed AS path on one plane, with how many RIB entries
 /// carried it.
@@ -36,7 +34,7 @@ pub struct ExtractedData {
     pub discarded_entries: usize,
     /// How many distinct IPv6 paths traverse each link (canonical
     /// lower-ASN-first key); the paper's "visibility" of a link.
-    pub v6_link_path_count: HashMap<(Asn, Asn), usize>,
+    pub v6_link_path_count: FastMap<(Asn, Asn), usize>,
 }
 
 impl ExtractedData {
@@ -73,10 +71,9 @@ impl ExtractedData {
 /// AS_SET segments are not extracted because the true adjacency is unknown.
 pub fn extract(snapshot: &RibSnapshot) -> ExtractedData {
     let mut data = ExtractedData::default();
-    // Distinct de-prepended paths per plane (v4, v6), looked up by slice
-    // from one scratch buffer so only a new path allocates.
-    let mut seen_paths: [HashMap<Vec<Asn>, usize>; 2] = Default::default();
-    let mut path: Vec<Asn> = Vec::new();
+    // Every entry's de-prepended path per plane (v4, v6); sorting brings
+    // equal paths together, so deduplication is one merge of neighbours.
+    let mut paths: [Vec<Vec<Asn>>; 2] = Default::default();
 
     for entry in &snapshot.entries {
         if entry.has_bogus_path() {
@@ -95,23 +92,20 @@ pub fn extract(snapshot: &RibSnapshot) -> ExtractedData {
         // Full flattened path for path-level statistics; paths containing
         // sets still count as paths (the paper counts them) but their set
         // members are flattened in stored order.
-        path.clear();
-        path.extend(entry.attrs.as_path.deprepended_asns());
-        let paths = &mut seen_paths[usize::from(plane == IpVersion::V6)];
-        match paths.get_mut(path.as_slice()) {
-            Some(occurrences) => *occurrences += 1,
-            None => {
-                paths.insert(path.clone(), 1);
-            }
-        }
+        paths[usize::from(plane == IpVersion::V6)]
+            .push(entry.attrs.as_path.deprepended_asns().collect());
     }
 
     // Materialise the deduplicated paths, each plane sorted by path.
-    let [v4, v6] = seen_paths;
-    for (paths, out) in [(v4, &mut data.paths_v4), (v6, &mut data.paths_v6)] {
-        let mut paths: Vec<(Vec<Asn>, usize)> = paths.into_iter().collect();
+    let [v4, v6] = paths;
+    for (mut paths, out) in [(v4, &mut data.paths_v4), (v6, &mut data.paths_v6)] {
         paths.sort_unstable();
-        out.extend(paths.into_iter().map(|(path, occurrences)| ObservedPath { path, occurrences }));
+        for path in paths {
+            match out.last_mut() {
+                Some(last) if last.path == path => last.occurrences += 1,
+                _ => out.push(ObservedPath { path, occurrences: 1 }),
+            }
+        }
     }
 
     // Per-link IPv6 path visibility over *distinct* paths.

@@ -1,10 +1,8 @@
 //! Hybrid IPv4/IPv6 relationship detection and visibility analysis.
 
-use std::collections::HashSet;
-
 use serde::{Deserialize, Serialize};
 
-use bgp_types::{Asn, IpVersion, RelationshipPair};
+use bgp_types::{Asn, FastSet, IpVersion, RelationshipPair};
 use topogen::HybridClass;
 
 use crate::communities::CommunityInference;
@@ -87,7 +85,7 @@ impl HybridReport {
 pub fn detect_hybrids(data: &ExtractedData, inference: &CommunityInference) -> HybridReport {
     let mut report = HybridReport { ipv6_paths: data.paths_v6.len(), ..Default::default() };
 
-    let mut hybrid_links: HashSet<(Asn, Asn)> = HashSet::new();
+    let mut hybrid_links: FastSet<(Asn, Asn)> = FastSet::default();
     for edge in data.graph.dual_stack_edges() {
         let (a, b) = if edge.a <= edge.b { (edge.a, edge.b) } else { (edge.b, edge.a) };
         let Some(v4) = inference.relationship(a, b, IpVersion::V4) else { continue };
@@ -292,7 +290,7 @@ mod tests {
         let data = extract(&scenario.pooled_snapshot(1));
         let report = detect_hybrids_from_graph(&data, &scenario.truth.graph);
         // Every finding must correspond to an injected hybrid link.
-        let injected: HashSet<(Asn, Asn)> = scenario
+        let injected: FastSet<(Asn, Asn)> = scenario
             .truth
             .hybrid_links
             .iter()

@@ -9,9 +9,11 @@
 //! traffic-engineering community* — and then applies the learned mapping
 //! to that feeder's remaining routes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use bgp_types::{Asn, IpVersion, PathAttributes, PeerId, Prefix, Relationship, RibSnapshot};
+use bgp_types::{
+    Asn, FastMap, IpVersion, PathAttributes, PeerId, Prefix, Relationship, RibSnapshot,
+};
 use irr::CommunityDictionary;
 
 use crate::communities::CommunityInference;
@@ -62,7 +64,7 @@ fn snapshot_routes<'a>(
 #[derive(Debug, Clone, Default)]
 pub struct LocPrfRosetta {
     /// (feeder, plane, locpref) → relationship, kept only when unambiguous.
-    mappings: HashMap<(Asn, IpVersion, u32), Relationship>,
+    mappings: FastMap<(Asn, IpVersion, u32), Relationship>,
 }
 
 impl LocPrfRosetta {
@@ -85,7 +87,7 @@ impl LocPrfRosetta {
     ) -> Self {
         // (feeder, plane, locpref) -> relationships seen, one bit per
         // `Relationship as usize`
-        let mut observations: HashMap<(Asn, IpVersion, u32), u8> = HashMap::new();
+        let mut observations: FastMap<(Asn, IpVersion, u32), u8> = FastMap::default();
         for route in routes {
             // Only community-validated first hops teach us anything.
             let Some(rel) = inference.relationship(route.feeder, route.first_hop, route.plane)
@@ -164,7 +166,7 @@ pub struct LocPrfRoutes {
     /// Per id, the summary and how many recorded routes share it; an id
     /// no route shares is on `free`.
     summaries: Vec<(LocPrfRoute, usize)>,
-    ids: HashMap<LocPrfRoute, u32>,
+    ids: FastMap<LocPrfRoute, u32>,
     free: Vec<u32>,
 }
 

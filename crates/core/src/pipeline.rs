@@ -239,8 +239,8 @@ impl Pipeline {
     ///
     /// With more than one worker allowed, the stages that are independent
     /// of one another run concurrently: extraction alongside community
-    /// decoding, then — after the LocPrf extension — hybrid detection,
-    /// valley analysis and the Gao baseline. Each stage computes exactly
+    /// decoding and its LocPrf extension, then hybrid detection, valley
+    /// analysis and the Gao baseline. Each stage computes exactly
     /// what the sequential path computes, so the report is byte-identical
     /// at every worker count.
     pub fn run(&self, input: PipelineInput) -> Report {
@@ -298,11 +298,14 @@ impl Pipeline {
         let workers = self.options.workers();
         let caches = caches.map(|caches| caches.sync(&snapshot, &dictionary));
 
-        // 1+2. Extraction and communities-based inference are independent
-        //      scans of the pooled snapshot. A streaming session scans
-        //      nothing: it reads its caches, maintained route by route as
-        //      updates applied, and they apply the LocPrf step (3) too.
-        let (mut data, mut inference, caches) = match caches {
+        // 1+2+3. Extraction and the communities-based inference are
+        //        independent scans of the pooled snapshot. The LocPrf
+        //        Rosetta Stone extends the inference without reading the
+        //        extracted data, so it runs on the inference's side. A
+        //        streaming session scans nothing: it reads its caches,
+        //        maintained route by route as updates applied, and they
+        //        apply the LocPrf step too.
+        let (mut data, inference, caches) = match caches {
             Some((extract, inference_cache, valley)) => {
                 let (data, inference) = routesim::join(
                     workers,
@@ -315,7 +318,15 @@ impl Pipeline {
                 let (data, inference) = routesim::join(
                     workers,
                     || extract(&snapshot),
-                    || CommunityInference::from_snapshot(&snapshot, &dictionary),
+                    || {
+                        let mut inference =
+                            CommunityInference::from_snapshot(&snapshot, &dictionary);
+                        if self.use_locpref {
+                            let rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &inference);
+                            rosetta.apply(&snapshot, &dictionary, &mut inference);
+                        }
+                        inference
+                    },
                 );
                 (data, inference, None)
             }
@@ -329,12 +340,6 @@ impl Pipeline {
             data.graph.freeze();
         }
 
-        // 3. LocPrf Rosetta Stone (reads and extends the inference, so it
-        //    stays on the critical path).
-        if self.use_locpref && caches.is_none() {
-            let rosetta = LocPrfRosetta::learn(&snapshot, &dictionary, &inference);
-            rosetta.apply(&snapshot, &dictionary, &mut inference);
-        }
         let (extract_cache, valley_cache) = caches.unzip();
 
         // 4+5+7a. Hybrid detection, valley analysis and the Gao baseline

@@ -15,11 +15,10 @@
 //! a lock, so concurrent query execution in any order produces
 //! byte-identical responses (the service determinism suite pins this).
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 use asgraph::{customer_tree, AsGraph, DeltaOutcome, DistanceMap, EdgeCorrection, RemovalPolicy};
-use bgp_types::{Asn, IpVersion, Relationship};
+use bgp_types::{Asn, FastMap, IpVersion, Relationship};
 
 use crate::pipeline::{Pipeline, PipelineInput};
 use crate::report::Report;
@@ -94,7 +93,7 @@ impl ResidentState {
 
         // Fold the per-AS visibility counters over every distinct IPv6
         // path.
-        let mut vis: HashMap<Asn, VisibilityStats> = HashMap::new();
+        let mut vis: FastMap<Asn, VisibilityStats> = FastMap::default();
         let total_v6_paths = u32::try_from(artifacts.data.paths_v6.len())
             .expect("IPv6 path count exceeds u32 range");
         let mut members = Vec::new();

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use asgraph::valley::{classify_path, valley_free_distances, PathValidity};
 use asgraph::AsGraph;
-use bgp_types::{Asn, IpVersion};
+use bgp_types::{Asn, FastMap, IpVersion};
 
 use crate::extract::ExtractedData;
 
@@ -73,8 +73,7 @@ pub fn analyze_valleys(
 ) -> ValleyReport {
     // Cache the valley-free distance maps per path head, so paths sharing a
     // feeder reuse one BFS.
-    let mut reach_cache: std::collections::HashMap<Asn, Vec<Option<u32>>> =
-        std::collections::HashMap::new();
+    let mut reach_cache: FastMap<Asn, Vec<Option<u32>>> = FastMap::default();
     analyze_valleys_impl(data, annotated, plane, &mut |graph, head, origin| {
         let distances =
             reach_cache.entry(head).or_insert_with(|| valley_free_distances(graph, head, plane));

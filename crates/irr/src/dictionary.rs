@@ -1,10 +1,8 @@
 //! The `(asn, value) → meaning` lookup table used by the inference.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
-use bgp_types::{Asn, Community, CommunitySet};
+use bgp_types::{Asn, Community, CommunitySet, FastMap};
 
 use crate::meaning::{CommunityMeaning, RelationshipTag};
 use crate::scheme::CommunityScheme;
@@ -17,7 +15,7 @@ use crate::scheme::CommunityScheme;
 /// measurement's coverage is bounded by it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CommunityDictionary {
-    entries: HashMap<u32, CommunityMeaning>,
+    entries: FastMap<u32, CommunityMeaning>,
 }
 
 impl CommunityDictionary {
@@ -132,6 +130,18 @@ mod tests {
         );
         d.insert(Community::new(6939, 10000), CommunityMeaning::IngressLocation(0));
         d
+    }
+
+    #[test]
+    fn round_trips_through_json() {
+        let d = dict();
+        let text = serde_json::to_string(&d).unwrap();
+        let back: CommunityDictionary = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, d);
+        assert_eq!(
+            back.lookup(Community::new(2914, 3910)),
+            Some(CommunityMeaning::TrafficEngineering(TrafficAction::LowerPreference))
+        );
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The zero-copy MRT reader and the snapshot-level convenience API.
 
-use std::collections::HashMap;
 use std::io::Read;
 use std::path::Path;
 
 use bytes::Bytes;
 
-use bgp_types::{CollectorId, PeerId, RibEntry, RibSnapshot, RouteSource};
+use bgp_types::{CollectorId, FastMap, PeerId, RibEntry, RibSnapshot, RouteSource};
 
 use crate::error::MrtError;
 use crate::record::{MrtHeader, MrtRecord, MrtRecordBody};
@@ -127,7 +126,7 @@ fn collect_snapshot(
 ) -> Result<RibSnapshot, MrtError> {
     let mut snapshot = RibSnapshot::default();
     let mut peer_table: Option<PeerIndexTable> = None;
-    let mut peer_cache: HashMap<u16, PeerId> = HashMap::new();
+    let mut peer_cache: FastMap<u16, PeerId> = FastMap::default();
 
     for record in records {
         let record = record?;

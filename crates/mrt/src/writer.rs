@@ -1,6 +1,5 @@
 //! MRT writers: record-level and snapshot-level emission.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::net::Ipv4Addr;
@@ -8,7 +7,7 @@ use std::path::Path;
 
 use bytes::BytesMut;
 
-use bgp_types::{PeerId, Prefix, RibSnapshot};
+use bgp_types::{FastMap, PeerId, Prefix, RibSnapshot};
 
 use crate::error::MrtError;
 use crate::record::{td2_subtype, MrtHeader, MrtRecord, MrtRecordBody, MrtType};
@@ -64,7 +63,7 @@ pub fn write_snapshot(sink: impl Write, snapshot: &RibSnapshot) -> Result<(), Mr
     // Build the peer table. Peer indices follow the sorted order that
     // `RibSnapshot::peers` returns, making output deterministic.
     let peers = snapshot.peers();
-    let peer_index: HashMap<PeerId, u16> =
+    let peer_index: FastMap<PeerId, u16> =
         peers.iter().enumerate().map(|(i, p)| (*p, i as u16)).collect();
     let table = PeerIndexTable {
         collector_bgp_id: Ipv4Addr::new(192, 0, 2, 255),
@@ -92,7 +91,7 @@ pub fn write_snapshot(sink: impl Write, snapshot: &RibSnapshot) -> Result<(), Mr
 
     // Group entries by prefix, preserving first-seen order.
     let mut order: Vec<Prefix> = Vec::new();
-    let mut grouped: HashMap<Prefix, Vec<RibEntryRaw>> = HashMap::new();
+    let mut grouped: FastMap<Prefix, Vec<RibEntryRaw>> = FastMap::default();
     for entry in &snapshot.entries {
         let raw = RibEntryRaw {
             peer_index: *peer_index.get(&entry.peer).expect("peer indexed above"),

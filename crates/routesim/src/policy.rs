@@ -4,15 +4,13 @@
 //! scenarios (route leaks, prefix hijacks) and defensive deployments
 //! (ROV, ASPA-lite).
 
-use std::collections::HashMap;
-
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use asgraph::{AsGraph, NodeId};
-use bgp_types::{Asn, IpVersion, Relationship};
+use bgp_types::{Asn, FastMap, IpVersion, Relationship};
 use irr::{CommunityScheme, RelationshipTag, SchemeGenerator};
 use topogen::{GroundTruth, PlannedTier};
 
@@ -98,7 +96,7 @@ impl AsPolicy {
 /// The policies of every AS in a scenario.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyTable {
-    policies: HashMap<Asn, AsPolicy>,
+    policies: FastMap<Asn, AsPolicy>,
 }
 
 impl PolicyTable {
@@ -107,7 +105,7 @@ impl PolicyTable {
     pub fn build(truth: &GroundTruth, config: &SimConfig) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x706f_6c69);
         let scheme_generator = SchemeGenerator::default();
-        let mut policies = HashMap::new();
+        let mut policies = FastMap::default();
 
         let mut asns: Vec<Asn> = truth.graph.asns().collect();
         asns.sort();

@@ -1,7 +1,6 @@
 //! End-to-end scenario assembly: topology → policies → propagation →
 //! collector RIBs → IRR registry → MRT files.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::path::{Path, PathBuf};
@@ -12,8 +11,8 @@ use rand_chacha::ChaCha8Rng;
 
 use asgraph::AsGraph;
 use bgp_types::{
-    Asn, CollectorId, IpVersion, Ipv4Net, Ipv6Net, PathAttributes, PeerId, Prefix, RibEntry,
-    RibSnapshot, RouteSource,
+    Asn, CollectorId, FastMap, IpVersion, Ipv4Net, Ipv6Net, PathAttributes, PeerId, Prefix,
+    RibEntry, RibSnapshot, RouteSource,
 };
 use irr::{IrrRegistry, TrafficAction};
 use topogen::{GroundTruth, TopologyConfig};
@@ -348,7 +347,7 @@ impl<'a> PlaneMaterialiser<'a> {
         // Walk the path from the origin towards the feeder, accumulating
         // the communities each AS adds at ingress (and dropping foreign
         // ones at scrubbing ASes).
-        let mut per_as_locations: HashMap<Asn, u16> = HashMap::new();
+        let mut per_as_locations: FastMap<Asn, u16> = FastMap::default();
         for i in (0..path.len() - 1).rev() {
             let this_as = path[i];
             let learned_from = path[i + 1];
@@ -574,7 +573,7 @@ mod tests {
         let s = small_scenario();
         // For every full feeder, group LocPrf by the true relationship to the
         // first hop and verify customer > peer > provider on average.
-        let mut by_rel: HashMap<(Asn, Relationship), Vec<u32>> = HashMap::new();
+        let mut by_rel: FastMap<(Asn, Relationship), Vec<u32>> = FastMap::default();
         for entry in &s.pooled_snapshot(1).entries {
             let Some(lp) = entry.attrs.local_pref else { continue };
             let path: Vec<Asn> = entry.attrs.as_path.asns().collect();

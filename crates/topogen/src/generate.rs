@@ -1,12 +1,10 @@
 //! The topology generation algorithm.
 
-use std::collections::HashMap;
-
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use bgp_types::{Asn, IpVersion, Relationship, RelationshipPair};
+use bgp_types::{Asn, FastMap, IpVersion, Relationship, RelationshipPair};
 
 use crate::config::TopologyConfig;
 use crate::ground_truth::{GroundTruth, HybridClass, HybridLink, PlannedTier};
@@ -32,7 +30,7 @@ pub fn generate(config: &TopologyConfig) -> GroundTruth {
 fn base_topology(
     config: &TopologyConfig,
     rng: &mut ChaCha8Rng,
-) -> (GroundTruth, HashMap<Asn, usize>) {
+) -> (GroundTruth, FastMap<Asn, usize>) {
     let mut truth = GroundTruth { seed: config.seed, ..Default::default() };
 
     // ---- ASN allocation -------------------------------------------------
@@ -72,13 +70,13 @@ fn base_topology(
     // rewrite a selection of them per plane.
     let mut base_links: Vec<(Asn, Asn, Relationship)> = Vec::new();
     // Running IPv4 degree, used for preferential attachment — the
-    // HashMap serves the later degree *reads* (v6-only peering, hybrid
+    // map serves the later degree *reads* (v6-only peering, hybrid
     // weighting), the per-pool Fenwick samplers serve the weighted
     // provider *draws*.
-    let mut degree: HashMap<Asn, usize> = HashMap::new();
+    let mut degree: FastMap<Asn, usize> = FastMap::default();
     let mut tier1_sampler = DegreeSampler::new(&tier1);
     let mut tier2_sampler = DegreeSampler::new(&tier2);
-    fn bump(degree: &mut HashMap<Asn, usize>, samplers: [&mut DegreeSampler; 2], a: Asn, b: Asn) {
+    fn bump(degree: &mut FastMap<Asn, usize>, samplers: [&mut DegreeSampler; 2], a: Asn, b: Asn) {
         for asn in [a, b] {
             *degree.entry(asn).or_insert(0) += 1;
         }
@@ -209,7 +207,7 @@ fn base_topology(
 /// so the tree's sums are exact and no draw needs the scan itself.
 struct DegreeSampler {
     pool: Vec<Asn>,
-    slot: HashMap<Asn, usize>,
+    slot: FastMap<Asn, usize>,
     /// One-based Fenwick tree over the per-slot weights.
     tree: Vec<usize>,
     total: usize,
@@ -335,7 +333,7 @@ impl DegreeSampler {
 fn inject_hybrids<R: Rng>(
     config: &TopologyConfig,
     truth: &mut GroundTruth,
-    degree: &HashMap<Asn, usize>,
+    degree: &FastMap<Asn, usize>,
     rng: &mut R,
 ) {
     let (candidates, weights, target) = hybrid_candidates(config, truth, degree);
@@ -398,7 +396,7 @@ fn inject_hybrids<R: Rng>(
 fn hybrid_candidates(
     config: &TopologyConfig,
     truth: &GroundTruth,
-    degree: &HashMap<Asn, usize>,
+    degree: &FastMap<Asn, usize>,
 ) -> (Vec<(Asn, Asn, Relationship)>, Vec<f64>, usize) {
     let mut candidates: Vec<(Asn, Asn, Relationship)> = truth
         .graph
@@ -540,6 +538,7 @@ mod tests {
     use super::*;
     use asgraph::metrics::connected_components;
     use asgraph::valley::classify_path;
+    use std::collections::HashMap;
 
     fn truth_small() -> GroundTruth {
         generate(&TopologyConfig::small())

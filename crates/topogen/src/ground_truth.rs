@@ -1,11 +1,9 @@
 //! The generator's output: the annotated graph plus its book-keeping.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use asgraph::AsGraph;
-use bgp_types::{Asn, IpVersion, Relationship, RelationshipPair};
+use bgp_types::{Asn, FastMap, IpVersion, Relationship, RelationshipPair};
 
 /// The structural role the generator *planned* for an AS. This is the
 /// intended role, independent of what a structural classifier would infer
@@ -96,9 +94,9 @@ pub struct GroundTruth {
     /// The annotated graph: per-plane presence and true relationships.
     pub graph: AsGraph,
     /// The planned tier of every AS.
-    pub tiers: HashMap<Asn, PlannedTier>,
+    pub tiers: FastMap<Asn, PlannedTier>,
     /// Which ASes are IPv6-capable.
-    pub ipv6_capable: HashMap<Asn, bool>,
+    pub ipv6_capable: FastMap<Asn, bool>,
     /// Every link that was made hybrid, with its class.
     pub hybrid_links: Vec<HybridLink>,
     /// The configuration seed, for provenance.
@@ -138,8 +136,8 @@ impl GroundTruth {
     }
 
     /// Count hybrids per class.
-    pub fn hybrid_class_counts(&self) -> HashMap<HybridClass, usize> {
-        let mut counts = HashMap::new();
+    pub fn hybrid_class_counts(&self) -> FastMap<HybridClass, usize> {
+        let mut counts = FastMap::default();
         for link in &self.hybrid_links {
             *counts.entry(link.class).or_insert(0) += 1;
         }
